@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit code 0 means every executed check passed or was not applicable; 1 means
-at least one failure; argparse's own 2 covers usage errors.
+at least one failure; 2 covers usage and input errors (argparse's own among
+them) and an enumeration that would exceed its cap.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .verify import (
     run_corpus,
     write_report,
 )
-from .walks import enumerate_arcs, enumerate_geodesics
+from .walks import EnumerationCapExceeded, enumerate_arcs, enumerate_geodesics
 
 
 def _add_input_args(p):
@@ -224,7 +225,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EnumerationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,6 +41,18 @@ class EdgeIndex:
     def __len__(self):
         return len(self.edges)
 
+    @cached_property
+    def line(self) -> Graph:
+        """Line graph of the host; vertex i is edge i.  See line_graph."""
+        g = self.host
+        if g.m == 0:
+            raise ValueError("line graph of an edgeless graph is empty")
+        pairs = []
+        for v in range(g.n):
+            incident = [self.rank_of(v, w) for w in g.adj[v]]
+            pairs.extend(itertools.combinations(incident, 2))
+        return build_graph(len(self), pairs, name=_derived_name(g, "L"))
+
 
 @dataclass(frozen=True)
 class DerivedGraph:
@@ -68,15 +80,8 @@ def line_graph(g: Graph) -> DerivedGraph:
 
     Requires at least one edge, since the empty graph is not representable.
     """
-    if g.m == 0:
-        raise ValueError("line graph of an edgeless graph is empty")
     index = EdgeIndex.from_graph(g)
-    pairs = []
-    for v in range(g.n):
-        incident = [index.rank_of(v, w) for w in g.adj[v]]
-        pairs.extend(itertools.combinations(incident, 2))
-    lg = build_graph(len(index), pairs, name=_derived_name(g, "L"))
-    return DerivedGraph(lg, "line", index=index)
+    return DerivedGraph(index.line, "line", index=index)
 
 
 def subdivision_graph(g: Graph) -> DerivedGraph:

@@ -3,11 +3,13 @@
 Vertices are always 0..n-1 and every adjacency row is a strictly sorted
 tuple, so a Graph is hashable, deterministic to iterate, and safe to share.
 Anything that looks like a multigraph (duplicate edges) is collapsed at
-construction; self-loops are rejected outright.
+construction; self-loops are rejected outright.  Facts derived from the
+adjacency (the edge list, distance rows) are cached on first use.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -54,6 +56,33 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def _distance_rows(self) -> list[tuple[int | None, ...] | None]:
+        return [None] * self.n
+
+    def distances(self, source: int) -> tuple[int | None, ...]:
+        """Distances from source, None marking unreachable vertices.
+
+        Each row comes from one BFS, run the first time the row is asked for
+        and kept for the graph's lifetime, so a one-row query never pays for
+        the whole table.
+        """
+        if not 0 <= source < self.n:
+            raise ValueError(f"vertex {source} out of range")
+        row = self._distance_rows[source]
+        if row is None:
+            dist: list[int | None] = [None] * self.n
+            dist[source] = 0
+            q = deque([source])
+            while q:
+                u = q.popleft()
+                for w in self.adj[u]:
+                    if dist[w] is None:
+                        dist[w] = dist[u] + 1
+                        q.append(w)
+            row = self._distance_rows[source] = tuple(dist)
+        return row
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

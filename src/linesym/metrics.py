@@ -2,12 +2,12 @@
 
 Disconnected graphs have no diameter and forests have no girth; both cases
 come back as None rather than an exception, so callers can gate on
-connectivity themselves.
+connectivity themselves.  Every distance here is read from the graph's
+memoised rows (Graph.distances), so each BFS runs at most once per graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .graphs import Graph, VertexSet, induced_subgraph, is_regular, neighbors
@@ -15,67 +15,51 @@ from .graphs import Graph, VertexSet, induced_subgraph, is_regular, neighbors
 
 def bfs_distances(g: Graph, source: int) -> list[int | None]:
     """Distances from source; None marks unreachable vertices."""
-    if not 0 <= source < g.n:
-        raise ValueError(f"vertex {source} out of range")
-    dist: list[int | None] = [None] * g.n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for w in g.adj[u]:
-            if dist[w] is None:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return dist
+    return list(g.distances(source))
 
 
 def distance(g: Graph, u: int, v: int) -> int | None:
     """Length of a shortest u-v path, or None when v is unreachable from u."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    return bfs_distances(g, u)[v]
+    return g.distances(u)[v]
 
 
 def is_connected(g: Graph) -> bool:
-    return all(d is not None for d in bfs_distances(g, 0))
+    return None not in g.distances(0)
 
 
 def diameter(g: Graph) -> int | None:
     """Largest pairwise distance, or None for a disconnected graph."""
-    best = 0
-    for v in range(g.n):
-        dist = bfs_distances(g, v)
-        for d in dist:
-            if d is None:
-                return None
-            best = max(best, d)
-    return best
+    if not is_connected(g):
+        return None
+    return max(max(g.distances(v)) for v in range(g.n))
 
 
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None when the graph has no cycle.
 
-    One BFS per root; a non-tree edge seen from root r closes a walk of
-    length dist[u] + dist[w] + 1, which always contains a cycle, and for a
-    root on a shortest cycle the bound is attained.
+    Read off each root's distance row: a vertex w with two neighbours one
+    level closer to the root closes a walk of length 2*d(w), and a neighbour
+    on w's own level one of length 2*d(w) + 1.  Either walk contains a cycle,
+    and for a root on a shortest cycle the vertex opposite it attains the
+    bound.
     """
     best: int | None = None
     for r in range(g.n):
-        dist: list[int | None] = [None] * g.n
-        parent = [-1] * g.n
-        dist[r] = 0
-        q = deque([r])
-        while q:
-            u = q.popleft()
-            for w in g.adj[u]:
-                if dist[w] is None:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    q.append(w)
-                elif w != parent[u]:
-                    cand = dist[u] + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
+        dist = g.distances(r)
+        for w, d in enumerate(dist):
+            if d is None:
+                continue
+            levels = [dist[u] for u in g.adj[w]]
+            if levels.count(d - 1) > 1:
+                cand = 2 * d
+            elif d in levels:
+                cand = 2 * d + 1
+            else:
+                continue
+            if best is None or cand < best:
+                best = cand
     return best
 
 
@@ -85,7 +69,7 @@ def distance_partition(g: Graph, source: int) -> list[VertexSet]:
     Unreachable vertices are simply absent, so the level sizes sum to the
     size of source's component.
     """
-    dist = bfs_distances(g, source)
+    dist = g.distances(source)
     top = max(d for d in dist if d is not None)
     levels: list[list[int]] = [[] for _ in range(top + 1)]
     for v, d in enumerate(dist):

@@ -4,8 +4,8 @@ Everything here works on raw adjacency (a tuple of strictly sorted neighbor
 tuples) so the module stays free of package imports.  A coloring is a list of
 dense ints, one per vertex; it is "discrete" when every color class is a
 singleton.  Refinement only ever splits classes, and class ids are renumbered
-from sorted signatures, so two graphs refined with the shared-signature
-variant end up with directly comparable colorings.
+from sorted signatures, so two graphs refined together as one disjoint union
+end up with directly comparable colorings.
 """
 
 from __future__ import annotations
@@ -26,23 +26,6 @@ def refine(adj: Adjacency, colors: list[int]) -> list[int]:
         # A pass that creates no new class leaves every class signature-uniform.
         if len(order) == ncolors:
             return colors
-        ncolors = len(order)
-
-
-def _joint_refine(adj1, c1, adj2, c2):
-    """Refine two colorings with a shared signature ranking; None on mismatch."""
-    n = len(adj1)
-    ncolors = len(set(c1))
-    while True:
-        s1 = [(c1[v], tuple(sorted(c1[w] for w in adj1[v]))) for v in range(n)]
-        s2 = [(c2[v], tuple(sorted(c2[w] for w in adj2[v]))) for v in range(n)]
-        if sorted(s1) != sorted(s2):
-            return None
-        order = {sig: i for i, sig in enumerate(sorted(set(s1)))}
-        c1 = [order[s] for s in s1]
-        c2 = [order[s] for s in s2]
-        if len(order) == ncolors:
-            return c1, c2
         ncolors = len(order)
 
 
@@ -76,11 +59,13 @@ def find_isomorphism(adj1: Adjacency, adj2: Adjacency) -> tuple[int, ...] | None
     if len(adj2) != n:
         return None
 
+    union = adj1 + tuple(tuple(w + n for w in row) for row in adj2)
+
     def search(c1, c2):
-        refined = _joint_refine(adj1, c1, adj2, c2)
-        if refined is None:
+        colors = refine(union, c1 + c2)
+        c1, c2 = colors[:n], colors[n:]
+        if sorted(c1) != sorted(c2):
             return None
-        c1, c2 = refined
         target = _first_nonsingleton(c1)
         if target is None:
             pos2 = {c: v for v, c in enumerate(c2)}

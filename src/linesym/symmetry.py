@@ -3,13 +3,14 @@
 Permutations compose in application order: (p * q) means "apply p, then q",
 so acting on the right with exponent-style notation composes the obvious
 way.  Group orders come from a stabilizer chain (orbit sizes multiplied down
-the chain), never from enumerating elements; the element list is only
-materialized on request and only below a size cap.
+the chain), never from enumerating elements, and the same chain draws
+uniformly random elements one coset representative per level.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -18,10 +19,8 @@ from typing import Iterable, Sequence
 from . import refinement
 from .constructions import EdgeIndex
 from .graphs import Graph
-from .metrics import bfs_distances, diameter
+from .metrics import diameter, is_connected
 from .walks import enumerate_arcs, enumerate_geodesics
-
-ELEMENT_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -176,14 +175,6 @@ def _chain_order(trans) -> int:
     return math.prod(len(t) for t in trans) if trans else 1
 
 
-def _chain_elements(trans, n):
-    """Every group element exactly once, as transversal products."""
-    elems = [tuple(range(n))]
-    for level in reversed(trans):
-        elems = [_compose(h, u) for h in elems for u in level.values()]
-    return elems
-
-
 @dataclass(frozen=True)
 class AutGroup:
     """A permutation group given by generators, with an exact order."""
@@ -216,12 +207,17 @@ class AutGroup:
                     raise ValueError(f"permutation {p.one_line()!r} breaks edge {u}-{v}")
         return AutGroup.from_permutations(g.n, perms)
 
-    def elements(self, cap: int = ELEMENT_CAP) -> tuple[Permutation, ...] | None:
-        """Full enumeration when the order is at most cap, else None."""
-        if self.order > cap:
-            return None
-        raw = _chain_elements(self._transversals, self.degree)
-        return tuple(Permutation(p) for p in sorted(raw))
+    def random_element(self, rng: random.Random) -> Permutation:
+        """A uniformly random element of the group.
+
+        Every element is exactly one product of coset representatives, one
+        per chain level, so choosing each uniformly gives a uniform element
+        (Seress, Permutation Group Algorithms, 2003, section 2).
+        """
+        p = tuple(range(self.degree))
+        for level in reversed(self._transversals):
+            p = _compose(p, rng.choice(tuple(level.values())))
+        return Permutation(p)
 
 
 def automorphisms(g: Graph) -> AutGroup:
@@ -305,7 +301,7 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
 
 
 def _require_connected(g: Graph):
-    if diameter(g) is None:
+    if not is_connected(g):
         raise ValueError("transitivity tests need a connected graph")
 
 
@@ -351,7 +347,7 @@ def is_distance_transitive(g: Graph, group: AutGroup | None = None) -> bool:
     d = diameter(g)
     pairs_by_dist: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
     for u in range(g.n):
-        dist = bfs_distances(g, u)
+        dist = g.distances(u)
         for v in range(g.n):
             pairs_by_dist[dist[v]].append((u, v))
     for pairs in pairs_by_dist:

@@ -20,7 +20,6 @@ from .graphs import Graph, is_complete, is_regular, isomorphic
 from .metrics import diameter, girth, is_connected, local_type
 from .symmetry import (
     AutGroup,
-    Permutation,
     automorphisms,
     induced_edge_action,
     is_s_arc_transitive,
@@ -182,16 +181,6 @@ def _is_path_graph(g: Graph) -> bool:
     return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
 
 
-def _sample_element(group: AutGroup, rng: random.Random) -> Permutation:
-    elems = group.elements(cap=10_000)
-    if elems is not None:
-        return rng.choice(elems)
-    p = Permutation.identity(group.degree)
-    for _ in range(rng.randint(1, 8)):
-        p = p * rng.choice(group.generators)
-    return p
-
-
 def check_lmap_theorem(
     g: Graph, s: int, group: AutGroup | None = None,
     samples: int = 50, seed: int = 0,
@@ -257,7 +246,7 @@ def check_lmap_theorem(
     ok_equi = True
     pairs = 0
     for _ in range(samples):
-        sigma = _sample_element(group, rng)
+        sigma = group.random_element(rng)
         arc = rng.choice(arcs)
         left = lmap(index, sigma.apply(arc))
         right = induced_edge_action(index, sigma).apply(lmap(index, arc))

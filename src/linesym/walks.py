@@ -10,11 +10,9 @@ reproducible.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .constructions import EdgeIndex, line_graph
 from .graphs import Graph
-from .metrics import bfs_distances, diameter
+from .metrics import diameter
 
 ENUMERATION_CAP = 10_000_000
 
@@ -41,39 +39,38 @@ def is_geodesic(g: Graph, seq: tuple[int, ...]) -> bool:
     """True for a walk realizing the distance between its endpoints."""
     if len(seq) < 2 or not is_walk(g, seq):
         return False
-    return distance_ok(g, seq)
-
-
-def distance_ok(g: Graph, seq) -> bool:
-    return bfs_distances(g, seq[0])[seq[-1]] == len(seq) - 1
+    return g.distances(seq[0])[seq[-1]] == len(seq) - 1
 
 
 def enumerate_arcs(g: Graph, s: int, cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
     """All s-arcs in lexicographic order.
 
+    Depth-first from each start vertex, with an explicit stack of
+    (depth, vertex) entries, so s is not limited by the recursion limit.
     Raises EnumerationCapExceeded once more than cap arcs have been found;
     the cap guards against accidental blowups on dense hosts, not memory
     behaviour in general.
     """
     if s < 1:
         raise ValueError("arcs need length at least 1")
+    adj = g.adj
     out: list[tuple[int, ...]] = []
-
-    def extend(path: list[int]):
-        if len(path) == s + 1:
-            if len(out) >= cap:
-                raise EnumerationCapExceeded(f"more than {cap} arcs of length {s}")
-            out.append(tuple(path))
-            return
-        prev = path[-2] if len(path) > 1 else -1
-        for w in g.adj[path[-1]]:
-            if w != prev:
-                path.append(w)
-                extend(path)
-                path.pop()
-
     for v in range(g.n):
-        extend([v])
+        path: list[int] = []
+        stack = [(0, v)]
+        while stack:
+            k, w = stack.pop()
+            del path[k:]
+            path.append(w)
+            prev = path[-2] if k else -1
+            if k + 1 < s:
+                stack.extend([(k + 1, x) for x in reversed(adj[w]) if x != prev])
+                continue
+            leaves = [(*path, x) for x in adj[w] if x != prev]
+            if len(out) + len(leaves) > cap:
+                raise EnumerationCapExceeded(
+                    f"enumeration cap reached: more than {cap} arcs of length {s}")
+            out.extend(leaves)
     return out
 
 
@@ -84,22 +81,21 @@ def enumerate_geodesics(g: Graph, s: int) -> list[tuple[int, ...]]:
         raise ValueError("geodesics are only defined on connected graphs")
     if not 1 <= s <= d:
         raise ValueError(f"s={s} outside 1..diameter={d}")
+    adj = g.adj
     out: list[tuple[int, ...]] = []
-
-    def extend(path: list[int], dist: list[int | None]):
-        if len(path) == s + 1:
-            out.append(tuple(path))
-            return
-        k = len(path)
-        for w in g.adj[path[-1]]:
-            if dist[w] == k:
-                path.append(w)
-                extend(path, dist)
-                path.pop()
-
     for v in range(g.n):
-        dist = bfs_distances(g, v)
-        extend([v], dist)
+        dist = g.distances(v)
+        path: list[int] = []
+        stack = [(0, v)]
+        while stack:
+            k, w = stack.pop()
+            del path[k:]
+            path.append(w)
+            k += 1
+            if k < s:
+                stack.extend([(k, x) for x in reversed(adj[w]) if dist[x] == k])
+            else:
+                out.extend([(*path, x) for x in adj[w] if dist[x] == k])
     return out
 
 
@@ -110,29 +106,6 @@ def lmap(index: EdgeIndex, arc: tuple[int, ...]) -> tuple[int, ...]:
     if not is_arc(index.host, arc):
         raise ValueError(f"{arc} is not an arc of the host")
     return tuple(index.rank_of(a, b) for a, b in zip(arc, arc[1:]))
-
-
-def line_neighbors(index: EdgeIndex, i: int) -> list[int]:
-    """Ranks of the edges sharing an endpoint with edge i, sorted."""
-    u, v = index.edges[i]
-    out = {index.rank_of(u, w) for w in index.host.adj[u]}
-    out |= {index.rank_of(v, w) for w in index.host.adj[v]}
-    out.discard(i)
-    return sorted(out)
-
-
-def _line_distance(index: EdgeIndex, a: int, b: int) -> int | None:
-    dist: dict[int, int] = {a: 0}
-    q = deque([a])
-    while q:
-        e = q.popleft()
-        if e == b:
-            return dist[e]
-        for f in line_neighbors(index, e):
-            if f not in dist:
-                dist[f] = dist[e] + 1
-                q.append(f)
-    return dist.get(b)
 
 
 def lmap_invert(index: EdgeIndex, line_tuple: tuple[int, ...]) -> tuple[int, ...]:
@@ -146,10 +119,7 @@ def lmap_invert(index: EdgeIndex, line_tuple: tuple[int, ...]) -> tuple[int, ...
         raise ValueError("need at least two edge ranks to invert")
     if any(not 0 <= e < len(index.edges) for e in line_tuple):
         raise ValueError("edge rank out of range")
-    for a, b in zip(line_tuple, line_tuple[1:]):
-        if a == b or not set(index.edges[a]) & set(index.edges[b]):
-            raise ValueError(f"{line_tuple} is not a walk in the line graph")
-    if _line_distance(index, line_tuple[0], line_tuple[-1]) != len(line_tuple) - 1:
+    if not is_geodesic(index.line, line_tuple):
         raise ValueError(f"{line_tuple} is not a geodesic in the line graph")
     inner = []
     for a, b in zip(line_tuple, line_tuple[1:]):
@@ -160,7 +130,8 @@ def lmap_invert(index: EdgeIndex, line_tuple: tuple[int, ...]) -> tuple[int, ...
     arc = tuple(first + inner + last)
     # Geodesics never let three consecutive edges share one vertex, so the
     # rebuilt sequence is automatically an arc; anything else is a bug.
-    assert is_arc(index.host, arc), arc
+    if not is_arc(index.host, arc):
+        raise RuntimeError(f"rebuilt sequence {arc} is not an arc of the host")
     return arc
 
 

@@ -4,11 +4,13 @@ import sys
 
 import pytest
 
+import linesym.cli
 import linesym.verify
 from linesym.cli import main
 from linesym.constructions import catalog
 from linesym.graph6 import emit_graph6
 from linesym.verify import PASS, VerdictReport
+from linesym.walks import EnumerationCapExceeded
 
 
 @pytest.fixture()
@@ -56,6 +58,20 @@ def test_orbits_arcs(capsys):
     assert main(["orbits", "--arcs", "3", "--catalog", "petersen"]) == 0
     out = capsys.readouterr().out
     assert "120" in out and "transitive: True" in out
+
+
+def test_orbits_on_arcs_longer_than_the_recursion_limit(capsys):
+    # The full dihedral group is given, to keep the automorphism search of a
+    # long cycle (seconds) out of a test of the enumeration.
+    n = 1200
+    rotation = " ".join(str((v + 1) % n) for v in range(n))
+    reflection = " ".join(str(-v % n) for v in range(n))
+    argv = ["orbits", "--arcs", "1100", "--catalog", f"cycle({n})",
+            "--group", f"{rotation};{reflection}"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "2400 1100-arcs" in out and "order 2400" in out
+    assert "transitive: True" in out
 
 
 def test_orbits_geodesics(capsys):
@@ -172,6 +188,16 @@ def test_missing_file_is_usage_error(capsys):
 def test_bad_catalog_name_is_usage_error(capsys):
     assert main(["invariants", "--catalog", "mystery"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_enumeration_cap_is_exit_2(monkeypatch, capsys):
+    def capped(g, s):
+        raise EnumerationCapExceeded(f"enumeration cap reached: more than 10 arcs of length {s}")
+
+    monkeypatch.setattr(linesym.cli, "enumerate_arcs", capped)
+    assert main(["orbits", "--arcs", "3", "--catalog", "petersen"]) == 2
+    err = capsys.readouterr().err
+    assert "enumeration cap" in err and "Traceback" not in err
 
 
 def test_console_script_entry_point():

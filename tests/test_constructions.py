@@ -38,6 +38,12 @@ def test_edge_index_ranks_are_lexicographic(petersen):
         idx.rank_of(0, 0)
 
 
+def test_edge_index_line_is_built_once(petersen):
+    idx = EdgeIndex.from_graph(petersen)
+    assert idx.line is idx.line
+    assert idx.line == line_graph(petersen).graph
+
+
 # -- line graphs ---------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from linesym.constructions import catalog, line_graph
 from linesym.graphs import build_graph
 from linesym.metrics import (
@@ -14,6 +16,15 @@ from linesym.metrics import (
 from oracles import diameter_oracle, floyd_warshall, girth_oracle
 
 from conftest import random_connected_graph
+
+
+def test_distance_rows_are_computed_once_per_source():
+    g = catalog("petersen")
+    row = g.distances(3)
+    assert g.distances(3) is row
+    assert row == tuple(bfs_distances(g, 3))
+    with pytest.raises(ValueError):
+        g.distances(10)
 
 
 def test_distance_examples(petersen):

@@ -102,22 +102,17 @@ def test_order_matches_backtracking_oracle_on_catalog():
         assert automorphisms(g).order == automorphism_count_backtrack(g)
 
 
-def test_element_enumeration_is_exact_and_closed():
+def test_random_element_is_uniform_over_the_chain():
     g = catalog("cycle(5)")
     grp = automorphisms(g)
-    elems = grp.elements()
-    assert len(elems) == grp.order == 10
-    assert len(set(elems)) == 10
-    table = set(elems)
-    for a in elems:
-        for b in elems:
-            assert a * b in table
-
-
-def test_elements_cap_returns_none():
-    grp = automorphisms(catalog("complete(7)"))
-    assert grp.order == 5040
-    assert grp.elements(cap=100) is None
+    rng = random.Random(7)
+    edges = set(g.edges)
+    seen = set()
+    for _ in range(200):
+        p = grp.random_element(rng)
+        assert {tuple(sorted((p(u), p(v)))) for u, v in g.edges} == edges
+        seen.add(p)
+    assert len(seen) == grp.order == 10
 
 
 def test_from_generators_validates():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,8 @@ from linesym.verify import (
 from linesym.walks import enumerate_geodesics
 
 from conftest import circulant, triangulated_torus
+
+GOLDEN_RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus_expected.jsonl"
 
 
 # -- thm-1.3 ---------------------------------------------------------------------
@@ -262,11 +265,23 @@ def test_default_corpus_never_fails(default_reports):
 
 
 def test_corpus_reports_are_deterministic(default_reports):
+    """Two runs agree with each other and with the golden records."""
+
+    def strip(reports):
+        out = []
+        for r in reports:
+            rec = json.loads(json.dumps(r.to_record(), default=list))
+            del rec["seconds"]
+            sizes = rec["details"].get("two_geodesic_orbit_sizes")
+            if sizes is not None:
+                sizes.sort()
+            out.append(rec)
+        return out
+
+    golden = GOLDEN_RECORDS.read_text().splitlines()
+    expected = [json.loads(line) for line in golden if line.strip()]
     again = run_corpus(Corpus.default())
-    strip = lambda rs: [
-        {k: v for k, v in r.to_record().items() if k != "seconds"} for r in rs
-    ]
-    assert strip(default_reports) == strip(again)
+    assert strip(default_reports) == strip(again) == expected
 
 
 def test_corpus_report_ordering(default_reports):

@@ -14,7 +14,6 @@ from linesym.walks import (
     is_walk,
     lmap,
     lmap_invert,
-    line_neighbors,
 )
 from oracles import all_arcs, all_geodesics
 
@@ -141,12 +140,6 @@ def test_lmap_image_lands_in_line_arcs(petersen):
         assert is_arc(lg.graph, lmap(lg.index, a))
 
 
-def test_line_neighbors_match_line_graph(petersen):
-    lg = line_graph(petersen)
-    for i in range(lg.graph.n):
-        assert tuple(line_neighbors(lg.index, i)) == lg.graph.adj[i]
-
-
 def test_lmap_invert_round_trip(petersen, heawood, tutte):
     for g, s in ((petersen, 2), (heawood, 3), (tutte, 4)):
         lg = line_graph(g)
@@ -164,6 +157,17 @@ def test_lmap_invert_rejects_non_geodesics(k4):
     # a walk in the line graph that is not a geodesic: rank pair at distance 0
     with pytest.raises(ValueError):
         lmap_invert(idx, (0, 0))
+
+
+def test_lmap_invert_raises_when_the_rebuilt_sequence_is_no_arc(monkeypatch, petersen):
+    """The internal consistency check raises even under python -O."""
+    import linesym.walks
+
+    lg = line_graph(petersen)
+    image = lmap(lg.index, enumerate_geodesics(petersen, 2)[0])
+    monkeypatch.setattr(linesym.walks, "is_arc", lambda g, seq: False)
+    with pytest.raises(RuntimeError):
+        lmap_invert(lg.index, image)
 
 
 def test_bijection_characterization():
