@@ -2,37 +2,86 @@
 
 Everything here works on raw adjacency (a tuple of strictly sorted neighbor
 tuples) so the module stays free of package imports.  A coloring is a list of
-dense ints, one per vertex; it is "discrete" when every color class is a
-singleton.  Refinement only ever splits classes, and class ids are renumbered
-from sorted signatures, so two graphs refined together as one disjoint union
-end up with directly comparable colorings.
+ints, one per vertex, ordered like its cells; `refine` returns each vertex's
+cell start index, and a coloring is "discrete" when every cell is a
+singleton.  Refinement only splits cells, by rules that read colors and
+counts, never vertex ids, so two graphs refined together as one disjoint
+union end up with directly comparable colorings.  Both searches keep their
+own stacks, so depth is not limited by the recursion limit.  The automorphism
+search also returns its first path's base, relative to which its generators
+are a strong generating set, so no Schreier sifting is needed downstream.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from heapq import heappop, heappush
+from itertools import chain
 
 Adjacency = tuple[tuple[int, ...], ...]
 
 
 def refine(adj: Adjacency, colors: list[int]) -> list[int]:
-    """Split classes by neighbor-color multisets until the partition is equitable."""
+    """Coarsest equitable refinement of colors, as cell start indices.
+
+    Splitter cells come off a heap in start order (Hopcroft-style, O(m log n);
+    Junttila & Kaski, ALENEX 2007).  A touched cell splits by neighbor count
+    in the splitter, untouched members first; when it is not queued, its
+    first largest piece stays out of the queue.
+    """
     n = len(adj)
-    ncolors = len(set(colors))
-    while True:
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)]
-        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        colors = [order[s] for s in sigs]
-        # A pass that creates no new class leaves every class signature-uniform.
-        if len(order) == ncolors:
-            return colors
-        ncolors = len(order)
+    elems = sorted(range(n), key=colors.__getitem__)  # cells are runs of elems
+    pos, color, size = [0] * n, [0] * n, {}
+    for i, v in enumerate(elems):
+        pos[v] = i
+        color[v] = color[elems[i - 1]] if i and colors[v] == colors[elems[i - 1]] else i
+        size[color[v]] = size.get(color[v], 0) + 1
+    queue = list(size)  # ascending, so already a heap
+    queued = set(queue)
+    while queue:
+        s = heappop(queue)
+        queued.discard(s)
+        if size[s] == 1:  # the common case deep in a search; a Counter costs more
+            count = dict.fromkeys(adj[elems[s]], 1)
+        else:
+            count = Counter(chain.from_iterable(map(adj.__getitem__, elems[s:s + size[s]])))
+        touched: dict[int, list[int]] = {}
+        for w in count:
+            if size[color[w]] > 1:
+                touched.setdefault(color[w], []).append(w)
+        # Each split stays inside its own cell, so the order of cells is free.
+        for x, members in touched.items():
+            members.sort(key=count.__getitem__)
+            end = x + size[x]
+            first = end - len(members)
+            if first == x and count[members[0]] == count[members[-1]]:
+                continue
+            # Swap the touched members behind the untouched ones, then lay
+            # them out in count order: each count is one piece.
+            for i, w in enumerate(members, first):
+                u, p = elems[i], pos[w]
+                elems[p], pos[u] = u, p
+            starts = [x] if first > x else []
+            for i, w in enumerate(members, first):
+                elems[i], pos[w] = w, i
+                if i == first or count[w] != count[members[i - first - 1]]:
+                    starts.append(i)
+                color[w] = starts[-1]
+            for a, b in zip(starts, starts[1:] + [end]):
+                size[a] = b - a
+            skip = x if x in queued else max(starts, key=size.__getitem__)
+            for a in starts:
+                if a != skip:
+                    heappush(queue, a)
+                    queued.add(a)
+    return color
 
 
 def individualize(colors: list[int], v: int) -> list[int]:
-    """Give v its own class, placed just before the remainder of its old class."""
+    """Give v its own cell: v keeps its color cv and the rest of its cell
+    moves to cv + 1, the start of that remainder."""
     cv = colors[v]
-    return [c if c < cv or w == v else c + 1 for w, c in enumerate(colors)]
+    return [c + 1 if c == cv and w != v else c for w, c in enumerate(colors)]
 
 
 def _first_nonsingleton(colors):
@@ -53,108 +102,129 @@ def _preserves_adjacency(adj1: Adjacency, adj2: Adjacency, phi) -> bool:
     return True
 
 
+def _pairings(c1, c2, target):
+    # the first target vertex of one half against each of the other's
+    u = c1.index(target)
+    for w, c in enumerate(c2):
+        if c == target:
+            yield individualize(c1, u), individualize(c2, w)
+
+
 def find_isomorphism(adj1: Adjacency, adj2: Adjacency) -> tuple[int, ...] | None:
-    """Edge-preserving bijection from adj1 to adj2, or None if none exists."""
+    """Edge-preserving bijection from adj1 to adj2, or None if none exists.
+
+    Each node refines the disjoint union; `refine` renumbers the union's
+    colors to cell starts, re-canonicalising the halves individualized apart.
+    """
     n = len(adj1)
     if len(adj2) != n:
         return None
-
     union = adj1 + tuple(tuple(w + n for w in row) for row in adj2)
-
-    def search(c1, c2):
-        colors = refine(union, c1 + c2)
+    stack = [iter([([0] * n, [0] * n)])]
+    while stack:
+        pair = next(stack[-1], None)
+        if pair is None:
+            stack.pop()
+            continue
+        colors = refine(union, pair[0] + pair[1])
         c1, c2 = colors[:n], colors[n:]
         if sorted(c1) != sorted(c2):
-            return None
+            continue
         target = _first_nonsingleton(c1)
         if target is None:
             pos2 = {c: v for v, c in enumerate(c2)}
             phi = tuple(pos2[c] for c in c1)
-            return phi if _preserves_adjacency(adj1, adj2, phi) else None
-        u = min(v for v in range(n) if c1[v] == target)
-        for w in (v for v in range(n) if c2[v] == target):
-            phi = search(individualize(c1, u), individualize(c2, w))
-            if phi is not None:
+            if _preserves_adjacency(adj1, adj2, phi):
                 return phi
-        return None
+            continue
+        stack.append(_pairings(c1, c2, target))
+    return None
 
-    return search([0] * n, [0] * n)
+
+class _Node:
+    """A search node: its refined coloring and target cell (None at a leaf)
+    and, from its second child on, a union-find of the orbits of the
+    generators fixing its prefix, each orbit rooted at its least vertex."""
+
+    __slots__ = ("colors", "first", "cell", "next", "parent")
+
+    def __init__(self, colors: list[int], first: bool):
+        target = _first_nonsingleton(colors)
+        self.colors = colors
+        self.first = first  # on the first root-to-leaf path
+        self.cell = None if target is None else [v for v, c in enumerate(colors) if c == target]
+        self.next = 0
+        self.parent: list[int] | None = None
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def merge(self, p: tuple[int, ...]):
+        for a, b in enumerate(p):
+            ra, rb = self.find(a), self.find(b)
+            self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def automorphism_generators(adj: Adjacency) -> list[tuple[int, ...]]:
-    """Generators of the automorphism group, found without enumerating it.
+def automorphism_generators(adj: Adjacency) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(base, generators) of the automorphism group, found without enumerating it.
 
     Individualization-refinement search.  The first root-to-leaf path fixes a
-    reference labeling; every other leaf whose coloring matches yields a
-    candidate permutation, kept only if it actually preserves adjacency.  Two
-    prunings keep the tree near-linear in the group's base length instead of
-    its order:
-
-    * sibling candidates already reachable from a tried sibling by a found
-      automorphism fixing the branch prefix are skipped (orbit pruning);
-    * a subtree hanging off the first path is abandoned as soon as it
-      contributes one automorphism, since anything deeper in it is a product
-      of that one with automorphisms found under the first path.
+    reference labeling and the base it individualized; every other leaf whose
+    coloring matches yields a candidate permutation, kept only if it actually
+    preserves adjacency.  Children in the orbit of a tried sibling under the
+    generators fixing the node's prefix are skipped, and a subtree off the
+    first path is abandoned at its first automorphism, since anything deeper
+    in it is a product of that one with automorphisms found under the first
+    path.  So the generators fixing b1..b_{i-1} reach, or prune into their
+    orbits, every child equivalent to b_i: they generate that pointwise
+    stabilizer, a strong generating set relative to the base (McKay &
+    Piperno, "Practical graph isomorphism, II", 2014).
     """
     n = len(adj)
-    identity = tuple(range(n))
     gens: list[tuple[int, ...]] = []
-    first_leaf: list[int] | None = None
-
-    def same_orbit(v, tried, fixed):
-        # Union-find over the generators that fix the branch prefix pointwise.
-        use = [p for p in gens if all(p[f] == f for f in fixed)]
-        if not use:
-            return False
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p in use:
-            for a in range(n):
-                ra, rb = find(a), find(p[a])
-                if ra != rb:
-                    parent[ra] = rb
-        rv = find(v)
-        return any(find(u) == rv for u in tried)
-
-    def search(colors, fixed, on_first_path):
-        nonlocal first_leaf
-        colors = refine(adj, colors)
-        target = _first_nonsingleton(colors)
-        if target is None:
-            lam = [0] * n
-            for v, c in enumerate(colors):
-                lam[c] = v
-            if first_leaf is None:
-                first_leaf = lam
-                return False
-            p = [0] * n
-            for c in range(n):
-                p[first_leaf[c]] = lam[c]
-            p = tuple(p)
-            if p != identity and _preserves_adjacency(adj, adj, p):
-                gens.append(p)
-                return True
-            return False
-        found = False
-        tried: list[int] = []
-        for v in range(n):
-            if colors[v] != target:
-                continue
-            if tried and same_orbit(v, tried, fixed):
-                continue
-            child_on_first = on_first_path and not tried
-            got = search(individualize(colors, v), fixed + [v], child_on_first)
-            tried.append(v)
-            found = found or got
-            if got and not on_first_path:
-                return True
-        return found
-
-    search([0] * n, [], True)
-    return gens
+    base: list[int] = []
+    first_colors: list[int] | None = None
+    path: list[int] = []  # path[i]: the vertex individualized below stack[i]
+    stack = [_Node(refine(adj, [0] * n), True)]
+    while stack:
+        node = stack[-1]
+        if node.cell is not None and node.next < len(node.cell):
+            v = node.cell[node.next]
+            node.next += 1
+            if node.next > 1:
+                # Children come in vertex order, so one whose orbit has a
+                # smaller vertex is equivalent to a child already tried.
+                if node.parent is None:
+                    node.parent = list(range(n))
+                    for p in gens:
+                        if all(p[f] == f for f in path):
+                            node.merge(p)
+                if node.find(v) != v:
+                    continue
+            path.append(v)
+            child = refine(adj, individualize(node.colors, v))
+            stack.append(_Node(child, node.first and node.next == 1))
+            continue
+        if node.cell is None:
+            if first_colors is None:
+                first_colors, base = node.colors, path[:]
+            else:
+                leaf = [0] * n
+                for v, c in enumerate(node.colors):
+                    leaf[c] = v
+                p = tuple(leaf[c] for c in first_colors)
+                if _preserves_adjacency(adj, adj, p):
+                    gens.append(p)
+                    while not stack[-2].first:
+                        stack.pop()
+                    # What is left is the first path, whose prefixes p fixes.
+                    for anc in stack[:-1]:
+                        if anc.parent is not None:
+                            anc.merge(p)
+        stack.pop()
+        del path[len(stack) - 1:]
+    return base, gens

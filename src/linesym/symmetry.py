@@ -5,6 +5,8 @@ so acting on the right with exponent-style notation composes the obvious
 way.  Group orders come from a stabilizer chain (orbit sizes multiplied down
 the chain), never from enumerating elements, and the same chain draws
 uniformly random elements one coset representative per level.
+`automorphisms` takes its chain from the search's first path, one orbit per
+base point; Schreier-Sims sifting serves only `AutGroup.from_permutations`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import refinement
 from .constructions import EdgeIndex
 from .graphs import Graph
 from .metrics import diameter, is_connected
-from .walks import enumerate_arcs, enumerate_geodesics
+from .walks import count_arcs, count_geodesics, enumerate_arcs, enumerate_geodesics
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,23 @@ def _invert(p):
     return tuple(inv)
 
 
+def _transversal(point, members, identity):
+    """Orbit of point under members, each orbit point t mapped to a product
+    of members carrying point to t (breadth-first, so words stay short)."""
+    table = {point: identity}
+    frontier = [point]
+    while frontier:
+        nxt = []
+        for pt in frontier:
+            for s in members:
+                img = s[pt]
+                if img not in table:
+                    table[img] = _compose(table[pt], s)
+                    nxt.append(img)
+        frontier = nxt
+    return table
+
+
 def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
     """Deterministic chain build: levels are completed bottom-up, and a
     residue surfacing at level j sends processing back down to j.
@@ -117,23 +136,9 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
         cover(p)
     trans: list[dict[int, tuple[int, ...]]] = [{} for _ in base]
 
-    def gens_at(i):
-        return [p for p in strong if all(p[base[j]] == base[j] for j in range(i))]
-
     def rebuild(i):
-        table = {base[i]: identity}
-        frontier = [base[i]]
-        members = gens_at(i)
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                for s in members:
-                    img = s[pt]
-                    if img not in table:
-                        table[img] = _compose(table[pt], s)
-                        nxt.append(img)
-            frontier = nxt
-        trans[i] = table
+        members = [p for p in strong if all(p[b] == b for b in base[:i])]
+        trans[i] = _transversal(base[i], members, identity)
         return members
 
     def strip(p, start):
@@ -227,8 +232,14 @@ def automorphisms(g: Graph) -> AutGroup:
 
 @lru_cache(maxsize=256)
 def _automorphisms_cached(g: Graph) -> AutGroup:
-    gens = refinement.automorphism_generators(g.adj)
-    return AutGroup.from_permutations(g.n, (Permutation(p) for p in gens))
+    # The search's generators fixing b1..b_{i-1} generate that stabilizer, so
+    # each level's orbit is exact and no Schreier generator needs sifting.
+    base, gens = refinement.automorphism_generators(g.adj)
+    identity = tuple(range(g.n))
+    levels = (_transversal(b, [p for p in gens if all(p[f] == f for f in base[:i])], identity)
+              for i, b in enumerate(base))
+    trans = tuple(t for t in levels if len(t) > 1)
+    return AutGroup(g.n, tuple(Permutation(p) for p in gens), _chain_order(trans), trans)
 
 
 def induced_edge_action(index: EdgeIndex, p: Permutation) -> Permutation:
@@ -308,22 +319,17 @@ def _require_connected(g: Graph):
 def is_s_arc_transitive(g: Graph, s: int, group: AutGroup | None = None) -> bool:
     """True iff g has an s-arc and the group is transitive on t-arcs for all t <= s.
 
-    An orbit can never outgrow the group, so levels where the arc count
-    already exceeds the order fail without a search.
+    An orbit can never outgrow the group, so when some level's arc count
+    exceeds the order the test fails before anything is enumerated.
     """
     _require_connected(g)
     if s < 1:
         raise ValueError("s must be at least 1")
     group = group if group is not None else automorphisms(g)
-    for t in range(1, s + 1):
-        arcs = enumerate_arcs(g, t)
-        if not arcs:
-            return False
-        if len(arcs) > group.order:
-            return False
-        if not transitive_on(arcs, group)[0]:
-            return False
-    return True
+    levels = range(1, s + 1)
+    if any(not 0 < count_arcs(g, t) <= group.order for t in levels):
+        return False
+    return all(transitive_on(enumerate_arcs(g, t), group)[0] for t in levels)
 
 
 def is_s_geodesic_transitive(g: Graph, s: int, group: AutGroup | None = None) -> bool:
@@ -333,11 +339,10 @@ def is_s_geodesic_transitive(g: Graph, s: int, group: AutGroup | None = None) ->
     if not 1 <= s <= d:
         raise ValueError(f"s={s} outside 1..diameter={d}")
     group = group if group is not None else automorphisms(g)
-    for i in range(1, s + 1):
-        geos = enumerate_geodesics(g, i)
-        if len(geos) > group.order or not transitive_on(geos, group)[0]:
-            return False
-    return True
+    levels = range(1, s + 1)
+    if any(count_geodesics(g, i) > group.order for i in levels):
+        return False
+    return all(transitive_on(enumerate_geodesics(g, i), group)[0] for i in levels)
 
 
 def is_distance_transitive(g: Graph, group: AutGroup | None = None) -> bool:

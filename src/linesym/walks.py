@@ -42,17 +42,60 @@ def is_geodesic(g: Graph, seq: tuple[int, ...]) -> bool:
     return g.distances(seq[0])[seq[-1]] == len(seq) - 1
 
 
+def count_arcs(g: Graph, s: int) -> int:
+    """Number of s-arcs, without building any.
+
+    x_t, the t-arcs from each vertex, follows the non-backtracking walk
+    recurrence x_2 = A x_1 - D x_0 and x_{t+1} = A x_t - (D - I) x_{t-1}
+    (A adjacency, D valencies), so the count costs O(s m); it stops early
+    once x repeats, as on cycles.
+    """
+    if s < 1:
+        raise ValueError("arcs need length at least 1")
+    deg = [len(row) for row in g.adj]
+    before, now = [1] * g.n, deg
+    for t in range(1, s):
+        after = [sum(now[w] for w in row) - (d - (t > 1)) * b
+                 for row, d, b in zip(g.adj, deg, before)]
+        if t > 1 and after == now == before:
+            break
+        before, now = now, after
+    return sum(now)
+
+
+def count_geodesics(g: Graph, s: int) -> int:
+    """Number of s-geodesics, without building any: the shortest paths from
+    each source to the vertices at distance s, counted layer by layer over
+    the cached distance rows."""
+    total = 0
+    for v in range(g.n):
+        dist = g.distances(v)
+        paths = {v: 1}
+        for k in range(1, s + 1):
+            nxt: dict[int, int] = {}
+            for x, c in paths.items():
+                for y in g.adj[x]:
+                    if dist[y] == k:
+                        nxt[y] = nxt.get(y, 0) + c
+            paths = nxt
+        total += sum(paths.values())
+    return total
+
+
+def _check_cap(count: int, cap: int, what: str):
+    if count > cap:
+        raise EnumerationCapExceeded(f"enumeration cap reached: more than {cap} {what}")
+
+
 def enumerate_arcs(g: Graph, s: int, cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
     """All s-arcs in lexicographic order.
 
     Depth-first from each start vertex, with an explicit stack of
     (depth, vertex) entries, so s is not limited by the recursion limit.
-    Raises EnumerationCapExceeded once more than cap arcs have been found;
-    the cap guards against accidental blowups on dense hosts, not memory
-    behaviour in general.
+    Raises EnumerationCapExceeded when there are more than cap arcs; they
+    are counted first, so no tuple is built before the error.
     """
-    if s < 1:
-        raise ValueError("arcs need length at least 1")
+    _check_cap(count_arcs(g, s), cap, f"arcs of length {s}")
     adj = g.adj
     out: list[tuple[int, ...]] = []
     for v in range(g.n):
@@ -66,21 +109,22 @@ def enumerate_arcs(g: Graph, s: int, cap: int = ENUMERATION_CAP) -> list[tuple[i
             if k + 1 < s:
                 stack.extend([(k + 1, x) for x in reversed(adj[w]) if x != prev])
                 continue
-            leaves = [(*path, x) for x in adj[w] if x != prev]
-            if len(out) + len(leaves) > cap:
-                raise EnumerationCapExceeded(
-                    f"enumeration cap reached: more than {cap} arcs of length {s}")
-            out.extend(leaves)
+            out.extend([(*path, x) for x in adj[w] if x != prev])
     return out
 
 
-def enumerate_geodesics(g: Graph, s: int) -> list[tuple[int, ...]]:
-    """All s-geodesics in lexicographic order; s must not exceed the diameter."""
+def enumerate_geodesics(g: Graph, s: int, cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
+    """All s-geodesics in lexicographic order; s must not exceed the diameter.
+
+    Raises EnumerationCapExceeded, before building any tuple, when there are
+    more than cap of them.
+    """
     d = diameter(g)
     if d is None:
         raise ValueError("geodesics are only defined on connected graphs")
     if not 1 <= s <= d:
         raise ValueError(f"s={s} outside 1..diameter={d}")
+    _check_cap(count_geodesics(g, s), cap, f"geodesics of length {s}")
     adj = g.adj
     out: list[tuple[int, ...]] = []
     for v in range(g.n):
@@ -154,7 +198,7 @@ def image_equals_geodesics(g: Graph, s: int, cap: int = ENUMERATION_CAP):
     if not arcs:
         raise ValueError(f"host has no {s}-arc")
     image = {lmap(line.index, a) for a in arcs}
-    geos = set(enumerate_geodesics(line.graph, s - 1))
+    geos = set(enumerate_geodesics(line.graph, s - 1, cap=cap))
     if image == geos:
         return True, None
     return False, min(image ^ geos)

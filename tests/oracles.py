@@ -193,3 +193,23 @@ def maximal_cliques_reference(g: Graph) -> set[frozenset[int]]:
         if not any(c < other for other in cliques):
             out.add(frozenset(c))
     return out
+
+
+def equitable_cells(adj, colors) -> set[frozenset[int]]:
+    """Cells of the coarsest equitable refinement of a coloring.
+
+    Whole-graph re-signature: each pass recolors every vertex by its color
+    and the multiset of its neighbors' colors, until no class splits.
+    Quadratic on long paths and cycles, but with no splitter bookkeeping.
+    """
+    n = len(adj)
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        if len(rank) == len(set(colors)):
+            break
+        colors = [rank[sig] for sig in sigs]
+    cells: dict[int, set[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, set()).add(v)
+    return {frozenset(c) for c in cells.values()}

@@ -61,8 +61,8 @@ def test_orbits_arcs(capsys):
 
 
 def test_orbits_on_arcs_longer_than_the_recursion_limit(capsys):
-    # The full dihedral group is given, to keep the automorphism search of a
-    # long cycle (seconds) out of a test of the enumeration.
+    # The full dihedral group is given, so the group comes from --group and
+    # the test exercises the enumeration, not the search.
     n = 1200
     rotation = " ".join(str((v + 1) % n) for v in range(n))
     reflection = " ".join(str(-v % n) for v in range(n))

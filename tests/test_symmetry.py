@@ -1,12 +1,22 @@
+import inspect
+import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import linesym.symmetry
 from linesym.constructions import catalog, line_graph
-from linesym.graphs import build_graph
+from linesym.graphs import build_graph, isomorphic
+from linesym.refinement import individualize, refine
 from linesym.symmetry import (
     AutGroup,
     Permutation,
+    _automorphisms_cached,
+    _chain_order,
+    _stabilizer_chain,
     automorphisms,
     induced_edge_action,
     is_distance_transitive,
@@ -16,7 +26,7 @@ from linesym.symmetry import (
     transitive_on,
 )
 from linesym.walks import enumerate_arcs, enumerate_geodesics
-from oracles import automorphism_count_backtrack, automorphism_count_filter
+from oracles import automorphism_count_backtrack, automorphism_count_filter, equitable_cells
 
 from conftest import random_connected_graph
 
@@ -74,6 +84,10 @@ KNOWN_ORDERS = {
     "cycle(6)": 12,
     "path(4)": 2,
     "complete(7)": 5040,
+    # long cycles stress refinement, large complete graphs a long base
+    "cycle(800)": 1600,
+    "cycle(1200)": 2400,
+    "complete(40)": math.factorial(40),
 }
 
 
@@ -100,6 +114,102 @@ def test_order_matches_backtracking_oracle_on_catalog():
     for name in ("petersen", "k33", "icosahedron", "cycle(6)", "path(4)"):
         g = catalog(name)
         assert automorphisms(g).order == automorphism_count_backtrack(g)
+
+
+@st.composite
+def small_graphs(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph(n, edges)
+
+
+def test_order_matches_networkx_and_the_schreier_sims_chain():
+    nx = pytest.importorskip("networkx")
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs())
+    def check(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        vf2 = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+        grp = automorphisms(g)
+        assert grp.order == vf2
+        _, trans = _stabilizer_chain([p.images for p in grp.generators], g.n)
+        assert _chain_order(trans) == vf2
+
+    check()
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_transversal_entries_are_automorphisms_onto_their_keys(g):
+    edges = set(g.edges)
+    identity = tuple(range(g.n))
+    grp = automorphisms(g)
+    for level in grp._transversals:
+        (point,) = [t for t, u in level.items() if u == identity]
+        for t, u in level.items():
+            assert u[point] == t
+            assert {tuple(sorted((u[a], u[b]))) for a, b in edges} == edges
+
+
+def test_from_permutations_order_matches_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    perm_lists = st.integers(1, 9).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(perm_lists)
+    def check(perms):
+        expected = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(p) for p in perms]).order()
+        grp = AutGroup.from_permutations(len(perms[0]), [Permutation(tuple(p)) for p in perms])
+        assert grp.order == expected
+
+    check()
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=12), st.data())
+def test_refine_is_the_coarsest_equitable_partition_and_invariant(g, data):
+    colors = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    refined = refine(g.adj, colors)
+    cells: dict[int, set[int]] = {}
+    for v, c in enumerate(refined):
+        cells.setdefault(c, set()).add(v)
+    assert {frozenset(c) for c in cells.values()} == equitable_cells(g.adj, colors)
+    # colors are cell start indices in the cell order
+    assert all(sum(1 for d in refined if d < c) == c for c in refined)
+    # relabelling the graph relabels the colors and nothing else
+    perm = data.draw(st.permutations(range(g.n)))
+    h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    moved = [0] * g.n
+    for v in range(g.n):
+        moved[perm[v]] = colors[v]
+    again = refine(h.adj, moved)
+    assert all(again[perm[v]] == refined[v] for v in range(g.n))
+    if g.n > 1:
+        v = data.draw(st.integers(0, g.n - 1))
+        split = individualize(refined, v)
+        assert split[v] == refined[v]
+        assert all(split[w] == refined[w] + (refined[w] == refined[v]) for w in range(g.n) if w != v)
+
+
+def test_search_depth_is_not_limited_by_the_recursion_limit():
+    g = catalog("complete(50)")
+    perm = list(range(50))
+    random.Random(3).shuffle(perm)
+    h = build_graph(50, [(perm[u], perm[v]) for u, v in g.edges])
+    _automorphisms_cached.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        assert automorphisms(g).order == math.factorial(50)
+        assert isomorphic(g, h) is not None
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_random_element_is_uniform_over_the_chain():
@@ -209,6 +319,18 @@ def test_arc_transitivity_facts(petersen):
     assert is_s_arc_transitive(petersen, 2)
     assert is_s_arc_transitive(petersen, 3)
     assert not is_s_arc_transitive(petersen, 4)
+
+
+def test_transitivity_fails_on_counts_before_enumerating(petersen, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("enumerated although a count exceeds the order")
+
+    monkeypatch.setattr(linesym.symmetry, "enumerate_arcs", unreachable)
+    monkeypatch.setattr(linesym.symmetry, "enumerate_geodesics", unreachable)
+    # petersen has 240 4-arcs for a group of order 120
+    assert not is_s_arc_transitive(petersen, 4)
+    trivial = AutGroup.from_permutations(10, ())
+    assert not is_s_geodesic_transitive(petersen, 2, trivial)
 
 
 def test_arc_transitivity_with_subgroup(petersen):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,8 @@ from linesym.constructions import catalog, line_graph
 from linesym.graphs import build_graph
 from linesym.walks import (
     EnumerationCapExceeded,
+    count_arcs,
+    count_geodesics,
     enumerate_arcs,
     enumerate_geodesics,
     image_equals_geodesics,
@@ -84,18 +87,42 @@ def test_arcs_agreeing_with_oracle_on_random_graphs():
     from linesym.metrics import diameter
 
     rng = random.Random(31)
-    for _ in range(12):
-        g = random_connected_graph(rng, rng.randint(3, 7))
+    hosts = [random_connected_graph(rng, rng.randint(3, 7)) for _ in range(12)]
+    hosts += [catalog(name) for name in ("path(4)", "cycle(5)", "k33", "petersen")]
+    for g in hosts:
         for s in (1, 2, 3):
-            assert set(enumerate_arcs(g, s)) == all_arcs(g, s)
+            arcs = all_arcs(g, s)
+            assert set(enumerate_arcs(g, s)) == arcs
+            assert count_arcs(g, s) == len(arcs)
         for s in (1, 2):
             if s <= diameter(g):
-                assert set(enumerate_geodesics(g, s)) == all_geodesics(g, s)
+                geos = all_geodesics(g, s)
+                assert set(enumerate_geodesics(g, s)) == geos
+                assert count_geodesics(g, s) == len(geos)
 
 
 def test_enumerate_arc_cap_raises(petersen):
     with pytest.raises(EnumerationCapExceeded):
         enumerate_arcs(petersen, 3, cap=100)
+
+
+def test_enumerate_geodesics_cap_raises(petersen):
+    with pytest.raises(EnumerationCapExceeded, match="geodesics"):
+        enumerate_geodesics(petersen, 2, cap=59)  # there are 60
+    assert len(enumerate_geodesics(petersen, 2, cap=60)) == 60
+
+
+def test_cap_is_checked_before_any_tuple_is_built():
+    # complete(9) has 9 * 8^8 (about 1.5e8) 9-arcs.
+    g = catalog("complete(9)")
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapExceeded):
+            enumerate_arcs(g, 9, cap=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_enumerate_geodesics_rejects_bad_s(petersen):
