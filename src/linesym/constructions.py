@@ -103,21 +103,24 @@ def subdivision_graph(g: Graph) -> DerivedGraph:
 
 
 def _maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """All maximal cliques, via Bron-Kerbosch with pivoting."""
+    """All maximal cliques, via Bron-Kerbosch with pivoting.
+
+    Branches wait on an explicit stack of (R, P, X) sets, so clique size is
+    not limited by the recursion limit.
+    """
     out: list[tuple[int, ...]] = []
     nbr = [set(row) for row in g.adj]
-
-    def expand(r: set, p: set, x: set):
+    stack = [(set(), set(range(g.n)), set())]
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             out.append(tuple(sorted(r)))
-            return
+            continue
         pivot = max(p | x, key=lambda u: len(nbr[u] & p))
         for v in sorted(p - nbr[pivot]):
-            expand(r | {v}, p & nbr[v], x & nbr[v])
+            stack.append((r | {v}, p & nbr[v], x & nbr[v]))
             p = p - {v}
             x = x | {v}
-
-    expand(set(), set(range(g.n)), set())
     return sorted(out)
 
 

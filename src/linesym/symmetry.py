@@ -7,15 +7,18 @@ the chain), never from enumerating elements, and the same chain draws
 uniformly random elements one coset representative per level.
 `automorphisms` takes its chain from the search's first path, one orbit per
 base point; Schreier-Sims sifting serves only `AutGroup.from_permutations`.
+Orbit partitions of tuples go through the chain's first base point: each
+tuple is moved into the fibre over that point by one transversal element,
+and only the fibre is split, under the point stabilizer's generators.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import refinement
@@ -112,12 +115,13 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
     """Deterministic chain build: levels are completed bottom-up, and a
     residue surfacing at level j sends processing back down to j.
 
-    Returns (base, transversals); the group order is the product of the
-    transversal sizes.  Each transversal maps an orbit point t to a group
+    Returns (base, transversals, strong); the group order is the product of
+    the transversal sizes.  Each transversal maps an orbit point t to a group
     element carrying the level's base point to t.  The strong set is global:
     level i works with every strong generator fixing base[:i] pointwise, so
     a generator discovered deep in the chain still contributes to every
-    shallower orbit it belongs to.
+    shallower orbit it belongs to.  Each level's transversal inverses are
+    computed once per rebuild and shared by Schreier generators and `strip`.
     """
     identity = tuple(range(n))
     strong: list[tuple[int, ...]] = []
@@ -135,18 +139,20 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
     for p in strong:
         cover(p)
     trans: list[dict[int, tuple[int, ...]]] = [{} for _ in base]
+    inverses: list[dict[int, tuple[int, ...]]] = [{} for _ in base]
 
     def rebuild(i):
         members = [p for p in strong if all(p[b] == b for b in base[:i])]
         trans[i] = _transversal(base[i], members, identity)
+        inverses[i] = {t: _invert(u) for t, u in trans[i].items()}
         return members
 
     def strip(p, start):
         for j in range(start, len(base)):
-            t = p[base[j]]
-            if t not in trans[j]:
+            inv = inverses[j].get(p[base[j]])
+            if inv is None:
                 return p, j
-            p = _compose(p, _invert(trans[j][t]))
+            p = _compose(p, inv)
         return p, len(base)
 
     i = len(base) - 1
@@ -156,7 +162,7 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
         for t in sorted(trans[i]):
             u = trans[i][t]
             for s in members:
-                schreier = _compose(_compose(u, s), _invert(trans[i][s[t]]))
+                schreier = _compose(_compose(u, s), inverses[i][s[t]])
                 if schreier == identity:
                     continue
                 residue, j = strip(schreier, i + 1)
@@ -165,6 +171,7 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
                     if j == len(base):
                         cover(residue)
                         trans.append({})
+                        inverses.append({})
                     new_level = j
                     break
             if new_level is not None:
@@ -173,21 +180,37 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
             i = new_level
         else:
             i -= 1
-    return base, trans
+    return base, trans, strong
 
 
 def _chain_order(trans) -> int:
     return math.prod(len(t) for t in trans) if trans else 1
 
 
+def _from_chain(degree, gens, trans, strong) -> "AutGroup":
+    """AutGroup from non-trivial chain levels and a strong generating set."""
+    trans = tuple(trans)
+    stabilizer = ()
+    if trans:
+        b = next(iter(trans[0]))
+        stabilizer = tuple(p for p in strong if p[b] == b)
+    return AutGroup(degree, tuple(gens), _chain_order(trans), trans, stabilizer)
+
+
 @dataclass(frozen=True)
 class AutGroup:
-    """A permutation group given by generators, with an exact order."""
+    """A permutation group given by generators, with an exact order.
+
+    `_transversals` holds the non-trivial chain levels; each level's first
+    key is its base point.  `_stabilizer` holds the strong generators fixing
+    the first level's base point, which generate that point's stabilizer.
+    """
 
     degree: int
     generators: tuple[Permutation, ...]
     order: int
     _transversals: tuple = field(repr=False, compare=False, default=())
+    _stabilizer: tuple = field(repr=False, compare=False, default=())
 
     @staticmethod
     def from_permutations(degree: int, perms: Iterable[Permutation]) -> "AutGroup":
@@ -195,8 +218,8 @@ class AutGroup:
         for p in gens:
             if p.degree != degree:
                 raise ValueError("generator degree mismatch")
-        _, trans = _stabilizer_chain([p.images for p in gens], degree)
-        return AutGroup(degree, gens, _chain_order(trans), tuple(trans))
+        _, trans, strong = _stabilizer_chain([p.images for p in gens], degree)
+        return _from_chain(degree, gens, trans, strong)
 
     @staticmethod
     def from_generators(g: Graph, perms: Iterable[Permutation]) -> "AutGroup":
@@ -238,8 +261,8 @@ def _automorphisms_cached(g: Graph) -> AutGroup:
     identity = tuple(range(g.n))
     levels = (_transversal(b, [p for p in gens if all(p[f] == f for f in base[:i])], identity)
               for i, b in enumerate(base))
-    trans = tuple(t for t in levels if len(t) > 1)
-    return AutGroup(g.n, tuple(Permutation(p) for p in gens), _chain_order(trans), trans)
+    trans = [t for t in levels if len(t) > 1]
+    return _from_chain(g.n, (Permutation(p) for p in gens), trans, gens)
 
 
 def induced_edge_action(index: EdgeIndex, p: Permutation) -> Permutation:
@@ -260,7 +283,11 @@ def induced_edge_action(index: EdgeIndex, p: Permutation) -> Permutation:
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """Orbit ids for a tuple universe, in the universe's given order."""
+    """Orbit ids for a tuple universe, in the universe's given order.
+
+    Ids number the group's orbits by first appearance in the universe, and
+    every copy of a repeated tuple carries its orbit's id.
+    """
 
     universe: tuple[tuple[int, ...], ...]
     orbit_ids: tuple[int, ...]
@@ -273,40 +300,77 @@ class OrbitPartition:
         return counts
 
 
+def _getter(t):
+    """images -> tuple(images[v] for v in t), in C when t has two or more
+    entries (itemgetter of one index returns a scalar, of none fails)."""
+    if len(t) > 1:
+        return itemgetter(*t)
+    return lambda images: tuple(images[v] for v in t)
+
+
+def _label_orbit(t, gens, label: dict, orbit_id: int):
+    """Give orbit_id to t and every tuple the generators reach from it."""
+    label[t] = orbit_id
+    queue = [t]
+    for cur in queue:
+        image_of = _getter(cur)
+        for images in gens:
+            img = image_of(images)
+            if img not in label:
+                label[img] = orbit_id
+                queue.append(img)
+
+
 def orbit_of(t: tuple[int, ...], group: AutGroup) -> set[tuple[int, ...]]:
     """Closure of one tuple under the generators, by breadth-first search."""
-    gens = [p.images for p in group.generators]
-    seen = {tuple(t)}
-    q = deque(seen)
-    while q:
-        cur = q.popleft()
-        for images in gens:
-            img = tuple(images[v] for v in cur)
-            if img not in seen:
-                seen.add(img)
-                q.append(img)
-    return seen
+    label: dict = {}
+    _label_orbit(tuple(t), [p.images for p in group.generators], label, 0)
+    return set(label)
 
 
 def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
     """(is_transitive, OrbitPartition) for a tuple universe under the group.
 
-    An empty universe is vacuously transitive.  Tuples reached by the action
-    but missing from the universe are ignored when assigning ids, so a
-    universe that is not closed under the group still gets a partition.
+    Let b be the first base point of the group's chain and O its orbit.  A
+    tuple t starting in O is moved into the fibre over b as t * u^-1, where
+    u is the transversal element carrying b to t[0]; two such tuples share a
+    G-orbit exactly when their fibre images share an orbit of the stabilizer
+    G_b, so only the fibre is searched, under G_b's strong generators.
+    Other tuples are searched under the group's generators, and so are all
+    tuples when the inversions would cost more than the fibre saves.  Each
+    orbit is searched once, from its first tuple in the universe.
+
+    An empty universe is vacuously transitive.  The searches go through
+    tuples missing from the universe, so a universe that is not closed under
+    the group still gets its partition into G-orbits, and repeated tuples
+    share their orbit's id.
     """
     universe = tuple(tuples)
-    pos = {t: i for i, t in enumerate(universe)}
-    ids = [-1] * len(universe)
+    gens = [p.images for p in group.generators]
+    level = group._transversals[0] if group._transversals else {}
+    # Up to min(|O|, |U|) inversions of n entries each, against the images of
+    # all but one generator that the fibre saves on every tuple entry.
+    if group.degree * min(len(level), len(universe)) >= sum(map(len, universe)) * (len(gens) - 1):
+        level = {}
+    inverses: dict = {}  # first coordinate -> inverse of its transversal element
+    label: dict = {}  # fibre image, or tuple starting outside O -> orbit id
+    ids = []
     count = 0
-    for i, t in enumerate(universe):
-        if ids[i] != -1:
-            continue
-        for member in orbit_of(t, group):
-            j = pos.get(member)
-            if j is not None:
-                ids[j] = count
-        count += 1
+    for t in universe:
+        u = level.get(t[0]) if t else None
+        if u is None:
+            key, members = t, gens
+        else:
+            inv = inverses.get(t[0])
+            if inv is None:
+                inv = inverses[t[0]] = _invert(u)
+            key, members = _getter(t)(inv), group._stabilizer
+        orbit_id = label.get(key)
+        if orbit_id is None:
+            orbit_id = count
+            count += 1
+            _label_orbit(key, members, label, orbit_id)
+        ids.append(orbit_id)
     part = OrbitPartition(universe, tuple(ids), count)
     return count <= 1, part
 

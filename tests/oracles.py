@@ -213,3 +213,38 @@ def equitable_cells(adj, colors) -> set[frozenset[int]]:
     for v, c in enumerate(colors):
         cells.setdefault(c, set()).add(v)
     return {frozenset(c) for c in cells.values()}
+
+
+def orbit_partition(universe, gens) -> tuple[int, ...]:
+    """Orbit ids of a tuple universe under permutations given as image tuples.
+
+    A union-find over the universe's closure under the generators, joining
+    each tuple with each of its images; no stabilizer, no fibre.  Ids number
+    the classes by first appearance in the universe.
+    """
+    closure = set(universe)
+    frontier = list(closure)
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for g in gens:
+                img = tuple(g[v] for v in t)
+                if img not in closure:
+                    closure.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    parent = {t: t for t in closure}
+
+    def find(t):
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    for t in closure:
+        for g in gens:
+            a, b = find(t), find(tuple(g[v] for v in t))
+            if a != b:
+                parent[a] = b
+    names: dict = {}
+    return tuple(names.setdefault(find(t), len(names)) for t in universe)

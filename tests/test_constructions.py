@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -159,6 +161,18 @@ def test_maximal_cliques_match_subset_oracle():
         g = random_connected_graph(rng, rng.randint(3, 9), extra_p=rng.choice([0.2, 0.5, 0.8]))
         got = {frozenset(c) for c in _maximal_cliques(g)}
         assert got == maximal_cliques_reference(g)
+
+
+def test_clique_search_depth_is_not_limited_by_the_recursion_limit():
+    g = catalog("complete(60)")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        cg = clique_graph(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cg.graph.n == 1
+    assert cg.cliques == (tuple(range(60)),)
 
 
 # -- catalog --------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import functools
 import inspect
 import math
+import operator
 import random
 import sys
 
@@ -26,7 +28,12 @@ from linesym.symmetry import (
     transitive_on,
 )
 from linesym.walks import enumerate_arcs, enumerate_geodesics
-from oracles import automorphism_count_backtrack, automorphism_count_filter, equitable_cells
+from oracles import (
+    automorphism_count_backtrack,
+    automorphism_count_filter,
+    equitable_cells,
+    orbit_partition,
+)
 
 from conftest import random_connected_graph
 
@@ -136,7 +143,7 @@ def test_order_matches_networkx_and_the_schreier_sims_chain():
         vf2 = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
         grp = automorphisms(g)
         assert grp.order == vf2
-        _, trans = _stabilizer_chain([p.images for p in grp.generators], g.n)
+        _, trans, _ = _stabilizer_chain([p.images for p in grp.generators], g.n)
         assert _chain_order(trans) == vf2
 
     check()
@@ -312,6 +319,54 @@ def test_transitive_on_empty_is_vacuous(petersen):
     ok, part = transitive_on([], automorphisms(petersen))
     assert ok
     assert part.orbit_count == 0
+
+
+def test_transitive_on_gives_every_copy_of_a_repeated_tuple_its_orbit(petersen):
+    ok, part = transitive_on([(0, 1), (2, 3), (0, 1)], automorphisms(petersen))
+    assert part.orbit_ids[0] == part.orbit_ids[2] == 0
+    assert sum(part.sizes()) == 3
+    assert ok == (part.orbit_count == 1)
+
+
+def _group_under_test(g, data):
+    """(group, graph it acts on): the full group, a subgroup of it, a group of
+    random permutations, the induced group on the line graph, or the trivial
+    group."""
+    full = automorphisms(g)
+    kind = data.draw(st.sampled_from(["full", "subgroup", "permutations", "induced", "trivial"]))
+    if kind == "subgroup" and full.generators:
+        words = data.draw(st.lists(st.lists(st.sampled_from(full.generators), min_size=1,
+                                            max_size=3), max_size=3))
+        products = [functools.reduce(operator.mul, w) for w in words]
+        return AutGroup.from_permutations(g.n, products), g
+    if kind == "permutations":
+        perms = data.draw(st.lists(st.permutations(range(g.n)), max_size=2))
+        return AutGroup.from_permutations(g.n, [Permutation(tuple(p)) for p in perms]), g
+    if kind == "induced" and g.edges:
+        lg = line_graph(g)
+        images = [induced_edge_action(lg.index, p) for p in full.generators]
+        return AutGroup.from_permutations(lg.graph.n, images), lg.graph
+    if kind == "trivial":
+        return AutGroup.from_permutations(g.n, ()), g
+    return full, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=7), st.data())
+def test_transitive_on_matches_the_union_find_oracle(g, data):
+    group, h = _group_under_test(g, data)
+    vertex = st.integers(0, h.n - 1)
+    pool = [(v,) for v in range(h.n)] + enumerate_arcs(h, 1) + enumerate_arcs(h, 2)
+    pool += data.draw(st.lists(st.lists(vertex, min_size=1, max_size=3).map(tuple), max_size=8))
+    # the whole pool, or any selection of it: repeats, gaps and mixed lengths
+    universe = data.draw(st.one_of(st.just(pool), st.lists(st.sampled_from(pool), max_size=30)))
+    ok, part = transitive_on(universe, group)
+    expected = orbit_partition(universe, [p.images for p in group.generators])
+    assert part.orbit_ids == expected
+    assert part.orbit_count == len(set(expected))
+    assert ok == (part.orbit_count <= 1)
+    firsts = [i for k, i in enumerate(part.orbit_ids) if i not in part.orbit_ids[:k]]
+    assert firsts == list(range(part.orbit_count))
 
 
 def test_arc_transitivity_facts(petersen):
