@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .constructions import catalog, catalog_entries, clique_graph, line_graph, subdivision_graph
-from .graph6 import emit_graph6, parse_graph6
+from .graph6 import _MAX_LONG_N, emit_graph6, parse_graph6
 from .graphs import Graph, build_graph, is_complete, is_regular
 from .metrics import diameter, girth, is_connected, local_type
 from .symmetry import AutGroup, Permutation, automorphisms, transitive_on
@@ -68,6 +68,8 @@ def _load_graph(args) -> Graph:
     if not pairs:
         raise ValueError(f"{args.edges} holds no edges")
     n = max(max(u, v) for u, v in pairs) + 1
+    if n > _MAX_LONG_N:
+        raise ValueError(f"graphs beyond {_MAX_LONG_N} vertices are out of scope")
     return build_graph(n, pairs, name=args.edges)
 
 

@@ -10,14 +10,17 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 from .graphs import Edge, Graph, build_graph
 
 
 @dataclass(frozen=True)
 class EdgeIndex:
-    """Lexicographically ranked edge list of a host graph."""
+    """Lexicographically ranked edge list of a host graph.
+
+    A view: the ranks and the line graph are the host's own (`Graph.edge_rank`,
+    `Graph.line`), so every index of one host shares them.
+    """
 
     host: Graph
     edges: tuple[Edge, ...]
@@ -26,32 +29,21 @@ class EdgeIndex:
     def from_graph(g: Graph) -> "EdgeIndex":
         return EdgeIndex(g, g.edges)
 
-    @cached_property
-    def rank(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
     def rank_of(self, u: int, v: int) -> int:
         """Rank of the edge {u, v}; ValueError when it is not an edge."""
         key = (u, v) if u < v else (v, u)
         try:
-            return self.rank[key]
+            return self.host.edge_rank[key]
         except KeyError:
             raise ValueError(f"{u}-{v} is not an edge of the host") from None
 
     def __len__(self):
         return len(self.edges)
 
-    @cached_property
+    @property
     def line(self) -> Graph:
         """Line graph of the host; vertex i is edge i.  See line_graph."""
-        g = self.host
-        if g.m == 0:
-            raise ValueError("line graph of an edgeless graph is empty")
-        pairs = []
-        for v in range(g.n):
-            incident = [self.rank_of(v, w) for w in g.adj[v]]
-            pairs.extend(itertools.combinations(incident, 2))
-        return build_graph(len(self), pairs, name=_derived_name(g, "L"))
+        return self.host.line
 
 
 @dataclass(frozen=True)
@@ -80,8 +72,7 @@ def line_graph(g: Graph) -> DerivedGraph:
 
     Requires at least one edge, since the empty graph is not representable.
     """
-    index = EdgeIndex.from_graph(g)
-    return DerivedGraph(index.line, "line", index=index)
+    return DerivedGraph(g.line, "line", index=EdgeIndex.from_graph(g))
 
 
 def subdivision_graph(g: Graph) -> DerivedGraph:

@@ -4,11 +4,13 @@ Vertices are always 0..n-1 and every adjacency row is a strictly sorted
 tuple, so a Graph is hashable, deterministic to iterate, and safe to share.
 Anything that looks like a multigraph (duplicate edges) is collapsed at
 construction; self-loops are rejected outright.  Facts derived from the
-adjacency (the edge list, distance rows) are cached on first use.
+adjacency (the edge list and its ranks, distance rows, the line graph) are
+cached on first use, so every caller holding the graph shares them.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -56,6 +58,23 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def edge_rank(self) -> dict[Edge, int]:
+        """Rank of each edge in the lexicographic order of `edges`."""
+        return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def line(self) -> "Graph":
+        """Line graph; vertex i is edge i, adjacent when the edges share an endpoint."""
+        if self.m == 0:
+            raise ValueError("line graph of an edgeless graph is empty")
+        rank = self.edge_rank
+        pairs = []
+        for v, row in enumerate(self.adj):
+            incident = [rank[(v, w) if v < w else (w, v)] for w in row]
+            pairs.extend(itertools.combinations(incident, 2))
+        return build_graph(self.m, pairs, name=f"L({self.name})" if self.name else None)
 
     @cached_property
     def _distance_rows(self) -> list[tuple[int | None, ...] | None]:

@@ -13,11 +13,6 @@ from dataclasses import dataclass, field
 from .graphs import Graph, VertexSet, induced_subgraph, is_regular, neighbors
 
 
-def bfs_distances(g: Graph, source: int) -> list[int | None]:
-    """Distances from source; None marks unreachable vertices."""
-    return list(g.distances(source))
-
-
 def distance(g: Graph, u: int, v: int) -> int | None:
     """Length of a shortest u-v path, or None when v is unreachable from u."""
     if not 0 <= v < g.n:

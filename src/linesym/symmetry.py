@@ -63,28 +63,33 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """self, then other."""
-        return Permutation(tuple(other.images[i] for i in self.images))
+        return Permutation(_compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation(_invert(self.images))
 
     def apply(self, seq: Sequence[int]) -> tuple[int, ...]:
         """Image of a tuple under the right action, coordinate by coordinate."""
-        return tuple(self.images[v] for v in seq)
+        return _compose(tuple(seq), self.images)
 
     def is_identity(self) -> bool:
         return all(i == v for v, i in enumerate(self.images))
 
 
-# --- stabilizer chain -------------------------------------------------------
+def _getter(t):
+    """images -> tuple(images[v] for v in t), in C when t has two or more
+    entries (itemgetter of one index returns a scalar, of none fails)."""
+    if len(t) > 1:
+        return itemgetter(*t)
+    return lambda images: tuple(images[v] for v in t)
 
 
 def _compose(p, q):
     # raw tuples: apply p, then q
-    return tuple(q[i] for i in p)
+    return _getter(p)(q)
+
+
+# --- stabilizer chain -------------------------------------------------------
 
 
 def _invert(p):
@@ -225,13 +230,12 @@ class AutGroup:
     def from_generators(g: Graph, perms: Iterable[Permutation]) -> "AutGroup":
         """Validating constructor: every generator must preserve g's edge set."""
         perms = tuple(perms)
-        edge_set = set(g.edges)
         for p in perms:
             if p.degree != g.n:
                 raise ValueError("generator degree does not match the graph")
             for u, v in g.edges:
                 a, b = p(u), p(v)
-                if ((a, b) if a < b else (b, a)) not in edge_set:
+                if ((a, b) if a < b else (b, a)) not in g.edge_rank:
                     raise ValueError(f"permutation {p.one_line()!r} breaks edge {u}-{v}")
         return AutGroup.from_permutations(g.n, perms)
 
@@ -269,13 +273,11 @@ def induced_edge_action(index: EdgeIndex, p: Permutation) -> Permutation:
     """Action of a host automorphism on edge ranks: {u,v} goes to {p(u),p(v)}."""
     if p.degree != index.host.n:
         raise ValueError("permutation degree does not match the host")
-    images = []
-    for u, v in index.edges:
-        a, b = p(u), p(v)
-        if not index.host.has_edge(a, b):
-            raise ValueError(f"permutation {p.one_line()!r} does not preserve edges")
-        images.append(index.rank_of(a, b))
-    return Permutation(tuple(images))
+    try:
+        images = tuple(index.rank_of(p(u), p(v)) for u, v in index.edges)
+    except ValueError:
+        raise ValueError(f"permutation {p.one_line()!r} does not preserve edges") from None
+    return Permutation(images)
 
 
 # --- orbits and transitivity -------------------------------------------------
@@ -298,14 +300,6 @@ class OrbitPartition:
         for i in self.orbit_ids:
             counts[i] += 1
         return counts
-
-
-def _getter(t):
-    """images -> tuple(images[v] for v in t), in C when t has two or more
-    entries (itemgetter of one index returns a scalar, of none fails)."""
-    if len(t) > 1:
-        return itemgetter(*t)
-    return lambda images: tuple(images[v] for v in t)
 
 
 def _label_orbit(t, gens, label: dict, orbit_id: int):

@@ -10,7 +10,7 @@ reproducible.
 
 from __future__ import annotations
 
-from .constructions import EdgeIndex, line_graph
+from .constructions import EdgeIndex
 from .graphs import Graph
 from .metrics import diameter
 
@@ -147,9 +147,11 @@ def lmap(index: EdgeIndex, arc: tuple[int, ...]) -> tuple[int, ...]:
     """Edge-rank sequence of an s-arc (s >= 2): one rank per consecutive pair."""
     if len(arc) < 3:
         raise ValueError("the edge-sequence map needs an arc of length >= 2")
-    if not is_arc(index.host, arc):
+    # rank_of rejects non-edges; two equal consecutive ranks are a backtrack.
+    ranks = tuple(index.rank_of(a, b) for a, b in zip(arc, arc[1:]))
+    if any(x == y for x, y in zip(ranks, ranks[1:])):
         raise ValueError(f"{arc} is not an arc of the host")
-    return tuple(index.rank_of(a, b) for a, b in zip(arc, arc[1:]))
+    return ranks
 
 
 def lmap_invert(index: EdgeIndex, line_tuple: tuple[int, ...]) -> tuple[int, ...]:
@@ -190,15 +192,15 @@ def image_equals_geodesics(g: Graph, s: int, cap: int = ENUMERATION_CAP):
         raise ValueError("comparison needs s >= 2")
     if diameter(g) is None:
         raise ValueError("host must be connected")
-    line = line_graph(g)
-    dl = diameter(line.graph)
+    dl = diameter(g.line)
     if s - 1 > dl:
         raise ValueError(f"s={s} exceeds line-graph diameter {dl} + 1")
     arcs = enumerate_arcs(g, s, cap=cap)
     if not arcs:
         raise ValueError(f"host has no {s}-arc")
-    image = {lmap(line.index, a) for a in arcs}
-    geos = set(enumerate_geodesics(line.graph, s - 1, cap=cap))
+    index = EdgeIndex.from_graph(g)
+    image = {lmap(index, a) for a in arcs}
+    geos = set(enumerate_geodesics(g.line, s - 1, cap=cap))
     if image == geos:
         return True, None
     return False, min(image ^ geos)

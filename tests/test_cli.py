@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linesym.cli
 import linesym.verify
@@ -45,6 +47,38 @@ def test_invariants_from_edges_file(tmp_path, capsys):
     assert main(["invariants", "--edges", str(f)]) == 0
     out = capsys.readouterr().out
     assert "girth" in out and "3" in out
+
+
+def test_edges_file_ids_are_bounded(tmp_path, capsys):
+    f = tmp_path / "far.edges"
+    f.write_text("0 258048\n")
+    assert main(["construct", "--line", "--edges", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "out of scope" in err and "Traceback" not in err
+
+
+_TOKENS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["", "x", "1.5", "0x1", "--", "3 4 5", "7\t8", "1e3"]),
+    st.text(alphabet="ab #,;\t", max_size=4),
+)
+_EDGE_LINES = st.lists(st.lists(_TOKENS, max_size=3).map(" ".join), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_EDGE_LINES, st.binary(max_size=14), st.booleans())
+def test_malformed_inputs_exit_0_or_2(tmp_path_factory, edge_lines, g6, edges_input):
+    """Any --edges text or graph6 bytes end in exit 0 or 2, never a traceback."""
+    d = tmp_path_factory.mktemp("input")
+    if edges_input:
+        f = d / "in.edges"
+        f.write_text("\n".join(edge_lines))
+        argv = ["construct", "--line", "--edges", str(f)]
+    else:
+        f = d / "in.g6"
+        f.write_bytes(g6)
+        argv = ["construct", "--line", "--graph6", str(f)]
+    assert main(argv) in (0, 2)
 
 
 def test_invariants_from_graph6(petersen_g6, capsys):

@@ -46,6 +46,17 @@ def test_edge_index_line_is_built_once(petersen):
     assert idx.line == line_graph(petersen).graph
 
 
+def test_line_graph_is_shared_per_host():
+    g = catalog("heawood")
+    assert line_graph(g).graph is EdgeIndex.from_graph(g).line is g.line
+    assert g.line.name == "L(heawood)"
+    twin = build_graph(g.n, g.edges)
+    assert twin == g
+    assert twin.line == g.line and twin.line is not g.line
+    with pytest.raises(ValueError):
+        build_graph(3, []).line
+
+
 # -- line graphs ---------------------------------------------------------------
 
 

@@ -49,7 +49,20 @@ def test_permutation_algebra():
     assert p.inverse() * p == Permutation.identity(3)
     assert p(0) == 1
     assert p.apply((0, 1)) == (1, 2)
-    assert Permutation.identity(3).is_identity
+    assert Permutation.identity(3).is_identity()
+
+
+def test_degree_one_permutations_and_short_tuples():
+    # a one-index itemgetter returns a scalar; these stay tuples
+    e = Permutation.identity(1)
+    assert (e * e).images == (0,)
+    assert e.inverse().images == (0,)
+    assert e.apply(()) == ()
+    assert e.apply((0,)) == (0,)
+    p = Permutation((2, 0, 1))
+    assert p.apply(()) == ()
+    assert p.apply((1,)) == (0,)
+    assert p.apply([0, 2]) == (2, 1)
 
 
 def test_composition_order_is_left_then_right():

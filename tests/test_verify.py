@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import linesym.verify
 from linesym.constructions import catalog, line_graph
 from linesym.graphs import build_graph
 from linesym.metrics import distance_partition
@@ -294,6 +295,23 @@ def test_corpus_check_selection():
     assert {r.claim for r in reports} == {"lemma-2.2", "subdiv-diam"}
     with pytest.raises(ValueError):
         run_corpus(Corpus.default(), checks=("nonsense",))
+
+
+def test_corpus_builds_one_induced_group_per_host(monkeypatch):
+    calls = []
+    build = AutGroup.from_permutations
+
+    def counted(degree, perms):
+        calls.append(degree)
+        return build(degree, perms)
+
+    linesym.verify._induced_line_group.cache_clear()
+    monkeypatch.setattr(AutGroup, "from_permutations", staticmethod(counted))
+    corpus = Corpus(tuple((n, catalog(n)) for n in ("petersen", "heawood")))
+    reports = run_corpus(corpus, ["thm13", "weiss"])
+    # s = 2, 3, 4 for each host and claim, all through the induced group
+    assert len(reports) == 12 and {r.verdict for r in reports} == {PASS}
+    assert sorted(calls) == [15, 21]  # one chain per host, of degree m = 15 and 21
 
 
 def test_empty_corpus_runs_clean():

@@ -134,11 +134,9 @@ def test_enumerate_geodesics_rejects_bad_s(petersen):
 
 def test_geodesics_with_distance_filter_match_arcs(petersen):
     """s-geodesics are exactly the s-arcs whose endpoints sit at distance s."""
-    from linesym.metrics import bfs_distances
-
     for s in (1, 2):
         arcs = enumerate_arcs(petersen, s)
-        picked = {a for a in arcs if bfs_distances(petersen, a[0])[a[-1]] == s}
+        picked = {a for a in arcs if petersen.distances(a[0])[a[-1]] == s}
         assert picked == set(enumerate_geodesics(petersen, s))
 
 
@@ -159,6 +157,16 @@ def test_lmap_rejects_short_and_non_arcs(petersen):
     bad = (0, 1, 0)
     with pytest.raises(ValueError):
         lmap(idx, bad)
+    # not a walk: w-0 is an edge, 0-1 is not
+    w = petersen.adj[0][0]
+    assert 1 not in petersen.adj[0]
+    with pytest.raises(ValueError, match="not an edge"):
+        lmap(idx, (w, 0, 1))
+    # a walk that backtracks
+    with pytest.raises(ValueError, match="not an arc"):
+        lmap(idx, (0, w, 0))
+    with pytest.raises(ValueError):
+        lmap(idx, (0, w, 10))
 
 
 def test_lmap_image_lands_in_line_arcs(petersen):
