@@ -22,14 +22,10 @@ from .graphs import (
     is_complete,
     is_regular,
     isomorphic,
-    neighbors,
 )
 from .metrics import (
-    LocalProfile,
     LocalType,
     diameter,
-    distance,
-    distance_partition,
     girth,
     is_connected,
     local_type,
@@ -40,10 +36,8 @@ from .symmetry import (
     Permutation,
     automorphisms,
     induced_edge_action,
-    is_distance_transitive,
     is_s_arc_transitive,
     is_s_geodesic_transitive,
-    orbit_of,
     transitive_on,
 )
 from .verify import (
@@ -61,12 +55,10 @@ from .verify import (
 from .walks import (
     enumerate_arcs,
     enumerate_geodesics,
-    image_equals_geodesics,
     is_arc,
     is_geodesic,
     is_walk,
     lmap,
-    lmap_invert,
 )
 
 __version__ = "0.1.0"

@@ -60,11 +60,13 @@ def _load_graph(args) -> Graph:
         raise ValueError(f"{args.graph6} holds no graphs")
     pairs = []
     with open(args.edges) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                u, v = line.split()
-                pairs.append((int(u), int(v)))
+        for k, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    u, v = map(int, line.split())
+                except ValueError:
+                    raise ValueError(f'{args.edges}:{k}: expected "u v", got {line.strip()!r}') from None
+                pairs.append((u, v))
     if not pairs:
         raise ValueError(f"{args.edges} holds no edges")
     n = max(max(u, v) for u, v in pairs) + 1
@@ -112,8 +114,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_invariants(args) -> int:
     g = _load_graph(args)
-    profile = local_type(g)
-    summary = profile.summary
+    summary = local_type(g)
     rows = [
         ("graph", graph_label(g)),
         ("vertices", g.n),

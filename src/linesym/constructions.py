@@ -18,8 +18,8 @@ from .graphs import Edge, Graph, build_graph
 class EdgeIndex:
     """Lexicographically ranked edge list of a host graph.
 
-    A view: the ranks and the line graph are the host's own (`Graph.edge_rank`,
-    `Graph.line`), so every index of one host shares them.
+    A view: the ranks are the host's own `Graph.edge_rank`, so every index of
+    one host shares them.
     """
 
     host: Graph
@@ -39,11 +39,6 @@ class EdgeIndex:
 
     def __len__(self):
         return len(self.edges)
-
-    @property
-    def line(self) -> Graph:
-        """Line graph of the host; vertex i is edge i.  See line_graph."""
-        return self.host.line
 
 
 @dataclass(frozen=True)

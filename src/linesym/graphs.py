@@ -18,7 +18,6 @@ from typing import Iterable
 
 from . import refinement
 
-VertexSet = tuple[int, ...]  # sorted, distinct
 Edge = tuple[int, int]  # (min, max)
 
 
@@ -134,13 +133,6 @@ def build_graph(n: int, edges: Iterable[Iterable[int]], name: str | None = None)
         rows[u].append(v)
         rows[v].append(u)
     return Graph(n, tuple(tuple(sorted(r)) for r in rows), name)
-
-
-def neighbors(g: Graph, v: int) -> VertexSet:
-    """Sorted neighbors of v."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return g.adj[v]
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:

@@ -8,16 +8,9 @@ memoised rows (Graph.distances), so each BFS runs at most once per graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graphs import Graph, VertexSet, induced_subgraph, is_regular, neighbors
-
-
-def distance(g: Graph, u: int, v: int) -> int | None:
-    """Length of a shortest u-v path, or None when v is unreachable from u."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return g.distances(u)[v]
+from .graphs import Graph, induced_subgraph, is_regular
 
 
 def is_connected(g: Graph) -> bool:
@@ -58,39 +51,16 @@ def girth(g: Graph) -> int | None:
     return best
 
 
-def distance_partition(g: Graph, source: int) -> list[VertexSet]:
-    """Vertices grouped by distance from source, nearest level first.
-
-    Unreachable vertices are simply absent, so the level sizes sum to the
-    size of source's component.
-    """
-    dist = g.distances(source)
-    top = max(d for d in dist if d is not None)
-    levels: list[list[int]] = [[] for _ in range(top + 1)]
-    for v, d in enumerate(dist):
-        if d is not None:
-            levels[d].append(v)
-    return [tuple(level) for level in levels]
-
-
 @dataclass(frozen=True)
 class LocalType:
-    """Shape of one vertex's neighborhood graph.
+    """Shape of a neighborhood graph.
 
     kind is "cycle" (params (n,)), "disjoint_cliques" (params (m, r) for m
-    components of r vertices each), or "other" (params ()).  The witness is
-    the induced neighborhood graph itself; it never takes part in equality.
+    components of r vertices each), or "other" (params ()).
     """
 
     kind: str
     params: tuple[int, ...]
-    witness: Graph | None = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class LocalProfile:
-    per_vertex: tuple[LocalType, ...]
-    summary: LocalType | None
 
 
 def _classify_local(local: Graph) -> LocalType:
@@ -116,31 +86,27 @@ def _classify_local(local: Graph) -> LocalType:
         if any(len(local.adj[u]) != len(comp) - 1 for u in comp):
             all_cliques = False
     if all_cliques and len(set(comp_sizes)) == 1:
-        return LocalType("disjoint_cliques", (len(comp_sizes), comp_sizes[0]), local)
+        return LocalType("disjoint_cliques", (len(comp_sizes), comp_sizes[0]))
     if (
         local.n >= 3
         and len(comp_sizes) == 1
         and all(len(row) == 2 for row in local.adj)
     ):
-        return LocalType("cycle", (local.n,), local)
-    return LocalType("other", (), local)
+        return LocalType("cycle", (local.n,))
+    return LocalType("other", ())
 
 
-def local_type(g: Graph) -> LocalProfile:
-    """Classify every vertex's neighborhood; summary only when all agree.
+def local_type(g: Graph) -> LocalType | None:
+    """The shape shared by every vertex's neighborhood, or None.
 
-    The summary is withheld on non-regular graphs even if the kinds happen
-    to coincide.  An isolated vertex has an empty neighborhood and is
-    classified "other" with no witness.
+    None comes back at once on a non-regular graph, even if the shapes
+    would coincide, and otherwise when two neighborhoods differ.  Isolated
+    vertices have empty neighborhoods, classified "other".
     """
-    per = []
-    for v in range(g.n):
-        nb = neighbors(g, v)
-        if not nb:
-            per.append(LocalType("other", (), None))
-            continue
-        per.append(_classify_local(induced_subgraph(g, nb)))
-    summary = None
-    if is_regular(g) is not None and len({(t.kind, t.params) for t in per}) == 1:
-        summary = per[0]
-    return LocalProfile(tuple(per), summary)
+    k = is_regular(g)
+    if k is None:
+        return None
+    if k == 0:
+        return LocalType("other", ())
+    shapes = {_classify_local(induced_subgraph(g, row)) for row in g.adj}
+    return shapes.pop() if len(shapes) == 1 else None

@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from . import refinement
+from . import refinement, walks
 from .constructions import EdgeIndex
 from .graphs import Graph
 from .metrics import diameter, is_connected
@@ -302,24 +302,24 @@ class OrbitPartition:
         return counts
 
 
-def _label_orbit(t, gens, label: dict, orbit_id: int):
-    """Give orbit_id to t and every tuple the generators reach from it."""
+def _label_orbit(t, gens, label: dict, orbit_id: int, cap: int):
+    """Give orbit_id to t and every tuple the generators reach from it.
+
+    Raises EnumerationCapExceeded once label holds more than cap tuples,
+    checked once per dequeued tuple.
+    """
     label[t] = orbit_id
     queue = [t]
     for cur in queue:
+        if len(label) > cap:
+            raise walks.EnumerationCapExceeded(
+                f"enumeration cap reached: more than {cap} tuples in an orbit search")
         image_of = _getter(cur)
         for images in gens:
             img = image_of(images)
             if img not in label:
                 label[img] = orbit_id
                 queue.append(img)
-
-
-def orbit_of(t: tuple[int, ...], group: AutGroup) -> set[tuple[int, ...]]:
-    """Closure of one tuple under the generators, by breadth-first search."""
-    label: dict = {}
-    _label_orbit(tuple(t), [p.images for p in group.generators], label, 0)
-    return set(label)
 
 
 def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
@@ -337,9 +337,12 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
     An empty universe is vacuously transitive.  The searches go through
     tuples missing from the universe, so a universe that is not closed under
     the group still gets its partition into G-orbits, and repeated tuples
-    share their orbit's id.
+    share their orbit's id.  Those searches raise EnumerationCapExceeded once
+    they have labelled more than walks.ENUMERATION_CAP tuples; a closed
+    universe from the enumerators stays within the cap.
     """
     universe = tuple(tuples)
+    cap = walks.ENUMERATION_CAP
     gens = [p.images for p in group.generators]
     level = group._transversals[0] if group._transversals else {}
     # Up to min(|O|, |U|) inversions of n entries each, against the images of
@@ -363,7 +366,7 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
         if orbit_id is None:
             orbit_id = count
             count += 1
-            _label_orbit(key, members, label, orbit_id)
+            _label_orbit(key, members, label, orbit_id, cap)
         ids.append(orbit_id)
     part = OrbitPartition(universe, tuple(ids), count)
     return count <= 1, part
@@ -401,19 +404,3 @@ def is_s_geodesic_transitive(g: Graph, s: int, group: AutGroup | None = None) ->
     if any(count_geodesics(g, i) > group.order for i in levels):
         return False
     return all(transitive_on(enumerate_geodesics(g, i), group)[0] for i in levels)
-
-
-def is_distance_transitive(g: Graph, group: AutGroup | None = None) -> bool:
-    """True iff the group is transitive on ordered pairs at each distance."""
-    _require_connected(g)
-    group = group if group is not None else automorphisms(g)
-    d = diameter(g)
-    pairs_by_dist: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
-    for u in range(g.n):
-        dist = g.distances(u)
-        for v in range(g.n):
-            pairs_by_dist[dist[v]].append((u, v))
-    for pairs in pairs_by_dist:
-        if pairs and not transitive_on(pairs, group)[0]:
-            return False
-    return True

@@ -30,6 +30,7 @@ from .symmetry import (
     transitive_on,
 )
 from .walks import (
+    count_arcs,
     enumerate_arcs,
     enumerate_geodesics,
     is_arc,
@@ -37,11 +38,10 @@ from .walks import (
     lmap,
 )
 
-# Published transitivity ceilings, used as imported constants rather than
+# Published transitivity ceiling, used as an imported constant rather than
 # anything this package could derive: no graph of valency >= 3 is
-# (G,8)-arc transitive, and cubic graphs stop at s = 5.
+# (G,8)-arc transitive.
 WEISS_MAX_S = 7
-TUTTE_MAX_S_CUBIC = 5
 
 # thm-3.2 tests equivariance on this many (element, arc) pairs, drawn from
 # a generator seeded with LMAP_SEED so the records are reproducible.
@@ -142,8 +142,8 @@ def check_line_equivalence(g: Graph, s: int, group: AutGroup | None = None) -> V
         "line_geodesic_transitive": line_transitive,
         "arc_count": len(arcs),
         "line_geodesic_count": len(geos),
-        # Cumulative reading: transitive on every t-arc level up to s.
-        "lhs_all_levels": is_s_arc_transitive(g, s, group),
+        # Cumulative reading: transitive on every t-arc level up to s; level s is lhs.
+        "lhs_all_levels": lhs and is_s_arc_transitive(g, s - 1, group),
         "group_order": group.order,
     }
     witness = None
@@ -226,11 +226,11 @@ def check_lmap_theorem(g: Graph, s: int, group: AutGroup | None = None) -> Verdi
     predicted["geodesics_preserved"] = True
 
     dl = diameter(line)
+    gg = girth(g)
     if s - 1 <= dl:
         line_geos = set(enumerate_geodesics(line, s - 1))
         observed["image_covers_geodesics"] = line_geos <= image_set
         predicted["image_covers_geodesics"] = True
-        gg = girth(g)
         observed["image_equals_geodesics"] = image_set == line_geos
         predicted["image_equals_geodesics"] = gg is None or gg >= 2 * s - 2
     else:
@@ -259,7 +259,7 @@ def check_lmap_theorem(g: Graph, s: int, group: AutGroup | None = None) -> Verdi
     details = {
         "arc_count": len(arcs),
         "sampled_pairs": pairs,
-        "girth": girth(g),
+        "girth": gg,
         "line_diameter": dl,
     }
     return _finish("thm-3.2", g, params, observed, predicted, not mismatches,
@@ -310,7 +310,7 @@ def check_locally_cyclic(g: Graph, group: AutGroup | None = None) -> VerdictRepo
         return _na("cor-1.2", g, {}, "graph is not connected", t0)
     if is_complete(g):
         return _na("cor-1.2", g, {}, "graph is complete", t0)
-    summary = local_type(g).summary
+    summary = local_type(g)
     if summary is None or summary.kind != "cycle":
         return _na("cor-1.2", g, {}, "graph is not locally cyclic", t0)
     group = group if group is not None else automorphisms(g)
@@ -424,7 +424,7 @@ def run_corpus(corpus: Corpus, checks=None) -> list[VerdictReport]:
                 reports.append(check_diameter_lemma(g))
                 reports.append(check_subdivision_diameter(g))
             elif check == "thm32":
-                srange = [s for s in _theorem_s_range(g) if enumerate_arcs(g, s)]
+                srange = [s for s in _theorem_s_range(g) if count_arcs(g, s)]
                 if srange:
                     reports.extend(check_lmap_theorem(g, s) for s in srange)
                 else:

@@ -152,55 +152,3 @@ def lmap(index: EdgeIndex, arc: tuple[int, ...]) -> tuple[int, ...]:
     if any(x == y for x, y in zip(ranks, ranks[1:])):
         raise ValueError(f"{arc} is not an arc of the host")
     return ranks
-
-
-def lmap_invert(index: EdgeIndex, line_tuple: tuple[int, ...]) -> tuple[int, ...]:
-    """Reconstruct the unique arc whose edge sequence is the given geodesic.
-
-    The input must be a geodesic in the line graph, written as edge ranks.
-    Interior vertices are the intersections of consecutive edges; the two
-    endpoints are whatever remains of the first and last edge.
-    """
-    if len(line_tuple) < 2:
-        raise ValueError("need at least two edge ranks to invert")
-    if any(not 0 <= e < len(index.edges) for e in line_tuple):
-        raise ValueError("edge rank out of range")
-    if not is_geodesic(index.line, line_tuple):
-        raise ValueError(f"{line_tuple} is not a geodesic in the line graph")
-    inner = []
-    for a, b in zip(line_tuple, line_tuple[1:]):
-        (shared,) = set(index.edges[a]) & set(index.edges[b])
-        inner.append(shared)
-    first = [v for v in index.edges[line_tuple[0]] if v != inner[0]]
-    last = [v for v in index.edges[line_tuple[-1]] if v != inner[-1]]
-    arc = tuple(first + inner + last)
-    # Geodesics never let three consecutive edges share one vertex, so the
-    # rebuilt sequence is automatically an arc; anything else is a bug.
-    if not is_arc(index.host, arc):
-        raise RuntimeError(f"rebuilt sequence {arc} is not an arc of the host")
-    return arc
-
-
-def image_equals_geodesics(g: Graph, s: int, cap: int = ENUMERATION_CAP):
-    """Compare the image of all s-arcs with the (s-1)-geodesics of the line graph.
-
-    Returns (equal, witness) where the witness is the smallest tuple in the
-    symmetric difference, or None when the sets agree.  Requires a connected
-    host with at least one s-arc and s - 1 within the line graph's diameter.
-    """
-    if s < 2:
-        raise ValueError("comparison needs s >= 2")
-    if diameter(g) is None:
-        raise ValueError("host must be connected")
-    dl = diameter(g.line)
-    if s - 1 > dl:
-        raise ValueError(f"s={s} exceeds line-graph diameter {dl} + 1")
-    arcs = enumerate_arcs(g, s, cap=cap)
-    if not arcs:
-        raise ValueError(f"host has no {s}-arc")
-    index = EdgeIndex.from_graph(g)
-    image = {lmap(index, a) for a in arcs}
-    geos = set(enumerate_geodesics(g.line, s - 1, cap=cap))
-    if image == geos:
-        return True, None
-    return False, min(image ^ geos)

@@ -57,6 +57,16 @@ def test_edges_file_ids_are_bounded(tmp_path, capsys):
     assert "out of scope" in err and "Traceback" not in err
 
 
+def test_edges_parse_errors_name_the_file_and_line(tmp_path, capsys):
+    f = tmp_path / "bad.edges"
+    for bad in ("1 2 3", "x 2", "7"):
+        f.write_text(f"0 1\n\n{bad}\n")
+        assert main(["invariants", "--edges", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {f}:3: " in err and repr(bad) in err
+        assert "unpack" not in err and "literal" not in err
+
+
 _TOKENS = st.one_of(
     st.integers(-3, 40).map(str),
     st.sampled_from(["", "x", "1.5", "0x1", "--", "3 4 5", "7\t8", "1e3"]),

@@ -40,15 +40,9 @@ def test_edge_index_ranks_are_lexicographic(petersen):
         idx.rank_of(0, 0)
 
 
-def test_edge_index_line_is_built_once(petersen):
-    idx = EdgeIndex.from_graph(petersen)
-    assert idx.line is idx.line
-    assert idx.line == line_graph(petersen).graph
-
-
 def test_line_graph_is_shared_per_host():
     g = catalog("heawood")
-    assert line_graph(g).graph is EdgeIndex.from_graph(g).line is g.line
+    assert line_graph(g).graph is line_graph(g).graph is g.line
     assert g.line.name == "L(heawood)"
     twin = build_graph(g.n, g.edges)
     assert twin == g

@@ -9,7 +9,6 @@ from linesym.graphs import (
     is_complete,
     is_regular,
     isomorphic,
-    neighbors,
 )
 from oracles import automorphism_count_filter
 
@@ -63,17 +62,17 @@ def test_graph_validation_catches_asymmetry():
 
 
 def test_neighbors_contract(k4):
-    assert set(neighbors(k4, 0)) == {1, 2, 3}
+    assert k4.adj[0] == (1, 2, 3)
     c5 = build_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert set(neighbors(c5, 0)) == {1, 4}
-    assert neighbors(c5, 0) == tuple(sorted(neighbors(c5, 0)))
-    with pytest.raises(ValueError):
-        neighbors(c5, 5)
+    assert c5.adj[0] == (1, 4)
+    assert c5.adj[4] == (0, 3)
+    with pytest.raises(ValueError, match="not strictly sorted"):
+        Graph(3, ((2, 1), (0,), (0,)))
 
 
 def test_petersen_neighbors_all_size_3(petersen):
     for v in range(10):
-        assert len(neighbors(petersen, v)) == 3
+        assert len(petersen.adj[v]) == 3
 
 
 def test_induced_subgraph_of_k4_is_k3(k4):

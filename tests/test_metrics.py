@@ -1,17 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from linesym.constructions import catalog, line_graph
 from linesym.graphs import build_graph
-from linesym.metrics import (
-    diameter,
-    distance,
-    distance_partition,
-    girth,
-    is_connected,
-    local_type,
-)
+from linesym.metrics import LocalType, diameter, girth, is_connected, local_type
 from oracles import diameter_oracle, floyd_warshall, girth_oracle
 
 from conftest import random_connected_graph
@@ -28,16 +22,16 @@ def test_distance_rows_are_computed_once_per_source():
 
 def test_distance_examples(petersen):
     c6 = catalog("cycle(6)")
-    assert distance(c6, 0, 3) == 3
+    assert c6.distances(0)[3] == 3
     for u in range(10):
         for v in range(10):
             if u != v and v not in petersen.adj[u]:
-                assert distance(petersen, u, v) == 2
+                assert petersen.distances(u)[v] == 2
 
 
 def test_distance_absent_across_components():
     g = build_graph(4, [(0, 1), (2, 3)])
-    assert distance(g, 0, 2) is None
+    assert g.distances(0) == (0, 1, None, None)
     assert not is_connected(g)
     assert diameter(g) is None
 
@@ -95,64 +89,76 @@ def test_triangle_inequality_holds():
 # -- distance partitions ------------------------------------------------------
 
 
+def level_sizes(g, u):
+    """Number of vertices at each distance from u, nearest level first."""
+    counts = Counter(g.distances(u))
+    return [counts[d] for d in range(max(counts) + 1)]
+
+
 def test_distance_partition_shapes(petersen):
     c6 = catalog("cycle(6)")
-    assert [len(c) for c in distance_partition(c6, 0)] == [1, 2, 2, 1]
+    assert level_sizes(c6, 0) == [1, 2, 2, 1]
     for u in range(10):
-        assert [len(c) for c in distance_partition(petersen, u)] == [1, 3, 6]
+        assert level_sizes(petersen, u) == [1, 3, 6]
 
 
 def test_line_petersen_partition(petersen):
     lp = line_graph(petersen).graph
     for u in range(lp.n):
-        assert [len(c) for c in distance_partition(lp, u)] == [1, 4, 8, 2]
+        assert level_sizes(lp, u) == [1, 4, 8, 2]
 
 
 def test_partition_cells_are_distance_levels(petersen):
-    cells = distance_partition(petersen, 0)
-    for d, cell in enumerate(cells):
-        for v in cell:
-            assert distance(petersen, 0, v) == d
+    """Each distance level is the set of vertices the one before reaches
+    first: neighbours of level d - 1 that no earlier level holds."""
+    for g in (petersen, line_graph(petersen).graph, catalog("heawood")):
+        for u in range(g.n):
+            dist = g.distances(u)
+            seen, level, d = {u}, {u}, 0
+            while level:
+                assert level == {v for v, x in enumerate(dist) if x == d}
+                level = {w for v in level for w in g.adj[v]} - seen
+                seen |= level
+                d += 1
+            assert len(seen) == g.n
 
 
 # -- local types ---------------------------------------------------------------
 
 
 def test_local_type_icosahedron(icosahedron):
-    prof = local_type(icosahedron)
-    assert prof.summary is not None
-    assert prof.summary.kind == "cycle" and prof.summary.params == (5,)
+    assert local_type(icosahedron) == LocalType("cycle", (5,))
 
 
 def test_local_type_k3_parts_of_2(k3_parts_of_2):
-    assert local_type(k3_parts_of_2).summary.params == (4,)
+    assert local_type(k3_parts_of_2) == LocalType("cycle", (4,))
 
 
 def test_local_type_line_petersen(petersen):
     lp = line_graph(petersen).graph
-    s = local_type(lp).summary
-    assert (s.kind, s.params) == ("disjoint_cliques", (2, 2))
+    assert local_type(lp) == LocalType("disjoint_cliques", (2, 2))
 
 
 def test_local_type_complete_graphs():
     # K_{n+1} is locally K_n, reported as one clique of size n
     for n in (2, 3, 4):
-        s = local_type(catalog(f"complete({n + 1})")).summary
-        assert (s.kind, s.params) == ("disjoint_cliques", (1, n))
+        assert local_type(catalog(f"complete({n + 1})")) == LocalType("disjoint_cliques", (1, n))
 
 
 def test_local_type_petersen(petersen):
-    s = local_type(petersen).summary
-    assert (s.kind, s.params) == ("disjoint_cliques", (3, 1))
+    assert local_type(petersen) == LocalType("disjoint_cliques", (3, 1))
 
 
 def test_local_type_mixed_graph_has_no_summary():
-    p3 = build_graph(3, [(0, 1), (1, 2)])
-    prof = local_type(p3)
-    assert prof.summary is None
-    assert len(prof.per_vertex) == 3
+    # not regular
+    assert local_type(build_graph(3, [(0, 1), (1, 2)])) is None
+    # 3-regular, but the prism's neighbourhoods are an edge plus a vertex
+    # while K4's are triangles: no shape is shared
+    prism_plus_k4 = build_graph(10, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                                     (0, 3), (1, 4), (2, 5), (6, 7), (6, 8), (6, 9),
+                                     (7, 8), (7, 9), (8, 9)])
+    assert local_type(prism_plus_k4) is None
 
 
 def test_local_type_isolated_vertex_labeled_other():
-    g = build_graph(2, [])
-    assert all(t.kind == "other" for t in local_type(g).per_vertex)
+    assert local_type(build_graph(2, [])) == LocalType("other", ())

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linesym.symmetry
+import linesym.walks
 from linesym.constructions import catalog, line_graph
 from linesym.graphs import build_graph, isomorphic
 from linesym.refinement import individualize, refine
@@ -21,13 +22,11 @@ from linesym.symmetry import (
     _stabilizer_chain,
     automorphisms,
     induced_edge_action,
-    is_distance_transitive,
     is_s_arc_transitive,
     is_s_geodesic_transitive,
-    orbit_of,
     transitive_on,
 )
-from linesym.walks import enumerate_arcs, enumerate_geodesics
+from linesym.walks import EnumerationCapExceeded, enumerate_arcs, enumerate_geodesics
 from oracles import (
     automorphism_count_backtrack,
     automorphism_count_filter,
@@ -310,12 +309,12 @@ def test_induced_group_order_matches_host_for_k4(k4):
 # -- orbits and transitivity ---------------------------------------------------------
 
 
-def test_orbit_sizes_divide_group_order(petersen):
-    grp = automorphisms(petersen)
-    arcs = enumerate_arcs(petersen, 2)
-    orb = orbit_of(arcs[0], grp)
-    assert grp.order % len(orb) == 0
-    assert orb <= set(arcs)
+def test_orbit_sizes_divide_group_order(petersen, k3_parts_of_2):
+    for g in (petersen, k3_parts_of_2, line_graph(petersen).graph):
+        grp = automorphisms(g)
+        for s in (1, 2, 3):
+            sizes = transitive_on(enumerate_arcs(g, s), grp)[1].sizes()
+            assert all(grp.order % size == 0 for size in sizes)
 
 
 def test_transitive_on_split_cases(k3_parts_of_2):
@@ -326,6 +325,22 @@ def test_transitive_on_split_cases(k3_parts_of_2):
     ok, part = transitive_on(enumerate_geodesics(k3_parts_of_2, 2), grp)
     assert ok
     assert part.orbit_count == 1
+
+
+def test_transitive_on_stops_at_the_enumeration_cap(monkeypatch, petersen):
+    """A universe far from closed under the group cannot drive the orbit
+    search past the cap: under Sym(8) the fibre orbit of (0, ..., 7) holds
+    7! = 5040 tuples.  A closed universe never trips it."""
+    group = automorphisms(catalog("complete(8)"))
+    universe = [tuple(range(8))]
+    monkeypatch.setattr(linesym.walks, "ENUMERATION_CAP", 5039)
+    with pytest.raises(EnumerationCapExceeded, match="more than 5039 tuples"):
+        transitive_on(universe, group)
+    monkeypatch.setattr(linesym.walks, "ENUMERATION_CAP", 5040)
+    assert transitive_on(universe, group)[0]
+    arcs = enumerate_arcs(petersen, 3)
+    monkeypatch.setattr(linesym.walks, "ENUMERATION_CAP", len(arcs))
+    assert transitive_on(arcs, automorphisms(petersen))[0]
 
 
 def test_transitive_on_empty_is_vacuous(petersen):
@@ -412,13 +427,6 @@ def test_geodesic_transitivity_facts(icosahedron, petersen):
     assert is_s_geodesic_transitive(lp, 3)
     with pytest.raises(ValueError):
         is_s_geodesic_transitive(petersen, 3)  # beyond the diameter
-
-
-def test_distance_transitive_facts(k33):
-    h23 = line_graph(k33).graph
-    assert is_distance_transitive(h23)
-    assert is_distance_transitive(catalog("cycle(6)"))
-    assert not is_distance_transitive(catalog("path(3)"))
 
 
 def test_cumulative_vs_single_level():

@@ -6,7 +6,6 @@ import pytest
 import linesym.verify
 from linesym.constructions import catalog, line_graph
 from linesym.graphs import build_graph
-from linesym.metrics import distance_partition
 from linesym.symmetry import AutGroup, Permutation
 from linesym.verify import (
     FAIL,
@@ -209,8 +208,8 @@ def test_line_petersen_third_sphere_structure(petersen):
     w's neighborhood in the third distance cell around u."""
     lp = line_graph(petersen).graph
     for u, v, w in enumerate_geodesics(lp, 2):
-        third = distance_partition(lp, u)[3]
-        assert len(set(lp.adj[w]) & set(third)) == 1
+        dist = lp.distances(u)
+        assert sum(dist[x] == 3 for x in lp.adj[w]) == 1
 
 
 # -- cor-1.2 ---------------------------------------------------------------------
