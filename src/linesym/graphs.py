@@ -162,10 +162,17 @@ def isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
     """A vertex bijection carrying E(g1) onto E(g2), or None.
 
     The mapping phi satisfies: {u, v} is an edge of g1 iff {phi[u], phi[v]}
-    is an edge of g2.  Shares its search kernel with the automorphism code.
+    is an edge of g2.  The automorphism search gives each graph a canonical
+    vertex order; the graphs are isomorphic iff their certificates (the
+    adjacency relabelled by that order) are equal, and phi then sends one
+    order onto the other.
     """
     if g1.n != g2.n or g1.m != g2.m:
         return None
     if sorted(map(len, g1.adj)) != sorted(map(len, g2.adj)):
         return None
-    return refinement.find_isomorphism(g1.adj, g2.adj)
+    _, _, order1 = refinement.automorphism_generators(g1.adj)
+    _, _, order2 = refinement.automorphism_generators(g2.adj)
+    if refinement.certificate(g1.adj, order1) != refinement.certificate(g2.adj, order2):
+        return None
+    return tuple(w for _, w in sorted(zip(order1, order2)))

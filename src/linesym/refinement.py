@@ -1,15 +1,16 @@
-"""Partition-refinement search kernel for isomorphism and automorphism search.
+"""Partition-refinement search kernel for automorphisms and canonical labeling.
 
 Everything here works on raw adjacency (a tuple of strictly sorted neighbor
 tuples) so the module stays free of package imports.  A coloring is a list of
 ints, one per vertex, ordered like its cells; `refine` returns each vertex's
 cell start index, and a coloring is "discrete" when every cell is a
 singleton.  Refinement only splits cells, by rules that read colors and
-counts, never vertex ids, so two graphs refined together as one disjoint
-union end up with directly comparable colorings.  Both searches keep their
-own stacks, so depth is not limited by the recursion limit.  The automorphism
-search also returns its first path's base, relative to which its generators
-are a strong generating set, so no Schreier sifting is needed downstream.
+counts, never vertex ids, so relabelling a graph relabels its search tree.
+The search keeps its own stack, so depth is not limited by the recursion
+limit.  It returns its first path's base, relative to which its generators
+are a strong generating set, so no Schreier sifting is needed downstream,
+and a canonical vertex order, so two graphs are isomorphic exactly when
+their certificates under those orders are equal.
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ from itertools import chain
 Adjacency = tuple[tuple[int, ...], ...]
 
 
-def refine(adj: Adjacency, colors: list[int]) -> list[int]:
+def refine(adj: Adjacency, colors: list[int], splitter: int | None = None) -> list[int]:
     """Coarsest equitable refinement of colors, as cell start indices.
 
     Splitter cells come off a heap in start order (Hopcroft-style, O(m log n);
     Junttila & Kaski, ALENEX 2007).  A touched cell splits by neighbor count
     in the splitter, untouched members first; when it is not queued, its
-    first largest piece stays out of the queue.
+    first largest piece stays out of the queue.  Every cell starts queued,
+    unless splitter is the color of a vertex just individualized from an
+    equitable coloring: then only that new singleton can split anything.
     """
     n = len(adj)
     elems = sorted(range(n), key=colors.__getitem__)  # cells are runs of elems
@@ -36,7 +39,7 @@ def refine(adj: Adjacency, colors: list[int]) -> list[int]:
         pos[v] = i
         color[v] = color[elems[i - 1]] if i and colors[v] == colors[elems[i - 1]] else i
         size[color[v]] = size.get(color[v], 0) + 1
-    queue = list(size)  # ascending, so already a heap
+    queue = list(size) if splitter is None else [splitter]  # ascending, so a heap
     queued = set(queue)
     while queue:
         s = heappop(queue)
@@ -95,50 +98,20 @@ def _first_nonsingleton(colors):
     return min(small) if small else None
 
 
-def _preserves_adjacency(adj1: Adjacency, adj2: Adjacency, phi) -> bool:
-    for v in range(len(adj1)):
-        if sorted(phi[w] for w in adj1[v]) != list(adj2[phi[v]]):
+def _preserves_adjacency(adj: Adjacency, phi) -> bool:
+    for v in range(len(adj)):
+        if sorted(phi[w] for w in adj[v]) != list(adj[phi[v]]):
             return False
     return True
 
 
-def _pairings(c1, c2, target):
-    # the first target vertex of one half against each of the other's
-    u = c1.index(target)
-    for w, c in enumerate(c2):
-        if c == target:
-            yield individualize(c1, u), individualize(c2, w)
-
-
-def find_isomorphism(adj1: Adjacency, adj2: Adjacency) -> tuple[int, ...] | None:
-    """Edge-preserving bijection from adj1 to adj2, or None if none exists.
-
-    Each node refines the disjoint union; `refine` renumbers the union's
-    colors to cell starts, re-canonicalising the halves individualized apart.
-    """
-    n = len(adj1)
-    if len(adj2) != n:
-        return None
-    union = adj1 + tuple(tuple(w + n for w in row) for row in adj2)
-    stack = [iter([([0] * n, [0] * n)])]
-    while stack:
-        pair = next(stack[-1], None)
-        if pair is None:
-            stack.pop()
-            continue
-        colors = refine(union, pair[0] + pair[1])
-        c1, c2 = colors[:n], colors[n:]
-        if sorted(c1) != sorted(c2):
-            continue
-        target = _first_nonsingleton(c1)
-        if target is None:
-            pos2 = {c: v for v, c in enumerate(c2)}
-            phi = tuple(pos2[c] for c in c1)
-            if _preserves_adjacency(adj1, adj2, phi):
-                return phi
-            continue
-        stack.append(_pairings(c1, c2, target))
-    return None
+def certificate(adj: Adjacency, order) -> Adjacency:
+    """adj relabelled so that vertex order[i] becomes i: row i holds the
+    sorted new labels of order[i]'s neighbors."""
+    label = [0] * len(order)
+    for i, v in enumerate(order):
+        label[v] = i
+    return tuple(tuple(sorted(label[w] for w in adj[v])) for v in order)
 
 
 class _Node:
@@ -169,8 +142,10 @@ class _Node:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def automorphism_generators(adj: Adjacency) -> tuple[list[int], list[tuple[int, ...]]]:
-    """(base, generators) of the automorphism group, found without enumerating it.
+def automorphism_generators(
+        adj: Adjacency) -> tuple[list[int], list[tuple[int, ...]], tuple[int, ...]]:
+    """(base, generators, order) of the automorphism group and a canonical
+    vertex order, found without enumerating the group.
 
     Individualization-refinement search.  The first root-to-leaf path fixes a
     reference labeling and the base it individualized; every other leaf whose
@@ -183,11 +158,17 @@ def automorphism_generators(adj: Adjacency) -> tuple[list[int], list[tuple[int, 
     orbits, every child equivalent to b_i: they generate that pointwise
     stabilizer, a strong generating set relative to the base (McKay &
     Piperno, "Practical graph isomorphism, II", 2014).
+
+    Since a subtree is skipped only when an automorphism maps a searched one
+    onto it, the search reaches every leaf up to automorphism; so the order
+    of the leaf with the largest certificate is canonical.
     """
     n = len(adj)
     gens: list[tuple[int, ...]] = []
     base: list[int] = []
     first_colors: list[int] | None = None
+    best: list[int] = []  # the vertex order of the best leaf so far
+    best_cert: Adjacency | None = None  # its certificate, once one is needed
     path: list[int] = []  # path[i]: the vertex individualized below stack[i]
     stack = [_Node(refine(adj, [0] * n), True)]
     while stack:
@@ -206,18 +187,18 @@ def automorphism_generators(adj: Adjacency) -> tuple[list[int], list[tuple[int, 
                 if node.find(v) != v:
                     continue
             path.append(v)
-            child = refine(adj, individualize(node.colors, v))
-            stack.append(_Node(child, node.first and node.next == 1))
+            colors = individualize(node.colors, v)
+            stack.append(_Node(refine(adj, colors, colors[v]), node.first and node.next == 1))
             continue
         if node.cell is None:
+            leaf = [0] * n  # leaf[c]: the vertex colored c
+            for v, c in enumerate(node.colors):
+                leaf[c] = v
             if first_colors is None:
-                first_colors, base = node.colors, path[:]
+                first_colors, base, best = node.colors, path[:], leaf
             else:
-                leaf = [0] * n
-                for v, c in enumerate(node.colors):
-                    leaf[c] = v
                 p = tuple(leaf[c] for c in first_colors)
-                if _preserves_adjacency(adj, adj, p):
+                if _preserves_adjacency(adj, p):
                     gens.append(p)
                     while not stack[-2].first:
                         stack.pop()
@@ -225,6 +206,14 @@ def automorphism_generators(adj: Adjacency) -> tuple[list[int], list[tuple[int, 
                     for anc in stack[:-1]:
                         if anc.parent is not None:
                             anc.merge(p)
+                else:
+                    # An automorphic leaf has the first leaf's certificate,
+                    # so only the others need one built.
+                    if best_cert is None:
+                        best_cert = certificate(adj, best)
+                    cert = certificate(adj, leaf)
+                    if cert > best_cert:
+                        best, best_cert = leaf, cert
         stack.pop()
         del path[len(stack) - 1:]
-    return base, gens
+    return base, gens, tuple(best)

@@ -261,7 +261,7 @@ def automorphisms(g: Graph) -> AutGroup:
 def _automorphisms_cached(g: Graph) -> AutGroup:
     # The search's generators fixing b1..b_{i-1} generate that stabilizer, so
     # each level's orbit is exact and no Schreier generator needs sifting.
-    base, gens = refinement.automorphism_generators(g.adj)
+    base, gens, _ = refinement.automorphism_generators(g.adj)
     identity = tuple(range(g.n))
     levels = (_transversal(b, [p for p in gens if all(p[f] == f for f in base[:i])], identity)
               for i, b in enumerate(base))

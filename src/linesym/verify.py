@@ -280,7 +280,8 @@ def classify_valency4_girth3(g: Graph, group: AutGroup | None = None) -> Verdict
     if girth(g) != 3:
         return _na("thm-1.1", g, {}, "girth is not 3", t0)
     group = group if group is not None else automorphisms(g)
-    lhs = is_s_geodesic_transitive(g, 2, group)
+    split = transitive_on(enumerate_geodesics(g, 2), group)[1]
+    lhs = is_s_geodesic_transitive(g, 1, group) and split.orbit_count <= 1
     octahedral = isomorphic(g, catalog("complete_multipartite(3,2)")) is not None
     sigma = clique_graph(g).graph
     sigma_ok = False
@@ -292,7 +293,6 @@ def classify_valency4_girth3(g: Graph, group: AutGroup | None = None) -> Verdict
             sigma_ok = is_s_arc_transitive(sigma, 3)
             sigma_facts["clique_graph_3_arc_transitive"] = sigma_ok
     rhs = octahedral or sigma_ok
-    split = transitive_on(enumerate_geodesics(g, 2), group)[1]
     details = {
         "octahedral_form": octahedral,
         "cubic_preimage": sigma_ok,
@@ -374,10 +374,6 @@ class Corpus:
     @staticmethod
     def default() -> "Corpus":
         return Corpus(tuple((n, catalog(n)) for n in DEFAULT_CORPUS_NAMES))
-
-    @staticmethod
-    def from_graphs(graphs) -> "Corpus":
-        return Corpus(tuple((graph_label(g), g) for g in graphs))
 
     @staticmethod
     def from_graph6_file(path: str) -> "Corpus":

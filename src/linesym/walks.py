@@ -82,20 +82,20 @@ def count_geodesics(g: Graph, s: int) -> int:
     return total
 
 
-def _check_cap(count: int, cap: int, what: str):
-    if count > cap:
-        raise EnumerationCapExceeded(f"enumeration cap reached: more than {cap} {what}")
+def _check_cap(count: int, what: str):
+    if count > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(f"enumeration cap reached: more than {ENUMERATION_CAP} {what}")
 
 
-def enumerate_arcs(g: Graph, s: int, cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
+def enumerate_arcs(g: Graph, s: int) -> list[tuple[int, ...]]:
     """All s-arcs in lexicographic order.
 
     Depth-first from each start vertex, with an explicit stack of
     (depth, vertex) entries, so s is not limited by the recursion limit.
-    Raises EnumerationCapExceeded when there are more than cap arcs; they
-    are counted first, so no tuple is built before the error.
+    Raises EnumerationCapExceeded when there are more than ENUMERATION_CAP
+    arcs; they are counted first, so no tuple is built before the error.
     """
-    _check_cap(count_arcs(g, s), cap, f"arcs of length {s}")
+    _check_cap(count_arcs(g, s), f"arcs of length {s}")
     adj = g.adj
     out: list[tuple[int, ...]] = []
     for v in range(g.n):
@@ -113,18 +113,18 @@ def enumerate_arcs(g: Graph, s: int, cap: int = ENUMERATION_CAP) -> list[tuple[i
     return out
 
 
-def enumerate_geodesics(g: Graph, s: int, cap: int = ENUMERATION_CAP) -> list[tuple[int, ...]]:
+def enumerate_geodesics(g: Graph, s: int) -> list[tuple[int, ...]]:
     """All s-geodesics in lexicographic order; s must not exceed the diameter.
 
     Raises EnumerationCapExceeded, before building any tuple, when there are
-    more than cap of them.
+    more than ENUMERATION_CAP of them.
     """
     d = diameter(g)
     if d is None:
         raise ValueError("geodesics are only defined on connected graphs")
     if not 1 <= s <= d:
         raise ValueError(f"s={s} outside 1..diameter={d}")
-    _check_cap(count_geodesics(g, s), cap, f"geodesics of length {s}")
+    _check_cap(count_geodesics(g, s), f"geodesics of length {s}")
     adj = g.adj
     out: list[tuple[int, ...]] = []
     for v in range(g.n):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linesym.graphs import (
     Graph,
@@ -142,6 +144,85 @@ def test_isomorphism_reflexive_and_symmetric_on_random_graphs():
         h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
         assert isomorphic(g, h) is not None
         assert isomorphic(h, g) is not None
+
+
+def _is_edge_bijection(phi, g, h) -> bool:
+    return sorted(phi) == list(range(g.n)) and (
+        {frozenset((phi[u], phi[v])) for u, v in g.edges} == {frozenset(e) for e in h.edges})
+
+
+def _edge(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+@st.composite
+def graph_pairs(draw):
+    """A graph on at most 9 vertices, connected or not, and a relabelled copy
+    after a few degree-preserving edge swaps, which may or may not keep it
+    isomorphic."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = build_graph(n, [e for e, keep in zip(pairs, mask) if keep])
+    edges = set(g.edges)
+    for _ in range(draw(st.integers(0, 3))):
+        # {a, b}, {c, d} -> {a, d}, {c, b}, keeping every degree
+        swaps = [((a, b), (c, d))
+                 for a, b in sorted(edges) for e in sorted(edges) for c, d in (e, e[::-1])
+                 if len({a, b, c, d}) == 4 and not {_edge(a, d), _edge(c, b)} & edges]
+        if not swaps:
+            break
+        (a, b), (c, d) = draw(st.sampled_from(swaps))
+        edges = edges - {(a, b), _edge(c, d)} | {_edge(a, d), _edge(c, b)}
+    perm = draw(st.permutations(range(n)))
+    return g, build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_isomorphic_matches_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        return h
+
+    def check(g, h):
+        phi = isomorphic(g, h)
+        assert (phi is not None) == nx.is_isomorphic(to_nx(g), to_nx(h))
+        if phi is not None:
+            assert _is_edge_bijection(phi, g, h)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph_pairs())
+    def check_pair(pair):
+        check(*pair)
+
+    check_pair()
+    rng = random.Random(4)
+    for d, n in ((3, 10), (3, 14), (4, 9), (4, 12)):
+        for _ in range(8):
+            g, h = (nx.random_regular_graph(d, n, seed=rng.randrange(1 << 30)) for _ in "gh")
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g, h = build_graph(n, list(g.edges)), build_graph(n, list(h.edges))
+            check(g, h)
+            check(g, build_graph(n, [(perm[u], perm[v]) for u, v in g.edges]))
+
+
+def test_isomorphic_separates_shrikhande_from_the_rook_graph():
+    # Both are strongly regular with parameters (16, 6, 2, 2), so refinement
+    # alone never splits a cell; only the search tells them apart.
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    shrikhande = build_graph(16, [
+        (i, j) for i in range(16) for j in range(i + 1, 16)
+        if ((cells[j][0] - cells[i][0]) % 4, (cells[j][1] - cells[i][1]) % 4) in steps])
+    rook = build_graph(16, [(i, j) for i in range(16) for j in range(i + 1, 16)
+                            if (cells[i][0] == cells[j][0]) != (cells[i][1] == cells[j][1])])
+    assert is_regular(shrikhande) == is_regular(rook) == 6
+    assert isomorphic(shrikhande, rook) is None
+    assert isomorphic(rook, shrikhande) is None
 
 
 def test_isomorphic_on_rigid_vs_symmetric():

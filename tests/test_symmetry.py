@@ -190,15 +190,19 @@ def test_from_permutations_order_matches_sympy():
     check()
 
 
+def cells_of(colors) -> set[frozenset[int]]:
+    cells: dict[int, set[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, set()).add(v)
+    return {frozenset(c) for c in cells.values()}
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_graphs(max_n=12), st.data())
 def test_refine_is_the_coarsest_equitable_partition_and_invariant(g, data):
     colors = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
     refined = refine(g.adj, colors)
-    cells: dict[int, set[int]] = {}
-    for v, c in enumerate(refined):
-        cells.setdefault(c, set()).add(v)
-    assert {frozenset(c) for c in cells.values()} == equitable_cells(g.adj, colors)
+    assert cells_of(refined) == equitable_cells(g.adj, colors)
     # colors are cell start indices in the cell order
     assert all(sum(1 for d in refined if d < c) == c for c in refined)
     # relabelling the graph relabels the colors and nothing else
@@ -214,6 +218,10 @@ def test_refine_is_the_coarsest_equitable_partition_and_invariant(g, data):
         split = individualize(refined, v)
         assert split[v] == refined[v]
         assert all(split[w] == refined[w] + (refined[w] == refined[v]) for w in range(g.n) if w != v)
+        # seeding with the new singleton alone may order cells differently
+        seeded = refine(g.adj, split, split[v])
+        full = refine(g.adj, split)
+        assert cells_of(seeded) == cells_of(full) == equitable_cells(g.adj, split)
 
 
 def test_search_depth_is_not_limited_by_the_recursion_limit():

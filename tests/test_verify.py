@@ -319,13 +319,6 @@ def test_empty_corpus_runs_clean():
     assert not has_failures(reports)
 
 
-def test_corpus_from_graphs_labels(petersen):
-    c = Corpus.from_graphs([petersen, build_graph(2, [(0, 1)])])
-    names = [n for n, _ in c.entries]
-    assert names[0] == "petersen"
-    assert names[1].startswith("g6:")
-
-
 def test_corpus_from_graph6_file(tmp_path, petersen, k33):
     from linesym.graph6 import emit_graph6
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from linesym import walks
 from linesym.constructions import catalog, line_graph
 from linesym.graphs import build_graph
 from linesym.walks import (
@@ -99,24 +100,28 @@ def test_arcs_agreeing_with_oracle_on_random_graphs():
                 assert count_geodesics(g, s) == len(geos)
 
 
-def test_enumerate_arc_cap_raises(petersen):
+def test_enumerate_arc_cap_raises(petersen, monkeypatch):
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 100)
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_arcs(petersen, 3, cap=100)
+        enumerate_arcs(petersen, 3)
 
 
-def test_enumerate_geodesics_cap_raises(petersen):
+def test_enumerate_geodesics_cap_raises(petersen, monkeypatch):
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 59)  # there are 60
     with pytest.raises(EnumerationCapExceeded, match="geodesics"):
-        enumerate_geodesics(petersen, 2, cap=59)  # there are 60
-    assert len(enumerate_geodesics(petersen, 2, cap=60)) == 60
+        enumerate_geodesics(petersen, 2)
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 60)
+    assert len(enumerate_geodesics(petersen, 2)) == 60
 
 
-def test_cap_is_checked_before_any_tuple_is_built():
+def test_cap_is_checked_before_any_tuple_is_built(monkeypatch):
     # complete(9) has 9 * 8^8 (about 1.5e8) 9-arcs.
     g = catalog("complete(9)")
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 10**6)
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationCapExceeded):
-            enumerate_arcs(g, 9, cap=10**6)
+            enumerate_arcs(g, 9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
