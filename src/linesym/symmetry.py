@@ -372,6 +372,15 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
     return count <= 1, part
 
 
+@lru_cache(maxsize=256)
+def transitive_on_level(g: Graph, kind: str, t: int, group: AutGroup) -> bool:
+    """Whether the group is transitive on the t-arcs (kind "arcs") or the
+    t-geodesics (kind "geodesics") of g, decided once per process; only the
+    verdict is kept, and a cap error, like any exception, is not cached."""
+    tuples = enumerate_arcs(g, t) if kind == "arcs" else enumerate_geodesics(g, t)
+    return transitive_on(tuples, group)[0]
+
+
 def _require_connected(g: Graph):
     if not is_connected(g):
         raise ValueError("transitivity tests need a connected graph")
@@ -390,7 +399,7 @@ def is_s_arc_transitive(g: Graph, s: int, group: AutGroup | None = None) -> bool
     levels = range(1, s + 1)
     if any(not 0 < count_arcs(g, t) <= group.order for t in levels):
         return False
-    return all(transitive_on(enumerate_arcs(g, t), group)[0] for t in levels)
+    return all(transitive_on_level(g, "arcs", t, group) for t in levels)
 
 
 def is_s_geodesic_transitive(g: Graph, s: int, group: AutGroup | None = None) -> bool:
@@ -403,4 +412,4 @@ def is_s_geodesic_transitive(g: Graph, s: int, group: AutGroup | None = None) ->
     levels = range(1, s + 1)
     if any(count_geodesics(g, i) > group.order for i in levels):
         return False
-    return all(transitive_on(enumerate_geodesics(g, i), group)[0] for i in levels)
+    return all(transitive_on_level(g, "geodesics", i, group) for i in levels)

@@ -28,13 +28,14 @@ from .symmetry import (
     is_s_arc_transitive,
     is_s_geodesic_transitive,
     transitive_on,
+    transitive_on_level,
 )
 from .walks import (
     count_arcs,
+    count_geodesics,
+    edge_sequences,
     enumerate_arcs,
     enumerate_geodesics,
-    is_arc,
-    is_geodesic,
     lmap,
 )
 
@@ -127,21 +128,20 @@ def check_line_equivalence(g: Graph, s: int, group: AutGroup | None = None) -> V
     if reason:
         return _na("thm-1.3", g, params, reason, t0)
     group = group if group is not None else automorphisms(g)
-    arcs = enumerate_arcs(g, s)
-    lhs = bool(arcs) and transitive_on(arcs, group)[0]
+    arc_count = count_arcs(g, s)
+    lhs = arc_count > 0 and transitive_on_level(g, "arcs", s, group)
     gg = girth(g)
     girth_ok = 2 * s <= gg + 2
     lgroup = _induced_line_group(g, group)
-    geos = enumerate_geodesics(g.line, s - 1)
-    line_transitive = transitive_on(geos, lgroup)[0]
+    line_transitive = transitive_on_level(g.line, "geodesics", s - 1, lgroup)
     rhs = girth_ok and line_transitive
     details = {
         "girth": gg,
         "half_girth_bound": f"2*{s} <= {gg}+2",
         "half_girth_ok": girth_ok,
         "line_geodesic_transitive": line_transitive,
-        "arc_count": len(arcs),
-        "line_geodesic_count": len(geos),
+        "arc_count": arc_count,
+        "line_geodesic_count": count_geodesics(g.line, s - 1),
         # Cumulative reading: transitive on every t-arc level up to s; level s is lhs.
         "lhs_all_levels": lhs and is_s_arc_transitive(g, s - 1, group),
         "group_order": group.order,
@@ -202,58 +202,49 @@ def check_lmap_theorem(g: Graph, s: int, group: AutGroup | None = None) -> Verdi
     group = group if group is not None else automorphisms(g)
     line = g.line
     index = EdgeIndex.from_graph(g)
-    images = [lmap(index, a) for a in arcs]
+    images = edge_sequences(index, arcs)
     image_set = set(images)
-    observed: dict = {}
-    predicted: dict = {}
-
-    observed["injective"] = len(image_set) == len(images)
-    predicted["injective"] = True
-
-    observed["images_are_arcs"] = all(is_arc(line, t) for t in image_set)
-    predicted["images_are_arcs"] = True
-
-    line_arcs = enumerate_arcs(line, s - 1)
-    observed["onto_line_arcs"] = image_set == set(line_arcs)
-    # g is connected with an s-arc, so valency <= 2 means a path or a cycle.
-    predicted["onto_line_arcs"] = s == 2 or max(map(len, g.adj)) <= 2
-
-    d = diameter(g)
-    host_geos = enumerate_geodesics(g, s) if s <= d else []
-    observed["geodesics_preserved"] = all(
-        is_geodesic(line, lmap(index, p)) for p in host_geos
-    )
-    predicted["geodesics_preserved"] = True
-
+    line_arcs = set(enumerate_arcs(line, s - 1))
+    host_geos = enumerate_geodesics(g, s) if s <= diameter(g) else []
     dl = diameter(line)
     gg = girth(g)
-    if s - 1 <= dl:
-        line_geos = set(enumerate_geodesics(line, s - 1))
-        observed["image_covers_geodesics"] = line_geos <= image_set
-        predicted["image_covers_geodesics"] = True
-        observed["image_equals_geodesics"] = image_set == line_geos
-        predicted["image_equals_geodesics"] = gg is None or gg >= 2 * s - 2
-    else:
-        observed["image_covers_geodesics"] = None
-        predicted["image_covers_geodesics"] = None
-        observed["image_equals_geodesics"] = None
-        predicted["image_equals_geodesics"] = None
-
+    within = s - 1 <= dl
+    # Images have s entries, so an image is an arc (a geodesic) of the line
+    # graph exactly when it is one of its (s-1)-arcs ((s-1)-geodesics).
+    line_geos = set(enumerate_geodesics(line, s - 1)) if within else set()
+    # Each generator preserves the edges (induced_edge_action raises
+    # otherwise), so every sampled element does, and its action on the
+    # line graph is read off the arc's own edges.
+    for p in group.generators:
+        induced_edge_action(index, p)
     rng = random.Random(LMAP_SEED)
-    ok_equi = True
-    pairs = 0
-    for _ in range(LMAP_SAMPLES):
+    for pairs in range(1, LMAP_SAMPLES + 1):
         sigma = group.random_element(rng)
         arc = rng.choice(arcs)
-        left = lmap(index, sigma.apply(arc))
-        right = induced_edge_action(index, sigma).apply(lmap(index, arc))
-        pairs += 1
-        if left != right:
-            ok_equi = False
+        right = tuple(index.rank_of(sigma(u), sigma(v))
+                      for u, v in map(index.edges.__getitem__, lmap(index, arc)))
+        equivariant = lmap(index, sigma.apply(arc)) == right
+        if not equivariant:
             break
-    observed["equivariant"] = ok_equi
-    predicted["equivariant"] = True
-
+    observed = {
+        "injective": len(image_set) == len(images),
+        "images_are_arcs": image_set <= line_arcs,
+        "onto_line_arcs": image_set == line_arcs,
+        "geodesics_preserved": set(edge_sequences(index, host_geos)) <= line_geos,
+        "image_covers_geodesics": line_geos <= image_set if within else None,
+        "image_equals_geodesics": image_set == line_geos if within else None,
+        "equivariant": equivariant,
+    }
+    predicted = {
+        "injective": True,
+        "images_are_arcs": True,
+        # g is connected with an s-arc, so valency <= 2 means a path or a cycle.
+        "onto_line_arcs": s == 2 or max(map(len, g.adj)) <= 2,
+        "geodesics_preserved": True,
+        "image_covers_geodesics": True if within else None,
+        "image_equals_geodesics": (gg is None or gg >= 2 * s - 2) if within else None,
+        "equivariant": True,
+    }
     mismatches = {k: {"observed": observed[k], "predicted": predicted[k]}
                   for k in observed if observed[k] != predicted[k]}
     details = {

@@ -10,6 +10,9 @@ reproducible.
 
 from __future__ import annotations
 
+import operator
+from typing import Sequence
+
 from .constructions import EdgeIndex
 from .graphs import Graph
 from .metrics import diameter
@@ -143,12 +146,34 @@ def enumerate_geodesics(g: Graph, s: int) -> list[tuple[int, ...]]:
     return out
 
 
-def lmap(index: EdgeIndex, arc: tuple[int, ...]) -> tuple[int, ...]:
-    """Edge-rank sequence of an s-arc (s >= 2): one rank per consecutive pair."""
-    if len(arc) < 3:
+def edge_sequences(index: EdgeIndex, arcs: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Edge-rank sequences of equal-length s-arcs (s >= 2), built column by
+    column: two vertex columns give a rank column, and two equal consecutive
+    rank columns mark a backtrack.  Raises ValueError on mixed lengths, on
+    arcs shorter than 3 entries, and on a non-edge or a backtrack, naming
+    the offending arc."""
+    if not arcs:
+        return []
+    if len(set(map(len, arcs))) > 1:
+        raise ValueError("the edge-sequence map needs arcs of one length")
+    if len(arcs[0]) < 3:
         raise ValueError("the edge-sequence map needs an arc of length >= 2")
-    # rank_of rejects non-edges; two equal consecutive ranks are a backtrack.
-    ranks = tuple(index.rank_of(a, b) for a, b in zip(arc, arc[1:]))
-    if any(x == y for x, y in zip(ranks, ranks[1:])):
-        raise ValueError(f"{arc} is not an arc of the host")
-    return ranks
+    rank = index.host.edge_rank
+    cols = list(zip(*arcs))
+    ranks = []
+    for a, b in zip(cols, cols[1:]):
+        try:
+            ranks.append([rank[(u, v) if u < v else (v, u)] for u, v in zip(a, b)])
+        except KeyError:
+            i = next(i for i, e in enumerate(zip(a, b)) if tuple(sorted(e)) not in rank)
+            raise ValueError(f"{a[i]}-{b[i]} is not an edge of the host, in {arcs[i]}") from None
+    for r, q in zip(ranks, ranks[1:]):
+        backtracks = list(map(operator.eq, r, q))
+        if any(backtracks):
+            raise ValueError(f"{arcs[backtracks.index(True)]} is not an arc of the host")
+    return list(zip(*ranks))
+
+
+def lmap(index: EdgeIndex, arc: tuple[int, ...]) -> tuple[int, ...]:
+    """Edge-rank sequence of one s-arc (s >= 2): one rank per consecutive pair."""
+    return edge_sequences(index, (arc,))[0]

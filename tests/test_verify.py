@@ -2,11 +2,15 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import linesym.symmetry
 import linesym.verify
-from linesym.constructions import catalog, line_graph
+from linesym.constructions import EdgeIndex, catalog, line_graph
 from linesym.graphs import build_graph
-from linesym.symmetry import AutGroup, Permutation
+from linesym.metrics import diameter
+from linesym.symmetry import AutGroup, Permutation, automorphisms, induced_edge_action
 from linesym.verify import (
     FAIL,
     NOT_APPLICABLE,
@@ -26,9 +30,9 @@ from linesym.verify import (
     run_corpus,
     write_report,
 )
-from linesym.walks import enumerate_geodesics
+from linesym.walks import enumerate_arcs, enumerate_geodesics, is_arc, is_geodesic, lmap
 
-from conftest import circulant, triangulated_torus
+from conftest import circulant, random_connected_graph, triangulated_torus
 
 GOLDEN_RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus_expected.jsonl"
 
@@ -160,6 +164,57 @@ def test_lmap_check_degenerate_diameter_region(k4):
     assert r.verdict == PASS
     assert r.lhs["image_equals_geodesics"] is None
     assert r.rhs["image_equals_geodesics"] is None
+
+
+def _lmap_facts_tuple_by_tuple(g, s):
+    """thm-3.2's observed facts, one tuple at a time through the predicates,
+    with equivariance checked on every generator and every s-arc."""
+    line = g.line
+    index = EdgeIndex.from_graph(g)
+    arcs = enumerate_arcs(g, s)
+    images = [lmap(index, a) for a in arcs]
+    image_set = set(images)
+    host_geos = enumerate_geodesics(g, s) if s <= diameter(g) else []
+    facts = {
+        "injective": len(image_set) == len(images),
+        "images_are_arcs": all(is_arc(line, t) for t in image_set),
+        "onto_line_arcs": image_set == set(enumerate_arcs(line, s - 1)),
+        "geodesics_preserved": all(is_geodesic(line, lmap(index, p)) for p in host_geos),
+        "image_covers_geodesics": None,
+        "image_equals_geodesics": None,
+    }
+    if s - 1 <= diameter(line):
+        line_geos = set(enumerate_geodesics(line, s - 1))
+        facts["image_covers_geodesics"] = line_geos <= image_set
+        facts["image_equals_geodesics"] = image_set == line_geos
+    actions = [(p, induced_edge_action(index, p)) for p in automorphisms(g).generators]
+    facts["equivariant"] = all(lmap(index, p.apply(a)) == q.apply(lmap(index, a))
+                               for p, q in actions for a in arcs)
+    return facts
+
+
+def _host(shape, n, rnd):
+    if shape == "path":
+        return build_graph(n, [(v, v + 1) for v in range(n - 1)])
+    if shape == "cycle":
+        return build_graph(n, [(v, (v + 1) % n) for v in range(n)])
+    g = random_connected_graph(rnd, n, extra_p=0.0 if shape == "tree" else 0.3)
+    if shape == "girth 3":
+        g = build_graph(n, g.edges + ((0, 1), (1, 2), (0, 2)))
+    return g
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(("tree", "path", "cycle", "random", "girth 3")), st.integers(3, 9),
+       st.integers(2, 5), st.randoms(use_true_random=False))
+def test_lmap_check_matches_the_tuple_by_tuple_facts(shape, n, s, rnd):
+    g = _host(shape, n, rnd)
+    r = check_lmap_theorem(g, s)
+    if r.verdict == NOT_APPLICABLE:
+        assert not enumerate_arcs(g, s)
+        return
+    assert r.lhs == _lmap_facts_tuple_by_tuple(g, s)
+    assert r.verdict == PASS
 
 
 # -- thm-1.1 ---------------------------------------------------------------------
@@ -311,6 +366,26 @@ def test_corpus_builds_one_induced_group_per_host(monkeypatch):
     # s = 2, 3, 4 for each host and claim, all through the induced group
     assert len(reports) == 12 and {r.verdict for r in reports} == {PASS}
     assert sorted(calls) == [15, 21]  # one chain per host, of degree m = 15 and 21
+
+
+def test_corpus_decides_each_transitivity_level_once(monkeypatch):
+    keys = []
+    decide = linesym.symmetry.transitive_on
+
+    def counted(tuples, group):
+        tuples = tuple(tuples)
+        # the universe names the graph, the tuple kind and the level
+        keys.append((frozenset(tuples), group))
+        return decide(tuples, group)
+
+    for module in (linesym.symmetry, linesym.verify):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+        monkeypatch.setattr(module, "transitive_on", counted)
+    reports = run_corpus(Corpus.default(), ["thm13", "weiss"])
+    assert {r.verdict for r in reports} == {PASS, NOT_APPLICABLE}
+    assert keys and len(keys) == len(set(keys))
 
 
 def test_empty_corpus_runs_clean():

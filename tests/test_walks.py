@@ -2,14 +2,17 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linesym import walks
-from linesym.constructions import catalog, line_graph
+from linesym.constructions import EdgeIndex, catalog, line_graph
 from linesym.graphs import build_graph
 from linesym.walks import (
     EnumerationCapExceeded,
     count_arcs,
     count_geodesics,
+    edge_sequences,
     enumerate_arcs,
     enumerate_geodesics,
     is_arc,
@@ -170,6 +173,37 @@ def test_lmap_rejects_short_and_non_arcs(petersen):
         lmap(idx, (0, w, 0))
     with pytest.raises(ValueError):
         lmap(idx, (0, w, 10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 9), st.integers(2, 5), st.randoms(use_true_random=False))
+def test_edge_sequences_match_lmap_arc_by_arc(n, s, rnd):
+    g = random_connected_graph(rnd, n, extra_p=rnd.choice((0.0, 0.2, 0.4)))
+    index = EdgeIndex.from_graph(g)
+    arcs = enumerate_arcs(g, s)
+    # every arc in order, or a random selection with repeats
+    if arcs and rnd.random() < 0.5:
+        arcs = rnd.choices(arcs, k=rnd.randrange(2 * len(arcs) + 1))
+    assert edge_sequences(index, arcs) == [lmap(index, a) for a in arcs]
+
+
+def test_edge_sequences_reject_what_lmap_rejects(petersen):
+    index = EdgeIndex.from_graph(petersen)
+    assert edge_sequences(index, []) == []
+    good = enumerate_arcs(petersen, 2)[5:8]
+    with pytest.raises(ValueError, match="one length"):
+        edge_sequences(index, good + [(0, 1, 2, 3)])
+    with pytest.raises(ValueError, match="one length"):
+        edge_sequences(index, [good[0][:2], good[1]])
+    w = petersen.adj[0][0]
+    assert 1 not in petersen.adj[0]
+    for bad, text in (((w, 0, 1), "not an edge"), ((0, w, 0), "not an arc")):
+        with pytest.raises(ValueError, match=text) as bulk:
+            edge_sequences(index, good[:2] + [bad] + good[2:])
+        with pytest.raises(ValueError, match=text) as one:
+            lmap(index, bad)
+        assert str(bulk.value) == str(one.value)
+        assert repr(bad) in str(one.value)
 
 
 def test_lmap_image_lands_in_line_arcs(petersen):
