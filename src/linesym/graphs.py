@@ -4,8 +4,9 @@ Vertices are always 0..n-1 and every adjacency row is a strictly sorted
 tuple, so a Graph is hashable, deterministic to iterate, and safe to share.
 Anything that looks like a multigraph (duplicate edges) is collapsed at
 construction; self-loops are rejected outright.  Facts derived from the
-adjacency (the edge list and its ranks, distance rows, the line graph) are
-cached on first use, so every caller holding the graph shares them.
+adjacency (the edge list and its ranks, distance rows, the line graph, the
+automorphism search) are cached on first use, so every caller holding the
+graph shares them.
 """
 
 from __future__ import annotations
@@ -74,6 +75,12 @@ class Graph:
             incident = [rank[(v, w) if v < w else (w, v)] for w in row]
             pairs.extend(itertools.combinations(incident, 2))
         return build_graph(self.m, pairs, name=f"L({self.name})" if self.name else None)
+
+    @cached_property
+    def search(self) -> tuple[list[int], list[tuple[int, ...]], tuple[int, ...]]:
+        """(base, generators, canonical vertex order) from one automorphism
+        search, shared by the group and by isomorphism tests."""
+        return refinement.automorphism_generators(self.adj)
 
     @cached_property
     def _distance_rows(self) -> list[tuple[int | None, ...] | None]:
@@ -171,8 +178,7 @@ def isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
         return None
     if sorted(map(len, g1.adj)) != sorted(map(len, g2.adj)):
         return None
-    _, _, order1 = refinement.automorphism_generators(g1.adj)
-    _, _, order2 = refinement.automorphism_generators(g2.adj)
+    order1, order2 = g1.search[2], g2.search[2]
     if refinement.certificate(g1.adj, order1) != refinement.certificate(g2.adj, order2):
         return None
     return tuple(w for _, w in sorted(zip(order1, order2)))

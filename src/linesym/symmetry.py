@@ -7,9 +7,11 @@ the chain), never from enumerating elements, and the same chain draws
 uniformly random elements one coset representative per level.
 `automorphisms` takes its chain from the search's first path, one orbit per
 base point; Schreier-Sims sifting serves only `AutGroup.from_permutations`.
-Orbit partitions of tuples go through the chain's first base point: each
-tuple is moved into the fibre over that point by one transversal element,
-and only the fibre is split, under the point stabilizer's generators.
+Each chain level maps every point t of its base point's orbit to an element
+carrying t back to that point (Seress, Permutation Group Algorithms, 2003,
+ch. 4), so a tuple starting in the first base point's orbit moves into the
+fibre over that point by one composition, and only the fibre is split, under
+the point stabilizer's generators.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from . import refinement, walks
+from . import walks
 from .constructions import EdgeIndex
 from .graphs import Graph
 from .metrics import diameter, is_connected
@@ -100,17 +102,18 @@ def _invert(p):
 
 
 def _transversal(point, members, identity):
-    """Orbit of point under members, each orbit point t mapped to a product
-    of members carrying point to t (breadth-first, so words stay short)."""
+    """Orbit of point under members, each orbit point t mapped to a product of
+    the members' inverses carrying t to point (breadth-first: short words)."""
     table = {point: identity}
     frontier = [point]
+    pairs = [(s, _invert(s)) for s in members]
     while frontier:
         nxt = []
         for pt in frontier:
-            for s in members:
+            for s, inv in pairs:
                 img = s[pt]
                 if img not in table:
-                    table[img] = _compose(table[pt], s)
+                    table[img] = _compose(inv, table[pt])
                     nxt.append(img)
         frontier = nxt
     return table
@@ -122,11 +125,11 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
 
     Returns (base, transversals, strong); the group order is the product of
     the transversal sizes.  Each transversal maps an orbit point t to a group
-    element carrying the level's base point to t.  The strong set is global:
-    level i works with every strong generator fixing base[:i] pointwise, so
-    a generator discovered deep in the chain still contributes to every
-    shallower orbit it belongs to.  Each level's transversal inverses are
-    computed once per rebuild and shared by Schreier generators and `strip`.
+    element carrying t to the level's base point, so `strip` composes with
+    the stored elements as they are, and only Schreier generators invert
+    one.  The strong set is global: level i works with every strong
+    generator fixing base[:i] pointwise, so a generator discovered deep in
+    the chain still contributes to every shallower orbit it belongs to.
     """
     identity = tuple(range(n))
     strong: list[tuple[int, ...]] = []
@@ -144,20 +147,18 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
     for p in strong:
         cover(p)
     trans: list[dict[int, tuple[int, ...]]] = [{} for _ in base]
-    inverses: list[dict[int, tuple[int, ...]]] = [{} for _ in base]
 
     def rebuild(i):
         members = [p for p in strong if all(p[b] == b for b in base[:i])]
         trans[i] = _transversal(base[i], members, identity)
-        inverses[i] = {t: _invert(u) for t, u in trans[i].items()}
         return members
 
     def strip(p, start):
         for j in range(start, len(base)):
-            inv = inverses[j].get(p[base[j]])
-            if inv is None:
+            w = trans[j].get(p[base[j]])
+            if w is None:
                 return p, j
-            p = _compose(p, inv)
+            p = _compose(p, w)
         return p, len(base)
 
     i = len(base) - 1
@@ -165,9 +166,9 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
         members = rebuild(i)
         new_level = None
         for t in sorted(trans[i]):
-            u = trans[i][t]
+            u = _invert(trans[i][t])  # carries the base point to t
             for s in members:
-                schreier = _compose(_compose(u, s), inverses[i][s[t]])
+                schreier = _compose(_compose(u, s), trans[i][s[t]])
                 if schreier == identity:
                     continue
                 residue, j = strip(schreier, i + 1)
@@ -176,7 +177,6 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
                     if j == len(base):
                         cover(residue)
                         trans.append({})
-                        inverses.append({})
                     new_level = j
                     break
             if new_level is not None:
@@ -207,8 +207,9 @@ class AutGroup:
     """A permutation group given by generators, with an exact order.
 
     `_transversals` holds the non-trivial chain levels; each level's first
-    key is its base point.  `_stabilizer` holds the strong generators fixing
-    the first level's base point, which generate that point's stabilizer.
+    key is its base point b, and each key t maps to an element carrying t to
+    b.  `_stabilizer` holds the strong generators fixing the first level's
+    base point, which generate that point's stabilizer.
     """
 
     degree: int
@@ -243,11 +244,12 @@ class AutGroup:
         """A uniformly random element of the group.
 
         Every element is exactly one product of coset representatives, one
-        per chain level, so choosing each uniformly gives a uniform element
-        (Seress, Permutation Group Algorithms, 2003, section 2).
+        per chain level in base order, so choosing each uniformly gives a
+        uniform element (Seress, Permutation Group Algorithms, 2003,
+        section 2).
         """
         p = tuple(range(self.degree))
-        for level in reversed(self._transversals):
+        for level in self._transversals:
             p = _compose(p, rng.choice(tuple(level.values())))
         return Permutation(p)
 
@@ -261,7 +263,7 @@ def automorphisms(g: Graph) -> AutGroup:
 def _automorphisms_cached(g: Graph) -> AutGroup:
     # The search's generators fixing b1..b_{i-1} generate that stabilizer, so
     # each level's orbit is exact and no Schreier generator needs sifting.
-    base, gens, _ = refinement.automorphism_generators(g.adj)
+    base, gens, _ = g.search
     identity = tuple(range(g.n))
     levels = (_transversal(b, [p for p in gens if all(p[f] == f for f in base[:i])], identity)
               for i, b in enumerate(base))
@@ -326,12 +328,11 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
     """(is_transitive, OrbitPartition) for a tuple universe under the group.
 
     Let b be the first base point of the group's chain and O its orbit.  A
-    tuple t starting in O is moved into the fibre over b as t * u^-1, where
-    u is the transversal element carrying b to t[0]; two such tuples share a
-    G-orbit exactly when their fibre images share an orbit of the stabilizer
-    G_b, so only the fibre is searched, under G_b's strong generators.
-    Other tuples are searched under the group's generators, and so are all
-    tuples when the inversions would cost more than the fibre saves.  Each
+    tuple t starting in O is moved into the fibre over b as t * w, where w
+    is the level element carrying t[0] to b; two such tuples share a G-orbit
+    exactly when their fibre images share an orbit of the stabilizer G_b,
+    so only the fibre is searched, under G_b's strong generators.  Tuples
+    starting outside O are searched under the group's generators.  Each
     orbit is searched once, from its first tuple in the universe.
 
     An empty universe is vacuously transitive.  The searches go through
@@ -345,23 +346,15 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
     cap = walks.ENUMERATION_CAP
     gens = [p.images for p in group.generators]
     level = group._transversals[0] if group._transversals else {}
-    # Up to min(|O|, |U|) inversions of n entries each, against the images of
-    # all but one generator that the fibre saves on every tuple entry.
-    if group.degree * min(len(level), len(universe)) >= sum(map(len, universe)) * (len(gens) - 1):
-        level = {}
-    inverses: dict = {}  # first coordinate -> inverse of its transversal element
     label: dict = {}  # fibre image, or tuple starting outside O -> orbit id
     ids = []
     count = 0
     for t in universe:
-        u = level.get(t[0]) if t else None
-        if u is None:
+        w = level.get(t[0]) if t else None
+        if w is None:
             key, members = t, gens
         else:
-            inv = inverses.get(t[0])
-            if inv is None:
-                inv = inverses[t[0]] = _invert(u)
-            key, members = _getter(t)(inv), group._stabilizer
+            key, members = _getter(t)(w), group._stabilizer
         orbit_id = label.get(key)
         if orbit_id is None:
             orbit_id = count

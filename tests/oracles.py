@@ -120,11 +120,13 @@ def automorphism_count_backtrack(g: Graph) -> int:
     start = max(range(n), key=lambda v: deg[v])
     order = [start]
     seen = {start}
+    parent: dict[int, int] = {}
     i = 0
     while i < len(order):
         for w in sorted(adj[order[i]]):
             if w not in seen:
                 seen.add(w)
+                parent[w] = order[i]
                 order.append(w)
         i += 1
     for v in range(n):
@@ -143,7 +145,9 @@ def automorphism_count_backtrack(g: Graph) -> int:
             return
         v = order[k]
         assigned = order[:k]
-        for cand in range(n):
+        # a vertex's image must be adjacent to its BFS parent's image
+        candidates = adj[image[parent[v]]] if v in parent else range(n)
+        for cand in candidates:
             if used[cand] or deg[cand] != deg[v]:
                 continue
             ok = True

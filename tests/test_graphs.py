@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linesym import refinement
 from linesym.graphs import (
     Graph,
     build_graph,
@@ -12,6 +13,7 @@ from linesym.graphs import (
     is_regular,
     isomorphic,
 )
+from linesym.symmetry import _automorphisms_cached, automorphisms
 from oracles import automorphism_count_filter
 
 from conftest import random_connected_graph
@@ -123,6 +125,27 @@ def test_isomorphic_returns_edge_preserving_bijection(petersen):
     assert sorted(phi) == list(range(10))
     hedges = {frozenset(e) for e in h.edges}
     assert {frozenset((phi[u], phi[v])) for u, v in petersen.edges} == hedges
+
+
+def test_isomorphic_reuses_the_search_behind_the_group(monkeypatch, petersen):
+    searched = []
+    search = refinement.automorphism_generators
+
+    def counted(adj):
+        searched.append(adj)
+        return search(adj)
+
+    monkeypatch.setattr(refinement, "automorphism_generators", counted)
+    relabel = [3, 7, 1, 0, 9, 4, 2, 8, 5, 6]
+    g = build_graph(10, petersen.edges)  # a fresh instance, nothing cached on it
+    h = build_graph(10, [(relabel[u], relabel[v]) for u, v in petersen.edges])
+    _automorphisms_cached.cache_clear()
+    automorphisms(g)
+    assert searched == [g.adj]
+    assert isomorphic(g, h) is not None
+    assert searched == [g.adj, h.adj]
+    assert isomorphic(h, g) is not None
+    assert searched == [g.adj, h.adj]
 
 
 def test_non_isomorphic_cases():

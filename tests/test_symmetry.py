@@ -161,19 +161,6 @@ def test_order_matches_networkx_and_the_schreier_sims_chain():
     check()
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_graphs())
-def test_transversal_entries_are_automorphisms_onto_their_keys(g):
-    edges = set(g.edges)
-    identity = tuple(range(g.n))
-    grp = automorphisms(g)
-    for level in grp._transversals:
-        (point,) = [t for t, u in level.items() if u == identity]
-        for t, u in level.items():
-            assert u[point] == t
-            assert {tuple(sorted((u[a], u[b]))) for a, b in edges} == edges
-
-
 def test_from_permutations_order_matches_sympy():
     combinatorics = pytest.importorskip("sympy.combinatorics")
     perm_lists = st.integers(1, 9).flatmap(
@@ -403,6 +390,58 @@ def test_transitive_on_matches_the_union_find_oracle(g, data):
     assert ok == (part.orbit_count <= 1)
     firsts = [i for k, i in enumerate(part.orbit_ids) if i not in part.orbit_ids[:k]]
     assert firsts == list(range(part.orbit_count))
+
+
+def _elements(group):
+    """Every element of the group, by closing the identity under the generators."""
+    seen = {tuple(range(group.degree))}
+    queue = list(seen)
+    for p in queue:
+        for g in group.generators:
+            q = tuple(g.images[v] for v in p)
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=7), st.data())
+def test_transversal_entries_are_group_elements_carrying_their_keys_to_the_base_point(g, data):
+    """On chains read off the search (full groups) and chains built by
+    Schreier-Sims (subgroups, induced line-graph groups, random permutations)."""
+    group, _ = _group_under_test(g, data)
+    elements = _elements(group)
+    assert len(elements) == group.order
+    for level in group._transversals:
+        point = next(iter(level))
+        assert level[point] == tuple(range(group.degree))
+        for t, w in level.items():
+            assert w[t] == point
+            assert w in elements
+
+
+def test_transitive_on_inverts_nothing(monkeypatch, petersen, k3_parts_of_2):
+    """Tuples starting in the first base point's orbit reach the fibre by
+    composition alone, on full, induced and subgroup groups."""
+    cases = []
+    for g in (petersen, k3_parts_of_2):
+        full = automorphisms(g)
+        lg = line_graph(g)
+        induced = AutGroup.from_permutations(
+            lg.graph.n, [induced_edge_action(lg.index, p) for p in full.generators])
+        sub = AutGroup.from_permutations(g.n, [full.generators[0] * full.generators[-1]])
+        for group, h in ((full, g), (induced, lg.graph), (sub, g)):
+            for universe in (enumerate_arcs(h, 2), enumerate_geodesics(h, 2)):
+                cases.append((universe, group))
+
+    def refuse(p):
+        raise AssertionError("transitive_on inverted a permutation")
+
+    monkeypatch.setattr(linesym.symmetry, "_invert", refuse)
+    for universe, group in cases:
+        _, part = transitive_on(universe, group)
+        assert part.orbit_ids == orbit_partition(universe, [p.images for p in group.generators])
 
 
 def test_arc_transitivity_facts(petersen):
