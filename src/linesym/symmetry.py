@@ -101,19 +101,18 @@ def _invert(p):
     return tuple(inv)
 
 
-def _transversal(point, members, identity):
+def _transversal(point, members, inverse, identity):
     """Orbit of point under members, each orbit point t mapped to a product of
-    the members' inverses carrying t to point (breadth-first: short words)."""
+    the inverses inverse[s] carrying t to point (breadth-first: short words)."""
     table = {point: identity}
     frontier = [point]
-    pairs = [(s, _invert(s)) for s in members]
     while frontier:
         nxt = []
         for pt in frontier:
-            for s, inv in pairs:
+            for s in members:
                 img = s[pt]
                 if img not in table:
-                    table[img] = _compose(inv, table[pt])
+                    table[img] = _compose(inverse[s], table[pt])
                     nxt.append(img)
         frontier = nxt
     return table
@@ -126,10 +125,11 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
     Returns (base, transversals, strong); the group order is the product of
     the transversal sizes.  Each transversal maps an orbit point t to a group
     element carrying t to the level's base point, so `strip` composes with
-    the stored elements as they are, and only Schreier generators invert
-    one.  The strong set is global: level i works with every strong
-    generator fixing base[:i] pointwise, so a generator discovered deep in
-    the chain still contributes to every shallower orbit it belongs to.
+    the stored elements as they are.  Each strong generator is inverted once,
+    when it joins, and otherwise only Schreier generators invert one.  The
+    strong set is global: level i works with every strong generator fixing
+    base[:i] pointwise, so a generator discovered deep in the chain still
+    contributes to every shallower orbit it belongs to.
     """
     identity = tuple(range(n))
     strong: list[tuple[int, ...]] = []
@@ -137,6 +137,7 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
         g = tuple(g)
         if g != identity and g not in strong:
             strong.append(g)
+    inverse = {p: _invert(p) for p in strong}
     base: list[int] = []
 
     def cover(p):
@@ -148,11 +149,6 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
         cover(p)
     trans: list[dict[int, tuple[int, ...]]] = [{} for _ in base]
 
-    def rebuild(i):
-        members = [p for p in strong if all(p[b] == b for b in base[:i])]
-        trans[i] = _transversal(base[i], members, identity)
-        return members
-
     def strip(p, start):
         for j in range(start, len(base)):
             w = trans[j].get(p[base[j]])
@@ -163,7 +159,8 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
 
     i = len(base) - 1
     while i >= 0:
-        members = rebuild(i)
+        members = [p for p in strong if all(p[b] == b for b in base[:i])]
+        trans[i] = _transversal(base[i], members, inverse, identity)
         new_level = None
         for t in sorted(trans[i]):
             u = _invert(trans[i][t])  # carries the base point to t
@@ -174,6 +171,7 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
                 residue, j = strip(schreier, i + 1)
                 if residue != identity:
                     strong.append(residue)
+                    inverse[residue] = _invert(residue)
                     if j == len(base):
                         cover(residue)
                         trans.append({})
@@ -265,7 +263,9 @@ def _automorphisms_cached(g: Graph) -> AutGroup:
     # each level's orbit is exact and no Schreier generator needs sifting.
     base, gens, _ = g.search
     identity = tuple(range(g.n))
-    levels = (_transversal(b, [p for p in gens if all(p[f] == f for f in base[:i])], identity)
+    inverse = {p: _invert(p) for p in gens}
+    levels = (_transversal(b, [p for p in gens if all(p[f] == f for f in base[:i])], inverse,
+                           identity)
               for i, b in enumerate(base))
     trans = [t for t in levels if len(t) > 1]
     return _from_chain(g.n, (Permutation(p) for p in gens), trans, gens)

@@ -405,20 +405,42 @@ def _elements(group):
     return seen
 
 
+def _assert_levels_carry_keys_to_their_base_points(group, edges=None):
+    """Each level maps its base point to the identity and every key t to an
+    element w with w[t] equal to the base point; with edges given, every w
+    must also preserve them."""
+    identity = tuple(range(group.degree))
+    for level in group._transversals:
+        point = next(iter(level))
+        assert level[point] == identity
+        for t, w in level.items():
+            assert w[t] == point
+            if edges is not None:
+                assert {tuple(sorted((w[a], w[b]))) for a, b in edges} == edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_transversal_entries_are_automorphisms_carrying_their_keys_to_the_base_point(g):
+    """On chains read off the search: every entry is an automorphism of g."""
+    _assert_levels_carry_keys_to_their_base_points(automorphisms(g), set(g.edges))
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_graphs(max_n=7), st.data())
 def test_transversal_entries_are_group_elements_carrying_their_keys_to_the_base_point(g, data):
-    """On chains read off the search (full groups) and chains built by
-    Schreier-Sims (subgroups, induced line-graph groups, random permutations)."""
-    group, _ = _group_under_test(g, data)
+    """On chains built by Schreier-Sims (subgroups, induced line-graph groups,
+    random permutations) as well as read off the search: every entry lies in
+    the group, and is an automorphism of the graph acted on whenever every
+    generator is one."""
+    group, h = _group_under_test(g, data)
     elements = _elements(group)
     assert len(elements) == group.order
-    for level in group._transversals:
-        point = next(iter(level))
-        assert level[point] == tuple(range(group.degree))
-        for t, w in level.items():
-            assert w[t] == point
-            assert w in elements
+    edges = set(h.edges)
+    gens_preserve = all({tuple(sorted((p(a), p(b)))) for a, b in edges} == edges
+                        for p in group.generators)
+    _assert_levels_carry_keys_to_their_base_points(group, edges if gens_preserve else None)
+    assert all(w in elements for level in group._transversals for w in level.values())
 
 
 def test_transitive_on_inverts_nothing(monkeypatch, petersen, k3_parts_of_2):
