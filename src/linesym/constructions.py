@@ -79,10 +79,7 @@ def subdivision_graph(g: Graph) -> DerivedGraph:
     if g.m == 0:
         raise ValueError("subdividing an edgeless graph changes nothing")
     index = EdgeIndex.from_graph(g)
-    edges = []
-    for i, (u, v) in enumerate(index.edges):
-        edges.append((u, g.n + i))
-        edges.append((v, g.n + i))
+    edges = [(w, g.n + i) for i, e in enumerate(index.edges) for w in e]
     sg = build_graph(g.n + len(index), edges, name=_derived_name(g, "S"))
     tags = ("vertex",) * g.n + ("edge",) * len(index)
     return DerivedGraph(sg, "subdivision", index=index, tags=tags)
@@ -177,10 +174,7 @@ def _heawood() -> Graph:
     Points are 0..6; line i is {i, i+1, i+3} mod 7 (a perfect difference
     set), stored as vertex 7 + i.
     """
-    edges = []
-    for i in range(7):
-        for p in (i, (i + 1) % 7, (i + 3) % 7):
-            edges.append((p, 7 + i))
+    edges = [(p, 7 + i) for i in range(7) for p in (i, (i + 1) % 7, (i + 3) % 7)]
     return build_graph(14, edges, name="heawood")
 
 
@@ -232,8 +226,7 @@ def _icosahedron() -> Graph:
 
 def _k33() -> Graph:
     """Complete bipartite graph on parts {0,1,2} and {3,4,5}."""
-    g = build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)], name="k33")
-    return g
+    return build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)], name="k33")
 
 
 _NAMED = {

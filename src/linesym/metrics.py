@@ -2,13 +2,14 @@
 
 Disconnected graphs have no diameter and forests have no girth; both cases
 come back as None rather than an exception, so callers can gate on
-connectivity themselves.  Every distance here is read from the graph's
-memoised rows (Graph.distances), so each BFS runs at most once per graph.
+connectivity.  Every distance is read from the graph's memoised rows
+(Graph.distances), and diameter and girth are memoised per graph too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph, induced_subgraph, is_regular
 
@@ -17,6 +18,7 @@ def is_connected(g: Graph) -> bool:
     return None not in g.distances(0)
 
 
+@lru_cache(maxsize=256)
 def diameter(g: Graph) -> int | None:
     """Largest pairwise distance, or None for a disconnected graph."""
     if not is_connected(g):
@@ -24,6 +26,7 @@ def diameter(g: Graph) -> int | None:
     return max(max(g.distances(v)) for v in range(g.n))
 
 
+@lru_cache(maxsize=256)
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None when the graph has no cycle.
 

@@ -354,7 +354,8 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
         if w is None:
             key, members = t, gens
         else:
-            key, members = _getter(t)(w), group._stabilizer
+            key = itemgetter(*t)(w) if len(t) > 1 else (w[t[0]],)
+            members = group._stabilizer
         orbit_id = label.get(key)
         if orbit_id is None:
             orbit_id = count

@@ -111,6 +111,10 @@ def _line_equivalence_gate(g: Graph, s: int | None = None) -> str | None:
     return None
 
 
+# Catalog graphs compared against with `isomorphic`, built (so searched) once.
+_reference = lru_cache(maxsize=None)(catalog)
+
+
 @lru_cache(maxsize=256)
 def _induced_line_group(g: Graph, group: AutGroup) -> AutGroup:
     """The group's action on the line graph of g, built once per host and group."""
@@ -273,7 +277,7 @@ def classify_valency4_girth3(g: Graph, group: AutGroup | None = None) -> Verdict
     group = group if group is not None else automorphisms(g)
     split = transitive_on(enumerate_geodesics(g, 2), group)[1]
     lhs = is_s_geodesic_transitive(g, 1, group) and split.orbit_count <= 1
-    octahedral = isomorphic(g, catalog("complete_multipartite(3,2)")) is not None
+    octahedral = isomorphic(g, _reference("complete_multipartite(3,2)")) is not None
     sigma = clique_graph(g).graph
     sigma_ok = False
     sigma_facts: dict = {"clique_graph_order": sigma.n}
@@ -306,8 +310,8 @@ def check_locally_cyclic(g: Graph, group: AutGroup | None = None) -> VerdictRepo
         return _na("cor-1.2", g, {}, "graph is not locally cyclic", t0)
     group = group if group is not None else automorphisms(g)
     lhs = is_s_geodesic_transitive(g, 2, group)
-    octahedral = isomorphic(g, catalog("complete_multipartite(3,2)")) is not None
-    icosa = isomorphic(g, catalog("icosahedron")) is not None
+    octahedral = isomorphic(g, _reference("complete_multipartite(3,2)")) is not None
+    icosa = isomorphic(g, _reference("icosahedron")) is not None
     details = {"local_cycle_length": summary.params[0],
                "octahedral_form": octahedral, "icosahedral_form": icosa}
     return _finish("cor-1.2", g, {}, lhs, octahedral or icosa,

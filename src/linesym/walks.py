@@ -6,6 +6,16 @@ endpoints at distance exactly s.  Tuples of vertex ids represent both; a
 "line tuple" is the corresponding tuple of edge ranks in a host's EdgeIndex.
 Everything enumerates in lexicographic order so downstream reports are
 reproducible.
+
+Both enumerators run one kernel: from each start vertex, a depth-first
+search with an explicit stack grows one mutable prefix to depth max(s-3, 1),
+so a long thin walk costs linear time at any s; one list comprehension per
+level then completes all of the vertex's prefixes, at most three levels (a
+longer list-built tail copies each prefix per level, quadratic on thin
+graphs).  An enumerator raises EnumerationCapExceeded, before building any
+tuple, exactly when there are more than ENUMERATION_CAP tuples (read at call
+time); n * D * (D-1)^(s-1), D the largest valency, bounds the s-arcs and so
+the s-geodesics, and the exact count runs only when that bound is over.
 """
 
 from __future__ import annotations
@@ -26,23 +36,20 @@ class EnumerationCapExceeded(RuntimeError):
 
 def is_walk(g: Graph, seq: tuple[int, ...]) -> bool:
     """True for a nonempty vertex sequence whose consecutive entries are adjacent."""
-    if len(seq) < 1 or any(not 0 <= v < g.n for v in seq):
-        return False
-    return all(b in g.adj[a] for a, b in zip(seq, seq[1:]))
+    return (len(seq) >= 1 and all(0 <= v < g.n for v in seq)
+            and all(b in g.adj[a] for a, b in zip(seq, seq[1:])))
 
 
 def is_arc(g: Graph, seq: tuple[int, ...]) -> bool:
     """True for a walk of length >= 1 with no immediate backtracking."""
-    if len(seq) < 2 or not is_walk(g, seq):
-        return False
-    return all(seq[i - 1] != seq[i + 1] for i in range(1, len(seq) - 1))
+    return (len(seq) >= 2 and is_walk(g, seq)
+            and all(seq[i - 1] != seq[i + 1] for i in range(1, len(seq) - 1)))
 
 
 def is_geodesic(g: Graph, seq: tuple[int, ...]) -> bool:
     """True for a walk realizing the distance between its endpoints."""
-    if len(seq) < 2 or not is_walk(g, seq):
-        return False
-    return g.distances(seq[0])[seq[-1]] == len(seq) - 1
+    return (len(seq) >= 2 and is_walk(g, seq)
+            and g.distances(seq[0])[seq[-1]] == len(seq) - 1)
 
 
 def count_arcs(g: Graph, s: int) -> int:
@@ -85,65 +92,54 @@ def count_geodesics(g: Graph, s: int) -> int:
     return total
 
 
-def _check_cap(count: int, what: str):
-    if count > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(f"enumeration cap reached: more than {ENUMERATION_CAP} {what}")
-
-
-def enumerate_arcs(g: Graph, s: int) -> list[tuple[int, ...]]:
-    """All s-arcs in lexicographic order.
-
-    Depth-first from each start vertex, with an explicit stack of
-    (depth, vertex) entries, so s is not limited by the recursion limit.
-    Raises EnumerationCapExceeded when there are more than ENUMERATION_CAP
-    arcs; they are counted first, so no tuple is built before the error.
-    """
-    _check_cap(count_arcs(g, s), f"arcs of length {s}")
-    adj = g.adj
+def _enumerate(g: Graph, s: int, geodesic: bool) -> list[tuple[int, ...]]:
+    if s < 1:
+        raise ValueError("arcs need length at least 1")
+    adj, d = g.adj, max(map(len, g.adj))
+    if g.n * d * (d - 1) ** (s - 1) > ENUMERATION_CAP and (
+            (count_geodesics if geodesic else count_arcs)(g, s) > ENUMERATION_CAP):
+        raise EnumerationCapExceeded(f"enumeration cap reached: more than {ENUMERATION_CAP} "
+                                     f"{'geodesics' if geodesic else 'arcs'} of length {s}")
+    top = max(s - 3, 1)
     out: list[tuple[int, ...]] = []
     for v in range(g.n):
-        path: list[int] = []
-        stack = [(0, v)]
+        dist = g.distances(v) if geodesic else None
+        level = []  # v's prefixes of depth top, in order
+        path = [v]
+        stack = [(1, x) for x in reversed(adj[v])]
         while stack:
             k, w = stack.pop()
             del path[k:]
             path.append(w)
-            prev = path[-2] if k else -1
-            if k + 1 < s:
-                stack.extend([(k + 1, x) for x in reversed(adj[w]) if x != prev])
-                continue
-            out.extend([(*path, x) for x in adj[w] if x != prev])
+            if k == top:
+                level.append(tuple(path))
+            elif dist is None:
+                stack.extend([(k + 1, x) for x in reversed(adj[w]) if x != path[-2]])
+            else:
+                stack.extend([(k + 1, x) for x in reversed(adj[w]) if dist[x] == k + 1])
+        for k in range(top + 1, s + 1):
+            if dist is None:
+                level = [(*p, x) for p in level for x in adj[p[-1]] if x != p[-2]]
+            else:
+                level = [(*p, x) for p in level for x in adj[p[-1]] if dist[x] == k]
+        out.extend(level)
     return out
 
 
-def enumerate_geodesics(g: Graph, s: int) -> list[tuple[int, ...]]:
-    """All s-geodesics in lexicographic order; s must not exceed the diameter.
+def enumerate_arcs(g: Graph, s: int) -> list[tuple[int, ...]]:
+    """All s-arcs in lexicographic order, within the cap."""
+    return _enumerate(g, s, False)
 
-    Raises EnumerationCapExceeded, before building any tuple, when there are
-    more than ENUMERATION_CAP of them.
-    """
+
+def enumerate_geodesics(g: Graph, s: int) -> list[tuple[int, ...]]:
+    """All s-geodesics in lexicographic order, within the cap; s must not
+    exceed the diameter."""
     d = diameter(g)
     if d is None:
         raise ValueError("geodesics are only defined on connected graphs")
     if not 1 <= s <= d:
         raise ValueError(f"s={s} outside 1..diameter={d}")
-    _check_cap(count_geodesics(g, s), f"geodesics of length {s}")
-    adj = g.adj
-    out: list[tuple[int, ...]] = []
-    for v in range(g.n):
-        dist = g.distances(v)
-        path: list[int] = []
-        stack = [(0, v)]
-        while stack:
-            k, w = stack.pop()
-            del path[k:]
-            path.append(w)
-            k += 1
-            if k < s:
-                stack.extend([(k, x) for x in reversed(adj[w]) if dist[x] == k])
-            else:
-                out.extend([(*path, x) for x in adj[w] if dist[x] == k])
-    return out
+    return _enumerate(g, s, True)
 
 
 def edge_sequences(index: EdgeIndex, arcs: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:

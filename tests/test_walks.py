@@ -103,6 +103,74 @@ def test_arcs_agreeing_with_oracle_on_random_graphs():
                 assert count_geodesics(g, s) == len(geos)
 
 
+def _core_with_runs(rng: random.Random, core: int, run: int):
+    """A random connected core with a pendant degree-2 run of `run` vertices
+    (ending in a leaf) and a one-vertex handle across two core vertices."""
+    g = random_connected_graph(rng, core, 0.5)
+    tail = [rng.randrange(core), *range(core, core + run)]
+    handle = core + run
+    edges = [*g.edges, *zip(tail, tail[1:]), (0, handle), (handle, core - 1)]
+    return build_graph(core + run + 1, edges)
+
+
+def test_enumerators_equal_the_oracle_in_order_across_the_tail_boundary():
+    # s from 1 to 6 takes the depth-first part from depth 1 to depth 3 and
+    # the list-built tail from 0 to 3 levels.
+    from linesym.metrics import diameter
+
+    rng = random.Random(1729)
+    hosts = [_core_with_runs(rng, 3, 2), _core_with_runs(rng, 2, 3), _core_with_runs(rng, 4, 1)]
+    for g in hosts:
+        assert min(map(len, g.adj)) == 1 and any(len(row) == 2 for row in g.adj)
+        for s in range(1, 7):
+            assert enumerate_arcs(g, s) == sorted(all_arcs(g, s))
+        for s in range(1, min(diameter(g), 6) + 1):
+            assert enumerate_geodesics(g, s) == sorted(all_geodesics(g, s))
+
+
+def test_cap_bound_over_but_count_within_builds_the_tuples(monkeypatch):
+    # path(4) has 4 3-arcs (and 3-geodesics) against a bound of 5 * 2 * 1 = 10.
+    g = catalog("path(4)")
+    counted = []
+    for name in ("count_arcs", "count_geodesics"):
+        real = getattr(walks, name)
+        monkeypatch.setattr(walks, name, lambda g, s, real=real: counted.append(s) or real(g, s))
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 4)
+    assert enumerate_arcs(g, 3) == sorted(all_arcs(g, 3))
+    assert enumerate_geodesics(g, 3) == sorted(all_geodesics(g, 3))
+    assert counted == [3, 3]
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 3)
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_arcs(g, 3)
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_geodesics(g, 3)
+
+
+def test_cap_bound_within_never_counts(petersen, monkeypatch):
+    def refuse(g, s):
+        raise AssertionError("counted though the bound is within the cap")
+
+    monkeypatch.setattr(walks, "count_arcs", refuse)
+    monkeypatch.setattr(walks, "count_geodesics", refuse)
+    # The Petersen graph's bounds are tight: 10 * 3 * 2**2 = 120 3-arcs and
+    # 10 * 3 * 2 = 60 2-geodesics, so a cap equal to the count still builds.
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 120)
+    assert len(enumerate_arcs(petersen, 3)) == 120
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 60)
+    assert len(enumerate_geodesics(petersen, 2)) == 60
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 59)
+    with pytest.raises(AssertionError, match="counted"):
+        enumerate_geodesics(petersen, 2)
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_enumerate_arcs_rejects_nonpositive_length(petersen, s):
+    with pytest.raises(ValueError):
+        enumerate_arcs(petersen, s)
+    with pytest.raises(ValueError):
+        enumerate_arcs(catalog("path(1)"), s)
+
+
 def test_enumerate_arc_cap_raises(petersen, monkeypatch):
     monkeypatch.setattr(walks, "ENUMERATION_CAP", 100)
     with pytest.raises(EnumerationCapExceeded):
