@@ -4,14 +4,17 @@ Permutations compose in application order: (p * q) means "apply p, then q",
 so acting on the right with exponent-style notation composes the obvious
 way.  Group orders come from a stabilizer chain (orbit sizes multiplied down
 the chain), never from enumerating elements, and the same chain draws
-uniformly random elements one coset representative per level.
-`automorphisms` takes its chain from the search's first path, one orbit per
-base point; Schreier-Sims sifting serves only `AutGroup.from_permutations`.
-Each chain level maps every point t of its base point's orbit to an element
-carrying t back to that point (Seress, Permutation Group Algorithms, 2003,
-ch. 4), so a tuple starting in the first base point's orbit moves into the
-fibre over that point by one composition, and only the fibre is split, under
-the point stabilizer's generators.
+uniformly random elements one coset representative per level.  Each chain
+level maps every point t of its base point's orbit to an element carrying t
+back to that point, so a tuple starting in the first base point's orbit
+moves into the fibre over that point by one composition, and only the fibre
+is split, under the point stabilizer's generators.  `automorphisms` reads
+its chain off the search's first path, one breadth-first orbit per base
+point.  `AutGroup.from_permutations` builds one by incremental Schreier-Sims
+(Seress, Permutation Group Algorithms, 2003, section 4.2; Holt, Eick &
+O'Brien, Handbook of Computational Group Theory, 2005, section 4.4): each
+level keeps its own generators, orbit tables only grow, and each Schreier
+generator is sifted once.
 """
 
 from __future__ import annotations
@@ -87,8 +90,8 @@ def _getter(t):
 
 
 def _compose(p, q):
-    # raw tuples: apply p, then q
-    return _getter(p)(q)
+    # raw tuples: apply p, then q (the chain's hot path, so _getter inlined)
+    return itemgetter(*p)(q) if len(p) > 1 else tuple(q[v] for v in p)
 
 
 # --- stabilizer chain -------------------------------------------------------
@@ -101,89 +104,82 @@ def _invert(p):
     return tuple(inv)
 
 
-def _transversal(point, members, inverse, identity):
-    """Orbit of point under members, each orbit point t mapped to a product of
-    the inverses inverse[s] carrying t to point (breadth-first: short words)."""
-    table = {point: identity}
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for pt in frontier:
-            for s in members:
-                img = s[pt]
-                if img not in table:
-                    table[img] = _compose(inverse[s], table[pt])
-                    nxt.append(img)
-        frontier = nxt
-    return table
+def _grow(table, gens, inverse, frontier, first=0):
+    """Extend an orbit table breadth-first: gens[first:] act on the frontier,
+    then every generator on each point added.  A new point x = s[t] maps to
+    inverse[s] composed in front of table[t], which carries x to the table's
+    base point.  Returns the tree edges (t, k, x), s = gens[k], in order."""
+    edges, queue, pairs = [], list(frontier), list(enumerate(gens))
+    for pos, t in enumerate(queue):
+        for k, s in (pairs[first:] if pos < len(frontier) else pairs):
+            x = s[t]
+            if x not in table:
+                table[x] = _compose(inverse[s], table[t])
+                edges.append((t, k, x))
+                queue.append(x)
+    return edges
 
 
-def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
-    """Deterministic chain build: levels are completed bottom-up, and a
-    residue surfacing at level j sends processing back down to j.
-
-    Returns (base, transversals, strong); the group order is the product of
-    the transversal sizes.  Each transversal maps an orbit point t to a group
-    element carrying t to the level's base point, so `strip` composes with
-    the stored elements as they are.  Each strong generator is inverted once,
-    when it joins, and otherwise only Schreier generators invert one.  The
-    strong set is global: level i works with every strong generator fixing
-    base[:i] pointwise, so a generator discovered deep in the chain still
-    contributes to every shallower orbit it belongs to.
-    """
-    identity = tuple(range(n))
-    strong: list[tuple[int, ...]] = []
-    for g in gens:
-        g = tuple(g)
-        if g != identity and g not in strong:
-            strong.append(g)
-    inverse = {p: _invert(p) for p in strong}
-    base: list[int] = []
-
-    def cover(p):
-        # every strong generator must move some base point
-        if all(p[b] == b for b in base):
-            base.append(min(v for v in range(n) if p[v] != v))
-
-    for p in strong:
-        cover(p)
-    trans: list[dict[int, tuple[int, ...]]] = [{} for _ in base]
-
-    def strip(p, start):
-        for j in range(start, len(base)):
-            w = trans[j].get(p[base[j]])
+def _sift(p, base, trans, start):
+    """Strip p through the levels from start on: (residue, level it stopped at).
+    A level whose base point p already fixes costs no composition."""
+    for j in range(start, len(base)):
+        x = p[base[j]]
+        if x != base[j]:
+            w = trans[j].get(x)
             if w is None:
                 return p, j
             p = _compose(p, w)
-        return p, len(base)
+    return p, len(base)
 
+
+def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
+    """Incremental Schreier-Sims: (base, transversals, strong), where strong
+    holds every permutation that joined a level and the order is the product
+    of the transversal sizes.  Level i keeps its own generators S_i: a
+    permutation sifted from level lo whose residue stops at level j joins
+    S_lo..S_j, the inputs sifted from level 0 and a Schreier generator of
+    level i from i+1.  Levels are completed bottom-up, and a residue stopping
+    at j sends processing back down to j.  Orbit tables are only extended,
+    each point t with its forward element (base point -> t), so a settled
+    (i, t, k) stays settled: its Schreier generator lies in <S_{i+1}>, which
+    only grows.  Tree edges are settled as they are made.
+    """
+    identity = tuple(range(n))
+    base, level_gens, trans, fwd, settled, inverse = [], [], [], [], set(), {}
+
+    def add(p, lo):
+        p, j = _sift(p, base, trans, lo)
+        if p == identity:
+            return None
+        inverse[p] = _invert(p)
+        if j == len(base):
+            base.append(min(v for v in range(n) if p[v] != v))
+            trans.append({base[j]: identity})
+            fwd.append({base[j]: identity})
+            level_gens.append([])
+        for m in range(lo, j + 1):
+            level = level_gens[m]
+            level.append(p)
+            for t, k, x in _grow(trans[m], level, inverse, list(trans[m]), len(level) - 1):
+                fwd[m][x] = _compose(fwd[m][t], level[k])
+                settled.add((m, t, k))
+        return j
+
+    for g in gens:
+        add(tuple(g), 0)
     i = len(base) - 1
     while i >= 0:
-        members = [p for p in strong if all(p[b] == b for b in base[:i])]
-        trans[i] = _transversal(base[i], members, inverse, identity)
-        new_level = None
-        for t in sorted(trans[i]):
-            u = _invert(trans[i][t])  # carries the base point to t
-            for s in members:
-                schreier = _compose(_compose(u, s), trans[i][s[t]])
-                if schreier == identity:
-                    continue
-                residue, j = strip(schreier, i + 1)
-                if residue != identity:
-                    strong.append(residue)
-                    inverse[residue] = _invert(residue)
-                    if j == len(base):
-                        cover(residue)
-                        trans.append({})
-                    new_level = j
-                    break
-            if new_level is not None:
+        j = None
+        for t, k in ((t, k) for t in trans[i] for k in range(len(level_gens[i]))
+                     if (i, t, k) not in settled):
+            settled.add((i, t, k))
+            s = level_gens[i][k]
+            ts = _compose(fwd[i][t], s)  # the Schreier generator is ts * trans[i][s[t]]
+            if ts != fwd[i][s[t]] and (j := add(_compose(ts, trans[i][s[t]]), i + 1)) is not None:
                 break
-        if new_level is not None:
-            i = new_level
-        else:
-            i -= 1
-    return base, trans, strong
+        i = i - 1 if j is None else j
+    return base, trans, list(inverse)
 
 
 def _chain_order(trans) -> int:
@@ -218,10 +214,10 @@ class AutGroup:
 
     @staticmethod
     def from_permutations(degree: int, perms: Iterable[Permutation]) -> "AutGroup":
+        perms = tuple(perms)
+        if any(p.degree != degree for p in perms):
+            raise ValueError("generator degree mismatch")
         gens = tuple(p for p in perms if not p.is_identity())
-        for p in gens:
-            if p.degree != degree:
-                raise ValueError("generator degree mismatch")
         _, trans, strong = _stabilizer_chain([p.images for p in gens], degree)
         return _from_chain(degree, gens, trans, strong)
 
@@ -264,10 +260,10 @@ def _automorphisms_cached(g: Graph) -> AutGroup:
     base, gens, _ = g.search
     identity = tuple(range(g.n))
     inverse = {p: _invert(p) for p in gens}
-    levels = (_transversal(b, [p for p in gens if all(p[f] == f for f in base[:i])], inverse,
-                           identity)
-              for i, b in enumerate(base))
-    trans = [t for t in levels if len(t) > 1]
+    tables = [{b: identity} for b in base]
+    for i, table in enumerate(tables):
+        _grow(table, [p for p in gens if all(p[f] == f for f in base[:i])], inverse, [base[i]])
+    trans = [t for t in tables if len(t) > 1]
     return _from_chain(g.n, (Permutation(p) for p in gens), trans, gens)
 
 

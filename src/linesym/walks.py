@@ -21,6 +21,7 @@ the s-geodesics, and the exact count runs only when that bound is over.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from typing import Sequence
 
 from .constructions import EdgeIndex
@@ -52,6 +53,7 @@ def is_geodesic(g: Graph, seq: tuple[int, ...]) -> bool:
             and g.distances(seq[0])[seq[-1]] == len(seq) - 1)
 
 
+@lru_cache(maxsize=256)
 def count_arcs(g: Graph, s: int) -> int:
     """Number of s-arcs, without building any.
 
@@ -73,6 +75,7 @@ def count_arcs(g: Graph, s: int) -> int:
     return sum(now)
 
 
+@lru_cache(maxsize=256)
 def count_geodesics(g: Graph, s: int) -> int:
     """Number of s-geodesics, without building any: the shortest paths from
     each source to the vertices at distance s, counted layer by layer over

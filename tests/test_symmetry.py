@@ -1,3 +1,4 @@
+import collections
 import functools
 import inspect
 import math
@@ -177,6 +178,56 @@ def test_from_permutations_order_matches_sympy():
     check()
 
 
+@st.composite
+def permutation_lists(draw):
+    """(degree, generators): products of up to three transpositions, shuffles
+    of at most 10 points, identities and repeats of an earlier generator, so
+    many of the groups are intransitive with several chain levels.  Shuffles
+    of all n points are left out: two of degree 40 usually generate S_40 or
+    A_40, whose order sympy takes seconds to find."""
+    n = draw(st.integers(1, 40))
+    points = st.integers(0, n - 1)
+    perms = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("transpositions", "shuffle") * 2 + ("identity", "repeat")))
+        p = list(range(n))
+        if kind == "transpositions":
+            for a, b in draw(st.lists(st.tuples(points, points), min_size=1, max_size=3)):
+                p[a], p[b] = p[b], p[a]
+        elif kind == "shuffle":
+            moved = draw(st.lists(points, unique=True, min_size=min(n, 2), max_size=10))
+            for a, b in zip(moved, draw(st.permutations(moved))):
+                p[a] = b
+        elif kind == "repeat" and perms:
+            p = list(draw(st.sampled_from(perms)))
+        perms.append(tuple(p))
+    return n, perms
+
+
+def test_from_permutations_order_matches_sympy_up_to_degree_40():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+
+    @settings(max_examples=300, deadline=None)
+    @given(permutation_lists())
+    def check(case):
+        n, perms = case
+        expected = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(p)) for p in perms]).order()
+        grp = AutGroup.from_permutations(n, [Permutation(p) for p in perms])
+        assert grp.order == expected
+        _assert_levels_carry_keys_to_their_base_points(grp)
+
+    check()
+
+
+def test_from_permutations_checks_the_degree_of_identities_too():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        AutGroup.from_permutations(10, [Permutation.identity(9)])
+    with pytest.raises(ValueError, match="degree mismatch"):
+        AutGroup.from_permutations(10, [Permutation.identity(10), Permutation((1, 0, 2))])
+    assert AutGroup.from_permutations(10, [Permutation.identity(10)]).order == 1
+
+
 def cells_of(colors) -> set[frozenset[int]]:
     cells: dict[int, set[int]] = {}
     for v, c in enumerate(colors):
@@ -299,6 +350,72 @@ def test_induced_group_order_matches_host_for_k4(k4):
     assert host.order == 24
     assert induced_group.order == 24
     assert automorphisms(lg.graph).order == 48
+
+
+def _hypercube(d):
+    return build_graph(1 << d, [(v, v ^ (1 << b)) for v in range(1 << d) for b in range(d)
+                                if v < v ^ (1 << b)], name=f"Q{d}")
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges], name=g.name)
+
+
+@pytest.mark.parametrize("host", ["petersen", "heawood", "tutte_8_cage", "Q4", "Q5"])
+def test_induced_line_groups_have_the_host_order(host):
+    """Aut(G) acts faithfully on the edges of a connected G other than K2 and
+    K3, so the induced group on L(G) has |Aut(G)| elements; its chain levels
+    are automorphisms of L(G) carrying each key to the level's base point."""
+    if host.startswith("Q"):
+        d = int(host[1:])
+        g, order = _hypercube(d), 2**d * math.factorial(d)
+    else:
+        g, order = catalog(host), KNOWN_ORDERS[host]
+    g = _relabelled(g, random.Random(host))
+    lg = line_graph(g)
+    images = [induced_edge_action(lg.index, p) for p in automorphisms(g).generators]
+    group = AutGroup.from_permutations(lg.graph.n, images)
+    assert group.order == automorphisms(g).order == order
+    _assert_levels_carry_keys_to_their_base_points(group, set(lg.graph.edges))
+
+
+def test_each_schreier_generator_is_sifted_at_most_once(monkeypatch):
+    """Counted on the induced group of a relabelled Q6.  Each input generator
+    is sifted once, from level 0.  A non-identity residue of a sift from level
+    lo that stops at level j joins the generators S_lo..S_j, so the S_i are
+    read off the sifts.  Each pair (t, s) of a level's orbit point and
+    generator is then sifted exactly once when its Schreier generator is not
+    the identity, and never otherwise; the |O_i| - 1 tree edges of level i
+    give the identity, so the sifts number at most
+    len(inputs) + sum_i (|O_i| |S_i| - (|O_i| - 1))."""
+    g = _relabelled(_hypercube(6), random.Random(6))
+    lg = line_graph(g)
+    inputs = [induced_edge_action(lg.index, p).images for p in automorphisms(g).generators]
+    identity = tuple(range(lg.graph.n))
+    starts = []
+    level_gens = collections.defaultdict(list)
+    real = linesym.symmetry._sift
+
+    def counted(p, base, trans, start):
+        residue, j = real(p, base, trans, start)
+        starts.append(start)
+        if residue != identity:
+            for m in range(start, j + 1):
+                level_gens[m].append(residue)
+        return residue, j
+
+    monkeypatch.setattr(linesym.symmetry, "_sift", counted)
+    _, trans, _ = _stabilizer_chain(inputs, lg.graph.n)
+    assert _chain_order(trans) == 2**6 * math.factorial(6)
+    assert starts.count(0) == len(inputs)
+    nontrivial = sum(
+        (Permutation(level[t]).inverse() * Permutation(s) * Permutation(level[s[t]])).images
+        != identity for i, level in enumerate(trans) for t in level for s in level_gens[i])
+    assert len(starts) == len(inputs) + nontrivial
+    assert len(starts) <= len(inputs) + sum(len(level) * len(level_gens[i]) - (len(level) - 1)
+                                            for i, level in enumerate(trans))
 
 
 # -- orbits and transitivity ---------------------------------------------------------

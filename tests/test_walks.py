@@ -322,3 +322,14 @@ def test_image_equals_geodesics_frozen_cases(petersen, k4):
     # girth 3 >= 2 always satisfies the s=2 threshold
     for g in (petersen, k4, catalog("k33")):
         assert image_equals(g, 2)
+
+
+def test_counts_are_computed_once_per_graph_and_length():
+    """Equal graphs share a count: the cache is keyed by adjacency, not by the
+    Graph object or its name."""
+    g = catalog("petersen")
+    twin = build_graph(g.n, g.edges, name="copy")
+    for count, s, expected in ((count_arcs, 3, 120), (count_geodesics, 2, 60)):
+        count.cache_clear()
+        assert count(g, s) == count(twin, s) == expected
+        assert (count.cache_info().misses, count.cache_info().hits) == (1, 1)
