@@ -1,20 +1,17 @@
 """Automorphism groups, induced edge actions, orbits, and transitivity tests.
 
-Permutations compose in application order: (p * q) means "apply p, then q",
-so acting on the right with exponent-style notation composes the obvious
-way.  Group orders come from a stabilizer chain (orbit sizes multiplied down
-the chain), never from enumerating elements, and the same chain draws
-uniformly random elements one coset representative per level.  Each chain
-level maps every point t of its base point's orbit to an element carrying t
-back to that point, so a tuple starting in the first base point's orbit
-moves into the fibre over that point by one composition, and only the fibre
-is split, under the point stabilizer's generators.  `automorphisms` reads
-its chain off the search's first path, one breadth-first orbit per base
-point.  `AutGroup.from_permutations` builds one by incremental Schreier-Sims
-(Seress, Permutation Group Algorithms, 2003, section 4.2; Holt, Eick &
-O'Brien, Handbook of Computational Group Theory, 2005, section 4.4): each
-level keeps its own generators, orbit tables only grow, and each Schreier
-generator is sifted once.
+Permutations compose in application order: (p * q) means "apply p, then q".
+Group orders come from a stabilizer chain (orbit sizes multiplied down the
+chain), never from enumerating elements; the same chain draws uniformly
+random elements, one coset representative per level.  Each chain level maps
+every point t of its base point's orbit to an element carrying t back to
+that point.  `automorphisms` reads its chain off the search's first path,
+one breadth-first orbit per base point; `AutGroup.from_permutations` builds
+one by incremental Schreier-Sims (Seress, Permutation Group Algorithms,
+2003, section 4.2; Holt, Eick & O'Brien, Handbook of Computational Group
+Theory, 2005, section 4.4).  `transitive_on` splits an explicit tuple
+universe into orbits; the transitivity predicates build no tuple and decide
+each level by orbit-stabilizer (`transitive_on_level`).
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from . import walks
 from .constructions import EdgeIndex
 from .graphs import Graph
 from .metrics import diameter, is_connected
-from .walks import count_arcs, count_geodesics, enumerate_arcs, enumerate_geodesics
 
 
 @dataclass(frozen=True)
@@ -133,20 +129,23 @@ def _sift(p, base, trans, start):
     return p, len(base)
 
 
-def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
+def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=None):
     """Incremental Schreier-Sims: (base, transversals, strong), where strong
     holds every permutation that joined a level and the order is the product
-    of the transversal sizes.  Level i keeps its own generators S_i: a
-    permutation sifted from level lo whose residue stops at level j joins
-    S_lo..S_j, the inputs sifted from level 0 and a Schreier generator of
-    level i from i+1.  Levels are completed bottom-up, and a residue stopping
-    at j sends processing back down to j.  Orbit tables are only extended,
-    each point t with its forward element (base point -> t), so a settled
-    (i, t, k) stays settled: its Schreier generator lies in <S_{i+1}>, which
-    only grows.  Tree edges are settled as they are made.
-    """
+    of the transversal sizes.  The base starts with prefix, one level per
+    point however short its orbit.  Given the order, the Schreier phase ends
+    once the product reaches it; an incomplete chain's product falls short.
+    Level i keeps its own generators S_i: a permutation sifted from level lo
+    whose residue stops at level j joins S_lo..S_j, the inputs sifted from
+    level 0 and a Schreier generator of level i from i+1.  Levels are
+    completed bottom-up, and a residue stopping at j sends processing back
+    down to j.  Orbit tables are only extended, each point t with its
+    forward element (base point -> t), so a settled (i, t, k) stays settled:
+    its Schreier generator lies in <S_{i+1}>, which only grows.  Tree edges
+    are settled as they are made."""
     identity = tuple(range(n))
-    base, level_gens, trans, fwd, settled, inverse = [], [], [], [], set(), {}
+    base, level_gens, settled, inverse = list(prefix), [[] for _ in prefix], set(), {}
+    trans, fwd = [{b: identity} for b in base], [{b: identity} for b in base]
 
     def add(p, lo):
         p, j = _sift(p, base, trans, lo)
@@ -169,7 +168,7 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
     for g in gens:
         add(tuple(g), 0)
     i = len(base) - 1
-    while i >= 0:
+    while i >= 0 and (order is None or _chain_order(trans) != order):
         j = None
         for t, k in ((t, k) for t in trans[i] for k in range(len(level_gens[i]))
                      if (i, t, k) not in settled):
@@ -180,6 +179,19 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int):
                 break
         i = i - 1 if j is None else j
     return base, trans, list(inverse)
+
+
+def _automorphisms_of(g: Graph, perms: Iterable[Permutation]) -> tuple[Permutation, ...]:
+    """The permutations as a tuple; ValueError unless each is an automorphism of g."""
+    perms = tuple(perms)
+    for p in perms:
+        if p.degree != g.n:
+            raise ValueError("generator degree does not match the graph")
+        for u, v in g.edges:
+            a, b = p(u), p(v)
+            if ((a, b) if a < b else (b, a)) not in g.edge_rank:
+                raise ValueError(f"permutation {p.one_line()!r} breaks edge {u}-{v}")
+    return perms
 
 
 def _chain_order(trans) -> int:
@@ -224,15 +236,7 @@ class AutGroup:
     @staticmethod
     def from_generators(g: Graph, perms: Iterable[Permutation]) -> "AutGroup":
         """Validating constructor: every generator must preserve g's edge set."""
-        perms = tuple(perms)
-        for p in perms:
-            if p.degree != g.n:
-                raise ValueError("generator degree does not match the graph")
-            for u, v in g.edges:
-                a, b = p(u), p(v)
-                if ((a, b) if a < b else (b, a)) not in g.edge_rank:
-                    raise ValueError(f"permutation {p.one_line()!r} breaks edge {u}-{v}")
-        return AutGroup.from_permutations(g.n, perms)
+        return AutGroup.from_permutations(g.n, _automorphisms_of(g, perms))
 
     def random_element(self, rng: random.Random) -> Permutation:
         """A uniformly random element of the group.
@@ -364,42 +368,39 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
 
 @lru_cache(maxsize=256)
 def transitive_on_level(g: Graph, kind: str, t: int, group: AutGroup) -> bool:
-    """Whether the group is transitive on the t-arcs (kind "arcs") or the
-    t-geodesics (kind "geodesics") of g, decided once per process; only the
-    verdict is kept, and a cap error, like any exception, is not cached."""
-    tuples = enumerate_arcs(g, t) if kind == "arcs" else enumerate_geodesics(g, t)
-    return transitive_on(tuples, group)[0]
+    """Whether the group, acting on g, is transitive on g's t-arcs (kind
+    "arcs") or t-geodesics, once per process: an empty level is, else |G| =
+    count * |G_r| for its first tuple r, with G_r off a chain based at r."""
+    geodesic = kind == "geodesics"
+    r = walks.first_tuple(g, t, geodesic)
+    if r is None:
+        return True
+    count = (walks.count_geodesics if geodesic else walks.count_arcs)(g, t)
+    prefix = tuple(dict.fromkeys(r))
+    _, trans, _ = _stabilizer_chain([p.images for p in group.generators], g.n, prefix, group.order)
+    return group.order == count * _chain_order(trans[len(prefix):])
 
 
-def _require_connected(g: Graph):
+def _acting_group(g: Graph, group: AutGroup | None) -> AutGroup:
+    """The given group, checked to act on g, or Aut(g); g must be connected."""
     if not is_connected(g):
         raise ValueError("transitivity tests need a connected graph")
+    if group is not None:
+        _automorphisms_of(g, group.generators)
+    return automorphisms(g) if group is None else group
 
 
 def is_s_arc_transitive(g: Graph, s: int, group: AutGroup | None = None) -> bool:
-    """True iff g has an s-arc and the group is transitive on t-arcs for all t <= s.
-
-    An orbit can never outgrow the group, so when some level's arc count
-    exceeds the order the test fails before anything is enumerated.
-    """
-    _require_connected(g)
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    group = group if group is not None else automorphisms(g)
-    levels = range(1, s + 1)
-    if any(not 0 < count_arcs(g, t) <= group.order for t in levels):
-        return False
-    return all(transitive_on_level(g, "arcs", t, group) for t in levels)
+    """True iff g has an s-arc and the group is transitive on t-arcs for all t <= s."""
+    group = _acting_group(g, group)
+    return walks.count_arcs(g, s) > 0 and all(
+        transitive_on_level(g, "arcs", t, group) for t in range(1, s + 1))
 
 
 def is_s_geodesic_transitive(g: Graph, s: int, group: AutGroup | None = None) -> bool:
     """True iff the group is transitive on i-geodesics for every i <= s."""
-    _require_connected(g)
+    group = _acting_group(g, group)
     d = diameter(g)
     if not 1 <= s <= d:
         raise ValueError(f"s={s} outside 1..diameter={d}")
-    group = group if group is not None else automorphisms(g)
-    levels = range(1, s + 1)
-    if any(count_geodesics(g, i) > group.order for i in levels):
-        return False
-    return all(transitive_on_level(g, "geodesics", i, group) for i in levels)
+    return all(transitive_on_level(g, "geodesics", i, group) for i in range(1, s + 1))

@@ -80,6 +80,8 @@ def count_geodesics(g: Graph, s: int) -> int:
     """Number of s-geodesics, without building any: the shortest paths from
     each source to the vertices at distance s, counted layer by layer over
     the cached distance rows."""
+    if s < 1:
+        raise ValueError("geodesics need length at least 1")
     total = 0
     for v in range(g.n):
         dist = g.distances(v)
@@ -95,6 +97,22 @@ def count_geodesics(g: Graph, s: int) -> int:
     return total
 
 
+def _prefixes(g: Graph, v: int, depth: int, dist):
+    """v's arcs (dist None) or geodesics (dist: v's distance row) of length depth, in order."""
+    adj, path = g.adj, [v]
+    stack = [(1, x) for x in reversed(adj[v])]
+    while stack:
+        k, w = stack.pop()
+        del path[k:]
+        path.append(w)
+        if k == depth:
+            yield tuple(path)
+        elif dist is None:
+            stack.extend([(k + 1, x) for x in reversed(adj[w]) if x != path[-2]])
+        else:
+            stack.extend([(k + 1, x) for x in reversed(adj[w]) if dist[x] == k + 1])
+
+
 def _enumerate(g: Graph, s: int, geodesic: bool) -> list[tuple[int, ...]]:
     if s < 1:
         raise ValueError("arcs need length at least 1")
@@ -107,19 +125,7 @@ def _enumerate(g: Graph, s: int, geodesic: bool) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     for v in range(g.n):
         dist = g.distances(v) if geodesic else None
-        level = []  # v's prefixes of depth top, in order
-        path = [v]
-        stack = [(1, x) for x in reversed(adj[v])]
-        while stack:
-            k, w = stack.pop()
-            del path[k:]
-            path.append(w)
-            if k == top:
-                level.append(tuple(path))
-            elif dist is None:
-                stack.extend([(k + 1, x) for x in reversed(adj[w]) if x != path[-2]])
-            else:
-                stack.extend([(k + 1, x) for x in reversed(adj[w]) if dist[x] == k + 1])
+        level = list(_prefixes(g, v, top, dist))
         for k in range(top + 1, s + 1):
             if dist is None:
                 level = [(*p, x) for p in level for x in adj[p[-1]] if x != p[-2]]
@@ -127,6 +133,14 @@ def _enumerate(g: Graph, s: int, geodesic: bool) -> list[tuple[int, ...]]:
                 level = [(*p, x) for p in level for x in adj[p[-1]] if dist[x] == k]
         out.extend(level)
     return out
+
+
+def first_tuple(g: Graph, s: int, geodesic: bool) -> tuple[int, ...] | None:
+    """The lexicographically first s-arc (or s-geodesic) of g, or None; the search stops there."""
+    if s < 1:
+        raise ValueError("arcs need length at least 1")
+    return next((r for v in range(g.n)
+                 for r in _prefixes(g, v, s, g.distances(v) if geodesic else None)), None)
 
 
 def enumerate_arcs(g: Graph, s: int) -> list[tuple[int, ...]]:

@@ -10,10 +10,10 @@ from linesym.constructions import catalog
 from linesym.graphs import Graph, build_graph
 
 
-def cube_graph() -> Graph:
-    """Q3: 3-bit strings joined when they differ in exactly one bit."""
-    edges = [(v, v ^ (1 << b)) for v in range(8) for b in range(3) if v < v ^ (1 << b)]
-    return build_graph(8, edges, name="cube")
+def cube_graph(d: int = 3) -> Graph:
+    """Q_d: d-bit strings joined when they differ in exactly one bit."""
+    edges = [(v, v ^ (1 << b)) for v in range(1 << d) for b in range(d) if v < v ^ (1 << b)]
+    return build_graph(1 << d, edges, name="cube" if d == 3 else f"Q{d}")
 
 
 def circulant(n: int, jumps) -> Graph:

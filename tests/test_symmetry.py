@@ -14,6 +14,7 @@ import linesym.symmetry
 import linesym.walks
 from linesym.constructions import catalog, line_graph
 from linesym.graphs import build_graph, isomorphic
+from linesym.metrics import diameter
 from linesym.refinement import individualize, refine
 from linesym.symmetry import (
     AutGroup,
@@ -26,6 +27,7 @@ from linesym.symmetry import (
     is_s_arc_transitive,
     is_s_geodesic_transitive,
     transitive_on,
+    transitive_on_level,
 )
 from linesym.walks import EnumerationCapExceeded, enumerate_arcs, enumerate_geodesics
 from oracles import (
@@ -179,13 +181,13 @@ def test_from_permutations_order_matches_sympy():
 
 
 @st.composite
-def permutation_lists(draw):
+def permutation_lists(draw, max_n=40):
     """(degree, generators): products of up to three transpositions, shuffles
     of at most 10 points, identities and repeats of an earlier generator, so
     many of the groups are intransitive with several chain levels.  Shuffles
     of all n points are left out: two of degree 40 usually generate S_40 or
     A_40, whose order sympy takes seconds to find."""
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, max_n))
     points = st.integers(0, n - 1)
     perms = []
     for _ in range(draw(st.integers(1, 5))):
@@ -216,6 +218,26 @@ def test_from_permutations_order_matches_sympy_up_to_degree_40():
         grp = AutGroup.from_permutations(n, [Permutation(p) for p in perms])
         assert grp.order == expected
         _assert_levels_carry_keys_to_their_base_points(grp)
+
+    check()
+
+
+def test_prefixed_chain_matches_sympy_with_and_without_the_order_stop():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+
+    @settings(max_examples=200, deadline=None)
+    @given(permutation_lists(max_n=20), st.data())
+    def check(case, data):
+        n, perms = case
+        prefix = tuple(data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=4)))
+        group = combinatorics.PermutationGroup([combinatorics.Permutation(list(p)) for p in perms])
+        order = group.order()
+        stabilizer = group.pointwise_stabilizer(list(prefix)).order() if prefix else order
+        for stop in (None, order):
+            base, trans, _ = _stabilizer_chain(perms, n, prefix, stop)
+            assert tuple(base[:len(prefix)]) == prefix
+            assert len(trans) == len(base) and _chain_order(trans) == order
+            assert _chain_order(trans[len(prefix):]) == stabilizer
 
     check()
 
@@ -592,14 +614,53 @@ def test_arc_transitivity_facts(petersen):
 
 def test_transitivity_fails_on_counts_before_enumerating(petersen, monkeypatch):
     def unreachable(*args, **kwargs):
-        raise AssertionError("enumerated although a count exceeds the order")
+        raise AssertionError("a transitivity predicate enumerated a level")
 
-    monkeypatch.setattr(linesym.symmetry, "enumerate_arcs", unreachable)
-    monkeypatch.setattr(linesym.symmetry, "enumerate_geodesics", unreachable)
-    # petersen has 240 4-arcs for a group of order 120
+    linesym.symmetry.transitive_on_level.cache_clear()
+    monkeypatch.setattr(linesym.walks, "_enumerate", unreachable)
+    # petersen has 240 4-arcs for a group of order 120: |G : G_r| is too small
     assert not is_s_arc_transitive(petersen, 4)
     trivial = AutGroup.from_permutations(10, ())
     assert not is_s_geodesic_transitive(petersen, 2, trivial)
+
+
+def test_predicates_reject_a_group_of_another_degree(petersen):
+    c5 = AutGroup.from_permutations(5, [Permutation((1, 2, 3, 4, 0))])
+    with pytest.raises(ValueError, match="degree"):
+        is_s_arc_transitive(petersen, 1, c5)
+    with pytest.raises(ValueError, match="degree"):
+        is_s_geodesic_transitive(petersen, 1, c5)
+
+
+def test_predicates_reject_a_group_that_breaks_edges(petersen):
+    s10 = AutGroup.from_permutations(10, [Permutation.from_one_line("1 2 3 4 5 6 7 8 9 0"),
+                                          Permutation.from_one_line("1 0 2 3 4 5 6 7 8 9")])
+    assert s10.order == math.factorial(10)
+    with pytest.raises(ValueError, match="breaks edge"):
+        is_s_arc_transitive(petersen, 3, s10)
+    with pytest.raises(ValueError, match="breaks edge"):
+        is_s_geodesic_transitive(petersen, 2, s10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_level_predicate_matches_the_orbits_of_the_enumerated_level(rng):
+    g = random_connected_graph(rng, rng.randint(2, 9), extra_p=rng.choice([0.2, 0.4]))
+    full = automorphisms(g)
+    line = line_graph(g)
+    cases = [
+        (g, full),
+        (g, AutGroup.from_permutations(g.n, [p for p in full.generators if rng.random() < 0.5])),
+        (line.graph, AutGroup.from_permutations(
+            line.graph.n, [induced_edge_action(line.index, p) for p in full.generators])),
+    ]
+    for h, group in cases:
+        for t in range(1, 5):
+            expected = transitive_on(enumerate_arcs(h, t), group)[0]
+            assert transitive_on_level(h, "arcs", t, group) == expected
+        for t in range(1, diameter(h) + 1):
+            expected = transitive_on(enumerate_geodesics(h, t), group)[0]
+            assert transitive_on_level(h, "geodesics", t, group) == expected
 
 
 def test_arc_transitivity_with_subgroup(petersen):

@@ -7,10 +7,18 @@ from hypothesis import strategies as st
 
 import linesym.symmetry
 import linesym.verify
+import linesym.walks
 from linesym.constructions import EdgeIndex, catalog, line_graph
 from linesym.graphs import build_graph
 from linesym.metrics import diameter
-from linesym.symmetry import AutGroup, Permutation, automorphisms, induced_edge_action
+from linesym.symmetry import (
+    AutGroup,
+    Permutation,
+    automorphisms,
+    induced_edge_action,
+    is_s_arc_transitive,
+    is_s_geodesic_transitive,
+)
 from linesym.verify import (
     FAIL,
     NOT_APPLICABLE,
@@ -32,7 +40,7 @@ from linesym.verify import (
 )
 from linesym.walks import enumerate_arcs, enumerate_geodesics, is_arc, is_geodesic, lmap
 
-from conftest import circulant, random_connected_graph, triangulated_torus
+from conftest import circulant, cube_graph, random_connected_graph, triangulated_torus
 
 GOLDEN_RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus_expected.jsonl"
 
@@ -319,24 +327,41 @@ def test_default_corpus_never_fails(default_reports):
     assert any(r.verdict == PASS for r in default_reports)
 
 
+def _strip(reports):
+    """Records without their timings, with orbit-size lists sorted."""
+    out = []
+    for r in reports:
+        rec = json.loads(json.dumps(r.to_record(), default=list))
+        del rec["seconds"]
+        sizes = rec["details"].get("two_geodesic_orbit_sizes")
+        if sizes is not None:
+            sizes.sort()
+        out.append(rec)
+    return out
+
+
+def _golden():
+    golden = GOLDEN_RECORDS.read_text().splitlines()
+    return [json.loads(line) for line in golden if line.strip()]
+
+
 def test_corpus_reports_are_deterministic(default_reports):
     """Two runs agree with each other and with the golden records."""
-
-    def strip(reports):
-        out = []
-        for r in reports:
-            rec = json.loads(json.dumps(r.to_record(), default=list))
-            del rec["seconds"]
-            sizes = rec["details"].get("two_geodesic_orbit_sizes")
-            if sizes is not None:
-                sizes.sort()
-            out.append(rec)
-        return out
-
-    golden = GOLDEN_RECORDS.read_text().splitlines()
-    expected = [json.loads(line) for line in golden if line.strip()]
     again = run_corpus(Corpus.default())
-    assert strip(default_reports) == strip(again) == expected
+    assert _strip(default_reports) == _strip(again) == _golden()
+
+
+def test_transitivity_builds_no_tuple(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a transitivity test enumerated a level")
+
+    linesym.symmetry.transitive_on_level.cache_clear()
+    monkeypatch.setattr(linesym.walks, "_enumerate", refuse)
+    cage = catalog("tutte_8_cage")
+    assert is_s_arc_transitive(cage, 5) and not is_s_arc_transitive(cage, 6)
+    assert is_s_geodesic_transitive(cube_graph(6), 6)
+    reports = run_corpus(Corpus.default(), ["thm13", "weiss"])
+    assert _strip(reports) == [r for r in _golden() if r["claim"] in ("thm-1.3", "cor-1.4")]
 
 
 def test_corpus_report_ordering(default_reports):
@@ -369,22 +394,29 @@ def test_corpus_builds_one_induced_group_per_host(monkeypatch):
 
 
 def test_corpus_decides_each_transitivity_level_once(monkeypatch):
-    keys = []
-    decide = linesym.symmetry.transitive_on
+    levels, groups = [], []
+    first_tuple = linesym.walks.first_tuple
+    chain = linesym.symmetry._stabilizer_chain
 
-    def counted(tuples, group):
-        tuples = tuple(tuples)
-        # the universe names the graph, the tuple kind and the level
-        keys.append((frozenset(tuples), group))
-        return decide(tuples, group)
+    def located(g, s, geodesic):
+        levels.append((g, s, geodesic))
+        return first_tuple(g, s, geodesic)
+
+    def counted(gens, n, prefix=(), order=None):
+        if prefix:  # a level decision: one chain based at the level's first tuple
+            groups.append((tuple(map(tuple, gens)), order))
+        return chain(gens, n, prefix, order)
 
     for module in (linesym.symmetry, linesym.verify):
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
-        monkeypatch.setattr(module, "transitive_on", counted)
+    monkeypatch.setattr(linesym.walks, "first_tuple", located)
+    monkeypatch.setattr(linesym.symmetry, "_stabilizer_chain", counted)
     reports = run_corpus(Corpus.default(), ["thm13", "weiss"])
     assert {r.verdict for r in reports} == {PASS, NOT_APPLICABLE}
+    assert len(levels) == len(groups)
+    keys = list(zip(levels, groups))
     assert keys and len(keys) == len(set(keys))
 
 

@@ -15,6 +15,7 @@ from linesym.walks import (
     edge_sequences,
     enumerate_arcs,
     enumerate_geodesics,
+    first_tuple,
     is_arc,
     is_geodesic,
     is_walk,
@@ -128,6 +129,17 @@ def test_enumerators_equal_the_oracle_in_order_across_the_tail_boundary():
             assert enumerate_geodesics(g, s) == sorted(all_geodesics(g, s))
 
 
+def test_first_tuple_is_the_least_of_its_level():
+    rng = random.Random(1729)
+    hosts = [_core_with_runs(rng, 3, 2), _core_with_runs(rng, 4, 1), catalog("path(4)")]
+    for g in hosts:
+        for s in range(1, 6):
+            assert first_tuple(g, s, False) == min(all_arcs(g, s), default=None)
+            assert first_tuple(g, s, True) == min(all_geodesics(g, s), default=None)
+    with pytest.raises(ValueError):
+        first_tuple(hosts[0], 0, False)
+
+
 def test_cap_bound_over_but_count_within_builds_the_tuples(monkeypatch):
     # path(4) has 4 3-arcs (and 3-geodesics) against a bound of 5 * 2 * 1 = 10.
     g = catalog("path(4)")
@@ -169,6 +181,14 @@ def test_enumerate_arcs_rejects_nonpositive_length(petersen, s):
         enumerate_arcs(petersen, s)
     with pytest.raises(ValueError):
         enumerate_arcs(catalog("path(1)"), s)
+
+
+@pytest.mark.parametrize("s", [0, -3])
+def test_counts_reject_nonpositive_length(petersen, s):
+    with pytest.raises(ValueError, match="arcs"):
+        count_arcs(petersen, s)
+    with pytest.raises(ValueError, match="geodesics"):
+        count_geodesics(petersen, s)
 
 
 def test_enumerate_arc_cap_raises(petersen, monkeypatch):
