@@ -6,11 +6,14 @@ ints, one per vertex, ordered like its cells; `refine` returns each vertex's
 cell start index, and a coloring is "discrete" when every cell is a
 singleton.  Refinement only splits cells, by rules that read colors and
 counts, never vertex ids, so relabelling a graph relabels its search tree.
-The search keeps its own stack, so depth is not limited by the recursion
-limit.  It returns its first path's base, relative to which its generators
-are a strong generating set, so no Schreier sifting is needed downstream,
-and a canonical vertex order, so two graphs are isomorphic exactly when
-their certificates under those orders are equal.
+The search carries one partition state down its tree: a child copies its
+parent's, splits its vertex off the target cell and refines in place, and a
+leaf's cell order is its vertex order.  The search keeps its own stack, so
+depth is not limited by the recursion limit.  It returns its first path's
+base, relative to which its generators are a strong generating set, so no
+Schreier sifting is needed downstream, and a canonical vertex order, so two
+graphs are isomorphic exactly when their certificates under those orders
+are equal.
 """
 
 from __future__ import annotations
@@ -32,29 +35,41 @@ def refine(adj: Adjacency, colors: list[int], splitter: int | None = None) -> li
     unless splitter is the color of a vertex just individualized from an
     equitable coloring: then only that new singleton can split anything.
     """
-    n = len(adj)
-    elems = sorted(range(n), key=colors.__getitem__)  # cells are runs of elems
+    elems, pos, color, size = _state(colors)
+    _refine(adj, elems, pos, color, size, list(size) if splitter is None else [splitter])
+    return color
+
+
+def _state(colors: list[int]):
+    """colors as a partition state (elems, pos, color, size): cells are runs of elems
+    in color order, pos inverts elems, color[v] starts v's run, size[c] is c's length."""
+    n = len(colors)
+    elems = sorted(range(n), key=colors.__getitem__)
     pos, color, size = [0] * n, [0] * n, {}
     for i, v in enumerate(elems):
         pos[v] = i
         color[v] = color[elems[i - 1]] if i and colors[v] == colors[elems[i - 1]] else i
         size[color[v]] = size.get(color[v], 0) + 1
-    queue = list(size) if splitter is None else [splitter]  # ascending, so a heap
+    return elems, pos, color, size
+
+
+def _refine(adj: Adjacency, elems, pos, color, size, queue: list[int]):
+    """`refine` on a partition state in place, from the splitter starts in queue (a heap)."""
     queued = set(queue)
     while queue:
         s = heappop(queue)
         queued.discard(s)
-        if size[s] == 1:  # the common case deep in a search; a Counter costs more
-            count = dict.fromkeys(adj[elems[s]], 1)
-        else:
-            count = Counter(chain.from_iterable(map(adj.__getitem__, elems[s:s + size[s]])))
+        single = size[s] == 1  # the common case deep in a search: all counts 1
+        count = dict.fromkeys(adj[elems[s]], 1) if single else Counter(
+            chain.from_iterable(map(adj.__getitem__, elems[s:s + size[s]])))
         touched: dict[int, list[int]] = {}
         for w in count:
             if size[color[w]] > 1:
                 touched.setdefault(color[w], []).append(w)
         # Each split stays inside its own cell, so the order of cells is free.
         for x, members in touched.items():
-            members.sort(key=count.__getitem__)
+            if not single:
+                members.sort(key=count.__getitem__)
             end = x + size[x]
             first = end - len(members)
             if first == x and count[members[0]] == count[members[-1]]:
@@ -67,7 +82,7 @@ def refine(adj: Adjacency, colors: list[int], splitter: int | None = None) -> li
             starts = [x] if first > x else []
             for i, w in enumerate(members, first):
                 elems[i], pos[w] = w, i
-                if i == first or count[w] != count[members[i - first - 1]]:
+                if i == first or not single and count[w] != count[members[i - first - 1]]:
                     starts.append(i)
                 color[w] = starts[-1]
             for a, b in zip(starts, starts[1:] + [end]):
@@ -77,32 +92,19 @@ def refine(adj: Adjacency, colors: list[int], splitter: int | None = None) -> li
                 if a != skip:
                     heappush(queue, a)
                     queued.add(a)
-    return color
 
 
-def individualize(colors: list[int], v: int) -> list[int]:
-    """Give v its own cell: v keeps its color cv and the rest of its cell
-    moves to cv + 1, the start of that remainder."""
-    cv = colors[v]
-    return [c + 1 if c == cv and w != v else c for w, c in enumerate(colors)]
-
-
-def _first_nonsingleton(colors):
-    """Lowest color id with class size > 1, or None when discrete.
-
-    The choice depends only on the coloring, never on vertex ids, which keeps
-    the target cell isomorphism-invariant across branches.
-    """
-    sizes = Counter(colors)
-    small = [c for c, sz in sizes.items() if sz > 1]
-    return min(small) if small else None
-
-
-def _preserves_adjacency(adj: Adjacency, phi) -> bool:
-    for v in range(len(adj)):
-        if sorted(phi[w] for w in adj[v]) != list(adj[phi[v]]):
-            return False
-    return True
+def _child(adj: Adjacency, state, v: int):
+    """A refined copy of an equitable partition state in which v is split
+    off the front of its cell x, and the rest of that cell starts at x + 1."""
+    elems, pos, color, size = state = tuple(a.copy() for a in state)
+    x, i, u = color[v], pos[v], elems[color[v]]
+    elems[x], elems[i], pos[v], pos[u] = v, u, x, i
+    size[x + 1], size[x] = size[x] - 1, 1
+    for w in elems[x + 1:x + 1 + size[x + 1]]:
+        color[w] = x + 1
+    _refine(adj, *state, [x])
+    return state
 
 
 def certificate(adj: Adjacency, order) -> Adjacency:
@@ -115,17 +117,21 @@ def certificate(adj: Adjacency, order) -> Adjacency:
 
 
 class _Node:
-    """A search node: its refined coloring and target cell (None at a leaf)
+    """A search node: its partition state and target cell (None at a leaf)
     and, from its second child on, a union-find of the orbits of the
     generators fixing its prefix, each orbit rooted at its least vertex."""
 
-    __slots__ = ("colors", "first", "cell", "next", "parent")
+    __slots__ = ("state", "first", "cell", "next", "parent")
 
-    def __init__(self, colors: list[int], first: bool):
-        target = _first_nonsingleton(colors)
-        self.colors = colors
-        self.first = first  # on the first root-to-leaf path
-        self.cell = None if target is None else [v for v, c in enumerate(colors) if c == target]
+    def __init__(self, state, target: int, first: bool):
+        # The target is the first non-singleton cell at or after the
+        # parent's: it depends on cell sizes alone, never on vertex ids.
+        elems, size = state[0], state[3]
+        while target < len(elems) and size[target] == 1:
+            target += 1
+        self.state, self.first = state, first  # first: on the first root-to-leaf path
+        # Sorted, so that children come in vertex order.
+        self.cell = sorted(elems[target:target + size[target]]) if target < len(elems) else None
         self.next = 0
         self.parent: list[int] | None = None
 
@@ -138,8 +144,10 @@ class _Node:
 
     def merge(self, p: tuple[int, ...]):
         for a, b in enumerate(p):
-            ra, rb = self.find(a), self.find(b)
-            self.parent[max(ra, rb)] = min(ra, rb)
+            if a != b:
+                ra, rb = self.find(a), self.find(b)
+                if ra != rb:
+                    self.parent[max(ra, rb)] = min(ra, rb)
 
 
 def automorphism_generators(
@@ -164,13 +172,15 @@ def automorphism_generators(
     of the leaf with the largest certificate is canonical.
     """
     n = len(adj)
+    arcs = {(v, w) for v in range(n) for w in adj[v]}
+    tails, heads = zip(*arcs) if arcs else ((), ())
     gens: list[tuple[int, ...]] = []
     base: list[int] = []
     first_colors: list[int] | None = None
     best: list[int] = []  # the vertex order of the best leaf so far
     best_cert: Adjacency | None = None  # its certificate, once one is needed
     path: list[int] = []  # path[i]: the vertex individualized below stack[i]
-    stack = [_Node(refine(adj, [0] * n), True)]
+    stack = [_Node(_state(refine(adj, [0] * n)), 0, True)]
     while stack:
         node = stack[-1]
         if node.cell is not None and node.next < len(node.cell):
@@ -187,18 +197,17 @@ def automorphism_generators(
                 if node.find(v) != v:
                     continue
             path.append(v)
-            colors = individualize(node.colors, v)
-            stack.append(_Node(refine(adj, colors, colors[v]), node.first and node.next == 1))
+            x = node.state[2][v]
+            stack.append(_Node(_child(adj, node.state, v), x, node.first and node.next == 1))
             continue
         if node.cell is None:
-            leaf = [0] * n  # leaf[c]: the vertex colored c
-            for v, c in enumerate(node.colors):
-                leaf[c] = v
+            leaf, pos, color, _ = node.state  # leaf[c]: the vertex colored c
             if first_colors is None:
-                first_colors, base, best = node.colors, path[:], leaf
+                first_colors, base, best = color, path[:], leaf
             else:
-                p = tuple(leaf[c] for c in first_colors)
-                if _preserves_adjacency(adj, p):
+                p = tuple(map(leaf.__getitem__, first_colors))
+                if all(map(arcs.__contains__, zip(map(p.__getitem__, tails),
+                                                  map(p.__getitem__, heads)))):
                     gens.append(p)
                     while not stack[-2].first:
                         stack.pop()
@@ -208,12 +217,13 @@ def automorphism_generators(
                             anc.merge(p)
                 else:
                     # An automorphic leaf has the first leaf's certificate,
-                    # so only the others need one built.
+                    # so only the others are compared, row by row (pos
+                    # labels the leaf's vertices) until one row differs.
                     if best_cert is None:
                         best_cert = certificate(adj, best)
-                    cert = certificate(adj, leaf)
-                    if cert > best_cert:
-                        best, best_cert = leaf, cert
+                    rows = (tuple(sorted(map(pos.__getitem__, adj[v]))) for v in leaf)
+                    if next((r > top for r, top in zip(rows, best_cert) if r != top), False):
+                        best, best_cert = leaf, certificate(adj, leaf)
         stack.pop()
         del path[len(stack) - 1:]
     return base, gens, tuple(best)

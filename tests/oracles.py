@@ -219,6 +219,13 @@ def equitable_cells(adj, colors) -> set[frozenset[int]]:
     return {frozenset(c) for c in cells.values()}
 
 
+def individualize(colors: list[int], v: int) -> list[int]:
+    """Give v its own cell: v keeps its color cv and the rest of its cell
+    moves to cv + 1, the start of that remainder."""
+    cv = colors[v]
+    return [c + 1 if c == cv and w != v else c for w, c in enumerate(colors)]
+
+
 def orbit_partition(universe, gens) -> tuple[int, ...]:
     """Orbit ids of a tuple universe under permutations given as image tuples.
 

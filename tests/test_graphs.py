@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linesym import refinement
+from linesym.constructions import catalog
 from linesym.graphs import (
     Graph,
     build_graph,
@@ -16,7 +19,7 @@ from linesym.graphs import (
 from linesym.symmetry import _automorphisms_cached, automorphisms
 from oracles import automorphism_count_filter
 
-from conftest import random_connected_graph
+from conftest import cube_graph, kneser_graph, random_connected_graph
 
 
 def test_triangle_construction():
@@ -146,6 +149,46 @@ def test_isomorphic_reuses_the_search_behind_the_group(monkeypatch, petersen):
     assert searched == [g.adj, h.adj]
     assert isomorphic(h, g) is not None
     assert searched == [g.adj, h.adj]
+
+
+def search_digests() -> dict[str, str]:
+    """sha256 of automorphism_generators' (base, generators, order) on six
+    graphs, each under two fixed relabellings."""
+    graphs = [catalog("complete(16)"), catalog("cycle(179)"), kneser_graph(9, 3),
+              catalog("complete(5)").line.line.line, catalog("tutte_8_cage"), cube_graph(5)]
+    out = {}
+    for g in graphs:
+        for seed in (1, 2):
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            base, gens, order = refinement.automorphism_generators(h.adj)
+            text = json.dumps([base, [list(p) for p in gens], list(order)])
+            out[f"{g.name}/{seed}"] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+# Recorded from the search as it stood before its partition state was carried
+# down the tree; a change to the tree (base, generators or canonical order)
+# has to re-record them.
+SEARCH_DIGESTS = {
+    "complete(16)/1": "c9d7f5ce68b2bd3c76d21c42f19338f869505a3637f1e1a96fd77c467b9dcffa",
+    "complete(16)/2": "c9d7f5ce68b2bd3c76d21c42f19338f869505a3637f1e1a96fd77c467b9dcffa",
+    "cycle(179)/1": "e6fd8a2405112a929c129dba556ac9082f0bb80cf4b6e62ef9a07a4dc03ef01d",
+    "cycle(179)/2": "7ab4b75f88ac696a94af56e8afd2584b4be67ad2255292a1c0a8b817b746681c",
+    "K(9,3)/1": "ad0781e48067a24fc1c49f42757f45428cebd465019e767eb9c72f2c1d66cd82",
+    "K(9,3)/2": "6afff7f59e6ba2fb817398d5d58a177194ef5e96f0b5c2894793b87d14c09539",
+    "L(L(L(complete(5))))/1": "c9664371ff67028258d300cf04609bdec9dca4e75b59de44725fa9a077649751",
+    "L(L(L(complete(5))))/2": "9344742e4deb7dddb017b384437c60d384302f975cd9cd5eb9aea20a1039202d",
+    "tutte_8_cage/1": "96f76478cb3905eb205d5bc24fc2b0001ab38c250e86c8fa62925b0f77ddf6e4",
+    "tutte_8_cage/2": "00f89b58ffb93440662f851d785778ce8f332ecea7a3c3add7bd227c3e0c9e07",
+    "Q5/1": "271a27dd39822ebc6e54d68a5dd1d5c60672ee1007288c5e91f97ef2f52cd1a0",
+    "Q5/2": "ebf4d963b6ff9dbec507f45dfc7811ab16d210d74db22d3596acc139940be060",
+}
+
+
+def test_the_search_tree_is_pinned():
+    assert search_digests() == SEARCH_DIGESTS
 
 
 def test_non_isomorphic_cases():

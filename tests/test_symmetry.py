@@ -15,7 +15,7 @@ import linesym.walks
 from linesym.constructions import catalog, line_graph
 from linesym.graphs import build_graph, isomorphic
 from linesym.metrics import diameter
-from linesym.refinement import individualize, refine
+from linesym.refinement import _child, _state, refine
 from linesym.symmetry import (
     AutGroup,
     Permutation,
@@ -34,10 +34,11 @@ from oracles import (
     automorphism_count_backtrack,
     automorphism_count_filter,
     equitable_cells,
+    individualize,
     orbit_partition,
 )
 
-from conftest import random_connected_graph
+from conftest import projective_plane, random_connected_graph
 
 
 # -- permutations ---------------------------------------------------------------
@@ -282,6 +283,43 @@ def test_refine_is_the_coarsest_equitable_partition_and_invariant(g, data):
         seeded = refine(g.adj, split, split[v])
         full = refine(g.adj, split)
         assert cells_of(seeded) == cells_of(full) == equitable_cells(g.adj, split)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=12), st.data())
+def test_a_child_refines_in_place_exactly_as_refine_does(g, data):
+    colors = refine(g.adj, data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n)))
+    state = _state(colors)
+    # Down one path to a leaf, so later children start from a state whose
+    # cells are no longer in vertex order.
+    while len(set(colors)) < g.n:
+        v = data.draw(st.sampled_from([v for v in range(g.n) if colors.count(colors[v]) > 1]))
+        before = [a.copy() for a in state]
+        child = _child(g.adj, state, v)
+        assert list(state) == before  # the parent keeps its own state
+        state = child
+        split = individualize(colors, v)
+        elems, pos, color, size = state
+        assert color == refine(g.adj, split, split[v])
+        assert sorted(elems) == list(range(g.n))
+        assert all(elems[pos[w]] == w for w in range(g.n))
+        c = 0
+        while c < g.n:  # each start heads a run of its own color, and the runs tile elems
+            assert all(color[w] == c for w in elems[c:c + size[c]])
+            c += size[c]
+        assert sum(size.values()) == g.n
+        colors = color
+    assert state[0] == sorted(range(g.n), key=colors.__getitem__)  # a leaf's cell order
+
+
+def test_projective_planes_have_their_closed_form_orders():
+    # |Aut| of the incidence graph of PG(2, p) is 2 |PGL(3, p)|: collineations
+    # and a polarity swapping points with lines.  Refinement alone stalls here.
+    for p, order in ((3, 11232), (5, 744000)):
+        g = projective_plane(p)
+        assert all(len(row) == p + 1 for row in g.adj)
+        _automorphisms_cached.cache_clear()
+        assert automorphisms(g).order == order == 2 * p**3 * (p**3 - 1) * (p**2 - 1)
 
 
 def test_search_depth_is_not_limited_by_the_recursion_limit():
