@@ -151,8 +151,9 @@ def _cmd_verify(args) -> int:
     g = _load_graph(args)
     group = _load_group(g, args.group)
     needs_s = args.check in ("thm13", "thm32", "weiss")
-    if needs_s and args.s is None:
-        print("error: --s is required for this check", file=sys.stderr)
+    if needs_s != (args.s is not None):
+        print(f"error: --s {'is required for' if needs_s else 'does not apply to'} this check",
+              file=sys.stderr)
         return 2
     if args.check == "thm13":
         reports = [check_line_equivalence(g, args.s, group)]

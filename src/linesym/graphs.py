@@ -77,9 +77,9 @@ class Graph:
         return build_graph(self.m, pairs, name=f"L({self.name})" if self.name else None)
 
     @cached_property
-    def search(self) -> tuple[list[int], list[tuple[int, ...]], tuple[int, ...]]:
-        """(base, generators, canonical vertex order) from one automorphism
-        search, shared by the group and by isomorphism tests."""
+    def search(self) -> tuple[list[int], list[tuple[int, ...]], tuple[int, ...], int]:
+        """(base, generators, canonical vertex order, group order) from one
+        automorphism search, shared by the group and by isomorphism tests."""
         return refinement.automorphism_generators(self.adj)
 
     @cached_property

@@ -10,10 +10,9 @@ The search carries one partition state down its tree: a child copies its
 parent's, splits its vertex off the target cell and refines in place, and a
 leaf's cell order is its vertex order.  The search keeps its own stack, so
 depth is not limited by the recursion limit.  It returns its first path's
-base, relative to which its generators are a strong generating set, so no
-Schreier sifting is needed downstream, and a canonical vertex order, so two
-graphs are isomorphic exactly when their certificates under those orders
-are equal.
+base, relative to which its generators are a strong generating set, the
+group order, and a canonical vertex order, so two graphs are isomorphic
+exactly when their certificates under those orders are equal.
 """
 
 from __future__ import annotations
@@ -151,9 +150,9 @@ class _Node:
 
 
 def automorphism_generators(
-        adj: Adjacency) -> tuple[list[int], list[tuple[int, ...]], tuple[int, ...]]:
-    """(base, generators, order) of the automorphism group and a canonical
-    vertex order, found without enumerating the group.
+        adj: Adjacency) -> tuple[list[int], list[tuple[int, ...]], tuple[int, ...], int]:
+    """(base, generators, canonical order, group order) of the automorphism
+    group, found without enumerating the group.
 
     Individualization-refinement search.  The first root-to-leaf path fixes a
     reference labeling and the base it individualized; every other leaf whose
@@ -169,7 +168,9 @@ def automorphism_generators(
 
     Since a subtree is skipped only when an automorphism maps a searched one
     onto it, the search reaches every leaf up to automorphism; so the order
-    of the leaf with the largest certificate is canonical.
+    of the leaf with the largest certificate is canonical.  A first-path
+    node ends with the orbits of that stabilizer in its union-find, so the
+    group order is the product of the sizes of b_i's classes.
     """
     n = len(adj)
     arcs = {(v, w) for v in range(n) for w in adj[v]}
@@ -180,6 +181,7 @@ def automorphism_generators(
     best: list[int] = []  # the vertex order of the best leaf so far
     best_cert: Adjacency | None = None  # its certificate, once one is needed
     path: list[int] = []  # path[i]: the vertex individualized below stack[i]
+    group_order = 1
     stack = [_Node(_state(refine(adj, [0] * n)), 0, True)]
     while stack:
         node = stack[-1]
@@ -224,6 +226,8 @@ def automorphism_generators(
                     rows = (tuple(sorted(map(pos.__getitem__, adj[v]))) for v in leaf)
                     if next((r > top for r, top in zip(rows, best_cert) if r != top), False):
                         best, best_cert = leaf, certificate(adj, leaf)
+        elif node.first:  # b_i = cell[0], the least vertex, roots its class
+            group_order *= sum(node.find(v) == node.cell[0] for v in node.cell)
         stack.pop()
         del path[len(stack) - 1:]
-    return base, gens, tuple(best)
+    return base, gens, tuple(best), group_order

@@ -5,11 +5,11 @@ Group orders come from a stabilizer chain (orbit sizes multiplied down the
 chain), never from enumerating elements; the same chain draws uniformly
 random elements, one coset representative per level.  Each chain level maps
 every point t of its base point's orbit to an element carrying t back to
-that point.  `automorphisms` reads its chain off the search's first path,
-one breadth-first orbit per base point; `AutGroup.from_permutations` builds
-one by incremental Schreier-Sims (Seress, Permutation Group Algorithms,
-2003, section 4.2; Holt, Eick & O'Brien, Handbook of Computational Group
-Theory, 2005, section 4.4).  `transitive_on` splits an explicit tuple
+that point.  Every chain comes from one incremental Schreier-Sims routine
+(Seress, Permutation Group Algorithms, 2003, section 4.2; Holt, Eick &
+O'Brien, Handbook of Computational Group Theory, 2005, section 4.4), which
+stops once its order reaches a known one, such as the search's for
+`automorphisms`.  `transitive_on` splits an explicit tuple
 universe into orbits; the transitivity predicates build no tuple and decide
 each level by orbit-stabilizer (`transitive_on_level`).
 """
@@ -139,13 +139,15 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=
     whose residue stops at level j joins S_lo..S_j, the inputs sifted from
     level 0 and a Schreier generator of level i from i+1.  Levels are
     completed bottom-up, and a residue stopping at j sends processing back
-    down to j.  Orbit tables are only extended, each point t with its
-    forward element (base point -> t), so a settled (i, t, k) stays settled:
-    its Schreier generator lies in <S_{i+1}>, which only grows.  Tree edges
-    are settled as they are made."""
+    down to j.  Orbit tables are only extended, so a settled (i, t, k) stays
+    settled: its Schreier generator lies in <S_{i+1}>, which only grows.
+    Tree edges wait until the Schreier phase visits their level; there each
+    is settled and gives its point t the forward element (base point -> t),
+    so a chain complete once its inputs are in never builds them."""
     identity = tuple(range(n))
     base, level_gens, settled, inverse = list(prefix), [[] for _ in prefix], set(), {}
     trans, fwd = [{b: identity} for b in base], [{b: identity} for b in base]
+    edges = [[] for _ in base]  # tree edges (t, k, x) per level, not yet visited
 
     def add(p, lo):
         p, j = _sift(p, base, trans, lo)
@@ -157,18 +159,21 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=
             trans.append({base[j]: identity})
             fwd.append({base[j]: identity})
             level_gens.append([])
+            edges.append([])
         for m in range(lo, j + 1):
             level = level_gens[m]
             level.append(p)
-            for t, k, x in _grow(trans[m], level, inverse, list(trans[m]), len(level) - 1):
-                fwd[m][x] = _compose(fwd[m][t], level[k])
-                settled.add((m, t, k))
+            edges[m] += _grow(trans[m], level, inverse, list(trans[m]), len(level) - 1)
         return j
 
     for g in gens:
         add(tuple(g), 0)
     i = len(base) - 1
     while i >= 0 and (order is None or _chain_order(trans) != order):
+        for t, k, x in edges[i]:
+            fwd[i][x] = _compose(fwd[i][t], level_gens[i][k])
+            settled.add((i, t, k))
+        edges[i].clear()
         j = None
         for t, k in ((t, k) for t in trans[i] for k in range(len(level_gens[i]))
                      if (i, t, k) not in settled):
@@ -198,16 +203,6 @@ def _chain_order(trans) -> int:
     return math.prod(len(t) for t in trans) if trans else 1
 
 
-def _from_chain(degree, gens, trans, strong) -> "AutGroup":
-    """AutGroup from non-trivial chain levels and a strong generating set."""
-    trans = tuple(trans)
-    stabilizer = ()
-    if trans:
-        b = next(iter(trans[0]))
-        stabilizer = tuple(p for p in strong if p[b] == b)
-    return AutGroup(degree, tuple(gens), _chain_order(trans), trans, stabilizer)
-
-
 @dataclass(frozen=True)
 class AutGroup:
     """A permutation group given by generators, with an exact order.
@@ -229,9 +224,18 @@ class AutGroup:
         perms = tuple(perms)
         if any(p.degree != degree for p in perms):
             raise ValueError("generator degree mismatch")
+        return AutGroup._build(degree, perms)
+
+    @staticmethod
+    def _build(degree: int, perms: Iterable[Permutation], prefix=(), order=None) -> "AutGroup":
+        """The group on perms from one `_stabilizer_chain`, dropping identities
+        and trivial levels, which prefix levels can be."""
         gens = tuple(p for p in perms if not p.is_identity())
-        _, trans, strong = _stabilizer_chain([p.images for p in gens], degree)
-        return _from_chain(degree, gens, trans, strong)
+        _, trans, strong = _stabilizer_chain([p.images for p in gens], degree, prefix, order)
+        trans = tuple(t for t in trans if len(t) > 1)
+        b = next(iter(trans[0])) if trans else None
+        stabilizer = tuple(p for p in strong if p[b] == b) if trans else ()
+        return AutGroup(degree, gens, _chain_order(trans), trans, stabilizer)
 
     @staticmethod
     def from_generators(g: Graph, perms: Iterable[Permutation]) -> "AutGroup":
@@ -252,23 +256,12 @@ class AutGroup:
         return Permutation(p)
 
 
-def automorphisms(g: Graph) -> AutGroup:
-    """Full automorphism group of g via the refinement search kernel."""
-    return _automorphisms_cached(g)
-
-
 @lru_cache(maxsize=256)
-def _automorphisms_cached(g: Graph) -> AutGroup:
-    # The search's generators fixing b1..b_{i-1} generate that stabilizer, so
-    # each level's orbit is exact and no Schreier generator needs sifting.
-    base, gens, _ = g.search
-    identity = tuple(range(g.n))
-    inverse = {p: _invert(p) for p in gens}
-    tables = [{b: identity} for b in base]
-    for i, table in enumerate(tables):
-        _grow(table, [p for p in gens if all(p[f] == f for f in base[:i])], inverse, [base[i]])
-    trans = [t for t in tables if len(t) > 1]
-    return _from_chain(g.n, (Permutation(p) for p in gens), trans, gens)
+def automorphisms(g: Graph) -> AutGroup:
+    """Full automorphism group of g.  The search's generators are strong on
+    its base, so their chain reaches its order with no Schreier generator."""
+    base, gens, _, order = g.search
+    return AutGroup._build(g.n, map(Permutation, gens), base, order)
 
 
 def induced_edge_action(index: EdgeIndex, p: Permutation) -> Permutation:
@@ -385,9 +378,12 @@ def _acting_group(g: Graph, group: AutGroup | None) -> AutGroup:
     """The given group, checked to act on g, or Aut(g); g must be connected."""
     if not is_connected(g):
         raise ValueError("transitivity tests need a connected graph")
-    if group is not None:
-        _automorphisms_of(g, group.generators)
-    return automorphisms(g) if group is None else group
+    if group is None:
+        return automorphisms(g)
+    if group.degree != g.n:
+        raise ValueError("group degree does not match the graph")
+    _automorphisms_of(g, group.generators)
+    return group
 
 
 def is_s_arc_transitive(g: Graph, s: int, group: AutGroup | None = None) -> bool:

@@ -23,7 +23,7 @@ from .graphs import Graph, is_complete, is_regular, isomorphic
 from .metrics import diameter, girth, is_connected, local_type
 from .symmetry import (
     AutGroup,
-    automorphisms,
+    _acting_group,
     induced_edge_action,
     is_s_arc_transitive,
     is_s_geodesic_transitive,
@@ -117,10 +117,11 @@ _reference = lru_cache(maxsize=None)(catalog)
 
 @lru_cache(maxsize=256)
 def _induced_line_group(g: Graph, group: AutGroup) -> AutGroup:
-    """The group's action on the line graph of g, built once per host and group."""
+    """The group's action on the line graph of g, built once per host and group.
+    |group| bounds its order (equal for connected g but K2, by Whitney): the chain's stop."""
     index = EdgeIndex.from_graph(g)
     gens = tuple(induced_edge_action(index, p) for p in group.generators)
-    return AutGroup.from_permutations(len(index), gens)
+    return AutGroup._build(len(index), gens, order=group.order)
 
 
 def check_line_equivalence(g: Graph, s: int, group: AutGroup | None = None) -> VerdictReport:
@@ -131,7 +132,7 @@ def check_line_equivalence(g: Graph, s: int, group: AutGroup | None = None) -> V
     reason = _line_equivalence_gate(g, s)
     if reason:
         return _na("thm-1.3", g, params, reason, t0)
-    group = group if group is not None else automorphisms(g)
+    group = _acting_group(g, group)
     arc_count = count_arcs(g, s)
     lhs = arc_count > 0 and transitive_on_level(g, "arcs", s, group)
     gg = girth(g)
@@ -203,7 +204,7 @@ def check_lmap_theorem(g: Graph, s: int, group: AutGroup | None = None) -> Verdi
     arcs = enumerate_arcs(g, s)
     if not arcs:
         return _na("thm-3.2", g, params, f"graph has no {s}-arc", t0)
-    group = group if group is not None else automorphisms(g)
+    group = _acting_group(g, group)
     line = g.line
     index = EdgeIndex.from_graph(g)
     images = edge_sequences(index, arcs)
@@ -216,11 +217,7 @@ def check_lmap_theorem(g: Graph, s: int, group: AutGroup | None = None) -> Verdi
     # Images have s entries, so an image is an arc (a geodesic) of the line
     # graph exactly when it is one of its (s-1)-arcs ((s-1)-geodesics).
     line_geos = set(enumerate_geodesics(line, s - 1)) if within else set()
-    # Each generator preserves the edges (induced_edge_action raises
-    # otherwise), so every sampled element does, and its action on the
-    # line graph is read off the arc's own edges.
-    for p in group.generators:
-        induced_edge_action(index, p)
+    # A sampled element preserves the edges, so it acts on the arc's own edges.
     rng = random.Random(LMAP_SEED)
     for pairs in range(1, LMAP_SAMPLES + 1):
         sigma = group.random_element(rng)
@@ -274,7 +271,7 @@ def classify_valency4_girth3(g: Graph, group: AutGroup | None = None) -> Verdict
         return _na("thm-1.1", g, {}, "graph is not 4-regular", t0)
     if girth(g) != 3:
         return _na("thm-1.1", g, {}, "girth is not 3", t0)
-    group = group if group is not None else automorphisms(g)
+    group = _acting_group(g, group)
     split = transitive_on(enumerate_geodesics(g, 2), group)[1]
     lhs = is_s_geodesic_transitive(g, 1, group) and split.orbit_count <= 1
     octahedral = isomorphic(g, _reference("complete_multipartite(3,2)")) is not None
@@ -308,7 +305,7 @@ def check_locally_cyclic(g: Graph, group: AutGroup | None = None) -> VerdictRepo
     summary = local_type(g)
     if summary is None or summary.kind != "cycle":
         return _na("cor-1.2", g, {}, "graph is not locally cyclic", t0)
-    group = group if group is not None else automorphisms(g)
+    group = _acting_group(g, group)
     lhs = is_s_geodesic_transitive(g, 2, group)
     octahedral = isomorphic(g, _reference("complete_multipartite(3,2)")) is not None
     icosa = isomorphic(g, _reference("icosahedron")) is not None
@@ -326,7 +323,7 @@ def check_weiss_flag(g: Graph, s: int, group: AutGroup | None = None) -> Verdict
     reason = _line_equivalence_gate(g, s)
     if reason:
         return _na("cor-1.4", g, params, reason, t0)
-    group = group if group is not None else automorphisms(g)
+    group = _acting_group(g, group)
     lgroup = _induced_line_group(g, group)
     if not is_s_geodesic_transitive(g.line, s - 1, lgroup):
         return _na("cor-1.4", g, params,

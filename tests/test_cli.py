@@ -140,6 +140,12 @@ def test_verify_requires_s(capsys):
     assert "--s is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["lemma22", "classify-v4g3", "locally-cyclic"])
+def test_verify_rejects_s_where_the_check_takes_none(check, capsys):
+    assert main(["verify", "--check", check, "--s", "3", "--catalog", "petersen"]) == 2
+    assert "--s does not apply" in capsys.readouterr().err
+
+
 def test_verify_records_format(capsys):
     assert main([
         "verify", "--check", "lemma22", "--catalog", "cycle(6)", "--format", "records",

@@ -19,7 +19,6 @@ from linesym.refinement import _child, _state, refine
 from linesym.symmetry import (
     AutGroup,
     Permutation,
-    _automorphisms_cached,
     _chain_order,
     _stabilizer_chain,
     automorphisms,
@@ -130,7 +129,7 @@ def test_order_matches_filter_oracle_on_small_random_graphs():
     rng = random.Random(41)
     for _ in range(25):
         g = random_connected_graph(rng, rng.randint(2, 7), extra_p=rng.choice([0.2, 0.5]))
-        assert automorphisms(g).order == automorphism_count_filter(g)
+        assert automorphisms(g).order == g.search[3] == automorphism_count_filter(g)
 
 
 def test_order_matches_backtracking_oracle_on_catalog():
@@ -234,7 +233,7 @@ def test_prefixed_chain_matches_sympy_with_and_without_the_order_stop():
         group = combinatorics.PermutationGroup([combinatorics.Permutation(list(p)) for p in perms])
         order = group.order()
         stabilizer = group.pointwise_stabilizer(list(prefix)).order() if prefix else order
-        for stop in (None, order):
+        for stop in (None, order, 2 * order):  # a stop above the order never fires
             base, trans, _ = _stabilizer_chain(perms, n, prefix, stop)
             assert tuple(base[:len(prefix)]) == prefix
             assert len(trans) == len(base) and _chain_order(trans) == order
@@ -318,7 +317,7 @@ def test_projective_planes_have_their_closed_form_orders():
     for p, order in ((3, 11232), (5, 744000)):
         g = projective_plane(p)
         assert all(len(row) == p + 1 for row in g.adj)
-        _automorphisms_cached.cache_clear()
+        automorphisms.cache_clear()
         assert automorphisms(g).order == order == 2 * p**3 * (p**3 - 1) * (p**2 - 1)
 
 
@@ -327,7 +326,7 @@ def test_search_depth_is_not_limited_by_the_recursion_limit():
     perm = list(range(50))
     random.Random(3).shuffle(perm)
     h = build_graph(50, [(perm[u], perm[v]) for u, v in g.edges])
-    _automorphisms_cached.cache_clear()
+    automorphisms.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
     try:

@@ -106,6 +106,33 @@ def test_equivalence_report_shape(petersen):
     json.dumps(rec)  # must serialize untouched
 
 
+@pytest.mark.parametrize("checker, host", [
+    (lambda g, grp: check_line_equivalence(g, 2, grp), "petersen"),
+    (lambda g, grp: check_lmap_theorem(g, 2, grp), "petersen"),
+    (lambda g, grp: check_weiss_flag(g, 2, grp), "petersen"),
+    (classify_valency4_girth3, "complete_multipartite(3,2)"),
+    (check_locally_cyclic, "complete_multipartite(3,2)"),
+], ids=["thm-1.3", "thm-3.2", "cor-1.4", "thm-1.1", "cor-1.2"])
+def test_checkers_reject_a_group_that_does_not_act_on_the_graph(checker, host):
+    """Checked before anything is decided under it, so nothing is cached."""
+    linesym.symmetry.transitive_on_level.cache_clear()  # far from its bound
+    g = catalog(host)
+    assert checker(g, None).verdict == PASS  # the host gets past the gates
+    u, v = g.edges[0]
+    swap = list(range(g.n))
+    swap[u], swap[v] = v, u
+    breaks_an_edge = AutGroup.from_permutations(g.n, [Permutation(tuple(swap))])
+    with pytest.raises(ValueError):
+        AutGroup.from_generators(g, breaks_an_edge.generators)
+    wrong_degrees = [AutGroup.from_permutations(n, [Permutation((1, 0) + tuple(range(2, n)))])
+                     for n in (g.n - 1, g.n + 1)]
+    decided = linesym.symmetry.transitive_on_level.cache_info().currsize
+    for group in (*wrong_degrees, breaks_an_edge):
+        with pytest.raises(ValueError):
+            checker(g, group)
+    assert linesym.symmetry.transitive_on_level.cache_info().currsize == decided
+
+
 # -- lemma-2.2 and the subdivision variant ------------------------------------------
 
 
@@ -378,32 +405,43 @@ def test_corpus_check_selection():
 
 def test_corpus_builds_one_induced_group_per_host(monkeypatch):
     calls = []
-    build = AutGroup.from_permutations
+    build = AutGroup._build
 
-    def counted(degree, perms):
+    def counted(degree, perms, prefix=(), order=None):
         calls.append(degree)
-        return build(degree, perms)
+        return build(degree, perms, prefix, order)
 
     linesym.verify._induced_line_group.cache_clear()
-    monkeypatch.setattr(AutGroup, "from_permutations", staticmethod(counted))
+    linesym.symmetry.automorphisms.cache_clear()
+    monkeypatch.setattr(AutGroup, "_build", staticmethod(counted))
     corpus = Corpus(tuple((n, catalog(n)) for n in ("petersen", "heawood")))
     reports = run_corpus(corpus, ["thm13", "weiss"])
     # s = 2, 3, 4 for each host and claim, all through the induced group
     assert len(reports) == 12 and {r.verdict for r in reports} == {PASS}
-    assert sorted(calls) == [15, 21]  # one chain per host, of degree m = 15 and 21
+    # per host one full group, of degree n = 10 and 14, and one induced
+    # group, of degree m = 15 and 21
+    assert sorted(calls) == [10, 14, 15, 21]
 
 
 def test_corpus_decides_each_transitivity_level_once(monkeypatch):
-    levels, groups = [], []
+    levels, groups, building = [], [], []
     first_tuple = linesym.walks.first_tuple
     chain = linesym.symmetry._stabilizer_chain
+    build = AutGroup._build
 
     def located(g, s, geodesic):
         levels.append((g, s, geodesic))
         return first_tuple(g, s, geodesic)
 
+    def built(*args, **kwargs):
+        building.append(args)
+        try:
+            return build(*args, **kwargs)
+        finally:
+            building.pop()
+
     def counted(gens, n, prefix=(), order=None):
-        if prefix:  # a level decision: one chain based at the level's first tuple
+        if not building:  # a level decision: one chain based at the level's first tuple
             groups.append((tuple(map(tuple, gens)), order))
         return chain(gens, n, prefix, order)
 
@@ -413,6 +451,7 @@ def test_corpus_decides_each_transitivity_level_once(monkeypatch):
                 value.cache_clear()
     monkeypatch.setattr(linesym.walks, "first_tuple", located)
     monkeypatch.setattr(linesym.symmetry, "_stabilizer_chain", counted)
+    monkeypatch.setattr(AutGroup, "_build", staticmethod(built))
     reports = run_corpus(Corpus.default(), ["thm13", "weiss"])
     assert {r.verdict for r in reports} == {PASS, NOT_APPLICABLE}
     assert len(levels) == len(groups)
