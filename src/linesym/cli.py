@@ -75,9 +75,7 @@ def _load_graph(args) -> Graph:
     return build_graph(n, pairs, name=args.edges)
 
 
-def _load_group(g: Graph, text: str | None) -> AutGroup:
-    if text is None:
-        return automorphisms(g)
+def _load_group(g: Graph, text: str) -> AutGroup:
     perms = [Permutation.from_one_line(part) for part in text.split(";") if part.strip()]
     return AutGroup.from_generators(g, perms)
 
@@ -133,7 +131,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_orbits(args) -> int:
     g = _load_graph(args)
-    group = _load_group(g, args.group)
+    group = automorphisms(g) if args.group is None else _load_group(g, args.group)
     if args.arcs is not None:
         tuples = enumerate_arcs(g, args.arcs)
         label = f"{args.arcs}-arcs"
@@ -147,27 +145,28 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
+# Check name -> (takes --s, takes --group, run(g, s, group or None for Aut(g))).
+_VERIFY_CHECKS = {
+    "thm13": (True, True, lambda g, s, grp: [check_line_equivalence(g, s, grp)]),
+    "lemma22": (False, False, lambda g, *_: [check_diameter_lemma(g), check_subdivision_diameter(g)]),
+    "thm32": (True, True, lambda g, s, grp: [check_lmap_theorem(g, s, grp)]),
+    "classify-v4g3": (False, True, lambda g, s, grp: [classify_valency4_girth3(g, grp)]),
+    "locally-cyclic": (False, True, lambda g, s, grp: [check_locally_cyclic(g, grp)]),
+    "weiss": (True, True, lambda g, s, grp: [check_weiss_flag(g, s, grp)]),
+}
+
+
 def _cmd_verify(args) -> int:
-    g = _load_graph(args)
-    group = _load_group(g, args.group)
-    needs_s = args.check in ("thm13", "thm32", "weiss")
-    if needs_s != (args.s is not None):
-        print(f"error: --s {'is required for' if needs_s else 'does not apply to'} this check",
+    takes_s, takes_group, run = _VERIFY_CHECKS[args.check]
+    if takes_s != (args.s is not None):
+        print(f"error: --s {'is required for' if takes_s else 'does not apply to'} this check",
               file=sys.stderr)
         return 2
-    if args.check == "thm13":
-        reports = [check_line_equivalence(g, args.s, group)]
-    elif args.check == "thm32":
-        reports = [check_lmap_theorem(g, args.s, group)]
-    elif args.check == "weiss":
-        reports = [check_weiss_flag(g, args.s, group)]
-    elif args.check == "lemma22":
-        reports = [check_diameter_lemma(g), check_subdivision_diameter(g)]
-    elif args.check == "classify-v4g3":
-        reports = [classify_valency4_girth3(g, group)]
-    else:
-        reports = [check_locally_cyclic(g, group)]
-    return _emit(reports, args)
+    if args.group is not None and not takes_group:
+        print("error: --group does not apply to this check", file=sys.stderr)
+        return 2
+    g = _load_graph(args)
+    return _emit(run(g, args.s, None if args.group is None else _load_group(g, args.group)), args)
 
 
 def _cmd_corpus(args) -> int:

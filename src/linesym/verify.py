@@ -12,6 +12,7 @@ is evaluated as 2s <= g + 2 so nothing touches floating point.
 from __future__ import annotations
 
 import json
+import operator
 import random
 import time
 from dataclasses import asdict, dataclass
@@ -36,7 +37,6 @@ from .walks import (
     edge_sequences,
     enumerate_arcs,
     enumerate_geodesics,
-    lmap,
 )
 
 # Published transitivity ceiling, used as an imported constant rather than
@@ -207,33 +207,34 @@ def check_lmap_theorem(g: Graph, s: int, group: AutGroup | None = None) -> Verdi
     group = _acting_group(g, group)
     line = g.line
     index = EdgeIndex.from_graph(g)
-    images = edge_sequences(index, arcs)
-    image_set = set(images)
-    line_arcs = set(enumerate_arcs(line, s - 1))
-    host_geos = enumerate_geodesics(g, s) if s <= diameter(g) else []
+    table = dict(zip(arcs, edge_sequences(index, arcs)))
+    image_set = set(table.values())
     dl = diameter(line)
     gg = girth(g)
     within = s - 1 <= dl
-    # Images have s entries, so an image is an arc (a geodesic) of the line
-    # graph exactly when it is one of its (s-1)-arcs ((s-1)-geodesics).
-    line_geos = set(enumerate_geodesics(line, s - 1)) if within else set()
+    # An image is an arc of L when consecutive entries are adjacent and entries two apart
+    # differ, a geodesic when also its ends are s-1 apart; L's own tuples are only counted.
+    steps = {(a, b) for a, row in enumerate(line.adj) for b in row}
+    line_arcs = {t for t in image_set
+                 if steps.issuperset(zip(t, t[1:])) and all(map(operator.ne, t, t[2:]))}
+    line_geos = {t for t in line_arcs if line.distances(t[0])[t[-1]] == s - 1}
+    covers = len(line_geos) == count_geodesics(line, s - 1) if within else None
     # A sampled element preserves the edges, so it acts on the arc's own edges.
     rng = random.Random(LMAP_SEED)
     for pairs in range(1, LMAP_SAMPLES + 1):
-        sigma = group.random_element(rng)
-        arc = rng.choice(arcs)
-        right = tuple(index.rank_of(sigma(u), sigma(v))
-                      for u, v in map(index.edges.__getitem__, lmap(index, arc)))
-        equivariant = lmap(index, sigma.apply(arc)) == right
+        sigma, arc = group.random_element(rng), rng.choice(arcs)
+        equivariant = table.get(sigma.apply(arc)) == tuple(
+            index.rank_of(sigma(u), sigma(v)) for u, v in map(index.edges.__getitem__, table[arc]))
         if not equivariant:
             break
     observed = {
-        "injective": len(image_set) == len(images),
-        "images_are_arcs": image_set <= line_arcs,
-        "onto_line_arcs": image_set == line_arcs,
-        "geodesics_preserved": set(edge_sequences(index, host_geos)) <= line_geos,
-        "image_covers_geodesics": line_geos <= image_set if within else None,
-        "image_equals_geodesics": image_set == line_geos if within else None,
+        "injective": len(image_set) == len(arcs),
+        "images_are_arcs": len(line_arcs) == len(image_set),
+        "onto_line_arcs": len(line_arcs) == len(image_set) == count_arcs(line, s - 1),
+        "geodesics_preserved": all(table[a] in line_geos for a in arcs
+                                   if g.distances(a[0])[a[-1]] == s),
+        "image_covers_geodesics": covers,
+        "image_equals_geodesics": covers and len(line_geos) == len(image_set),
         "equivariant": equivariant,
     }
     predicted = {

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linesym.cli
+import linesym.refinement
+import linesym.symmetry
 import linesym.verify
 from linesym.cli import main
 from linesym.constructions import catalog
@@ -144,6 +146,32 @@ def test_verify_requires_s(capsys):
 def test_verify_rejects_s_where_the_check_takes_none(check, capsys):
     assert main(["verify", "--check", check, "--s", "3", "--catalog", "petersen"]) == 2
     assert "--s does not apply" in capsys.readouterr().err
+
+
+def test_verify_rejects_group_where_the_check_takes_none(capsys):
+    argv = ["verify", "--check", "lemma22", "--catalog", "petersen", "--group", "0 1 3 2 4 6 5 8 7 9"]
+    assert main(argv) == 2
+    assert "error: --group does not apply to this check" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, searched_orders", [
+    (["--check", "lemma22", "--catalog", "petersen"], []),  # takes no group
+    (["--check", "thm13", "--s", "2", "--catalog", "complete(6)"], []),  # gated out
+    (["--check", "thm13", "--s", "3", "--catalog", "petersen"], [10]),  # reaches its group
+])
+def test_verify_searches_only_when_the_check_reaches_its_group(argv, searched_orders,
+                                                               monkeypatch, capsys):
+    searched = []
+    search = linesym.refinement.automorphism_generators
+
+    def spy(adj):
+        searched.append(len(adj))
+        return search(adj)
+
+    linesym.symmetry.automorphisms.cache_clear()
+    monkeypatch.setattr(linesym.refinement, "automorphism_generators", spy)
+    assert main(["verify", *argv]) == 0
+    assert searched == searched_orders
 
 
 def test_verify_records_format(capsys):

@@ -201,6 +201,27 @@ def test_lmap_check_degenerate_diameter_region(k4):
     assert r.rhs["image_equals_geodesics"] is None
 
 
+@pytest.mark.parametrize("name, s", [("tutte_8_cage", 5), ("complete(4)", 4)])
+def test_lmap_check_builds_one_tuple_list(name, s, monkeypatch):
+    # On K4 at s = 4, s - 1 exceeds the line graph's diameter.
+    calls = []
+    enumerate_ = linesym.walks._enumerate
+
+    def recorded(g, t, geodesic):
+        calls.append((g, t, geodesic))
+        return enumerate_(g, t, geodesic)
+
+    def refuse(*args):
+        raise AssertionError("thm-3.2 mapped an arc on its own")
+
+    monkeypatch.setattr(linesym.walks, "_enumerate", recorded)
+    monkeypatch.setattr(linesym.walks, "lmap", refuse)
+    g = catalog(name)
+    assert check_lmap_theorem(g, s).verdict == PASS
+    assert calls == [(g, s, False)]  # the host's s-arcs, once
+    assert not hasattr(linesym.verify, "lmap")
+
+
 def _lmap_facts_tuple_by_tuple(g, s):
     """thm-3.2's observed facts, one tuple at a time through the predicates,
     with equivariance checked on every generator and every s-arc."""
@@ -248,8 +269,12 @@ def test_lmap_check_matches_the_tuple_by_tuple_facts(shape, n, s, rnd):
     if r.verdict == NOT_APPLICABLE:
         assert not enumerate_arcs(g, s)
         return
-    assert r.lhs == _lmap_facts_tuple_by_tuple(g, s)
+    facts = _lmap_facts_tuple_by_tuple(g, s)
+    assert r.lhs == facts
     assert r.verdict == PASS
+    # Under a given subgroup the sampler draws from it, and the facts stay the same.
+    subgroup = AutGroup.from_generators(g, automorphisms(g).generators[:1])
+    assert check_lmap_theorem(g, s, subgroup).lhs == facts
 
 
 # -- thm-1.1 ---------------------------------------------------------------------
