@@ -16,16 +16,9 @@ from .graphs import Graph, build_graph, is_complete, is_regular
 from .metrics import diameter, girth, is_connected, local_type
 from .symmetry import AutGroup, Permutation, automorphisms, transitive_on
 from .verify import (
-    CHECK_NAMES,
+    CHECKS,
     Corpus,
     VerdictReport,
-    check_diameter_lemma,
-    check_line_equivalence,
-    check_lmap_theorem,
-    check_locally_cyclic,
-    check_subdivision_diameter,
-    check_weiss_flag,
-    classify_valency4_girth3,
     format_records,
     format_table,
     graph_label,
@@ -145,35 +138,24 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
-# Check name -> (takes --s, takes --group, run(g, s, group or None for Aut(g))).
-_VERIFY_CHECKS = {
-    "thm13": (True, True, lambda g, s, grp: [check_line_equivalence(g, s, grp)]),
-    "lemma22": (False, False, lambda g, *_: [check_diameter_lemma(g), check_subdivision_diameter(g)]),
-    "thm32": (True, True, lambda g, s, grp: [check_lmap_theorem(g, s, grp)]),
-    "classify-v4g3": (False, True, lambda g, s, grp: [classify_valency4_girth3(g, grp)]),
-    "locally-cyclic": (False, True, lambda g, s, grp: [check_locally_cyclic(g, grp)]),
-    "weiss": (True, True, lambda g, s, grp: [check_weiss_flag(g, s, grp)]),
-}
-
-
 def _cmd_verify(args) -> int:
-    takes_s, takes_group, run = _VERIFY_CHECKS[args.check]
+    check = CHECKS[args.check]
+    takes_s = check.s_values is not None
     if takes_s != (args.s is not None):
         print(f"error: --s {'is required for' if takes_s else 'does not apply to'} this check",
               file=sys.stderr)
         return 2
-    if args.group is not None and not takes_group:
+    if args.group is not None and not check.takes_group:
         print("error: --group does not apply to this check", file=sys.stderr)
         return 2
     g = _load_graph(args)
-    return _emit(run(g, args.s, None if args.group is None else _load_group(g, args.group)), args)
+    group = None if args.group is None else _load_group(g, args.group)
+    return _emit(check.run(g, args.s, group), args)
 
 
 def _cmd_corpus(args) -> int:
     corpus = Corpus.from_graph6_file(args.graph6) if args.graph6 else Corpus.default()
-    checks = None if args.all else [args.check] if args.check else None
-    reports = run_corpus(corpus, checks)
-    return _emit(reports, args)
+    return _emit(run_corpus(corpus, [args.check] if args.check else None), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.set_defaults(func=_cmd_orbits)
 
     p_ver = sub.add_parser("verify", help="run one claim check")
-    p_ver.add_argument("--check", choices=CHECK_NAMES, required=True)
+    p_ver.add_argument("--check", choices=CHECKS, required=True)
     p_ver.add_argument("--s", type=int)
     p_ver.add_argument("--group", help="semicolon-separated one-line permutations")
     _add_input_args(p_ver)
@@ -215,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor = sub.add_parser("corpus", help="run checks over a corpus")
     cor_sub = p_cor.add_subparsers(dest="corpus_command", required=True)
     p_run = cor_sub.add_parser("run", help="run checks over the default corpus")
-    p_run.add_argument("--all", action="store_true", help="run every check")
-    p_run.add_argument("--check", choices=CHECK_NAMES, help="run a single check")
+    which = p_run.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="run every check (the default)")
+    which.add_argument("--check", choices=CHECKS, help="run a single check")
     p_run.add_argument("--graph6", metavar="FILE", help="corpus from a graph6 file")
     _add_output_args(p_run)
     p_run.set_defaults(func=_cmd_corpus)

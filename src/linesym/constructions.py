@@ -229,45 +229,39 @@ def _k33() -> Graph:
     return build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)], name="k33")
 
 
-_NAMED = {
-    "petersen": _petersen,
-    "heawood": _heawood,
-    "tutte_8_cage": _tutte_8_cage,
-    "icosahedron": _icosahedron,
-    "k33": _k33,
+# The one catalog registry: kind -> (builder, listing, description).  A
+# listing's parenthesised names are the builder's positional parameters.
+CATALOG = {
+    "complete": (_complete, "complete(n)", "complete graph on n vertices"),
+    "cycle": (_cycle, "cycle(n)", "cycle on n >= 3 vertices"),
+    "path": (_path, "path(r)", "path of length r (r edges, r+1 vertices)"),
+    "complete_multipartite": (_complete_multipartite, "complete_multipartite(m,b)",
+                              "m parts of b vertices, all cross edges"),
+    "petersen": (_petersen, "petersen", "2-subsets of a 5-set, adjacent when disjoint"),
+    "heawood": (_heawood, "heawood", "point-line incidence of the 7-point plane"),
+    "tutte_8_cage": (_tutte_8_cage, "tutte_8_cage",
+                     "incidence graph of the order-2 generalized quadrangle"),
+    "icosahedron": (_icosahedron, "icosahedron", "1-skeleton of the regular icosahedron"),
+    "k33": (_k33, "k33", "complete bipartite 3+3"),
 }
 
-_PARAM = re.compile(r"^(complete|cycle|path|complete_multipartite)\((\d+)(?:\s*,\s*(\d+))?\)$")
+_NAME = re.compile(r"(\w+)(?:\((\d+(?:,\d+)*)\))?")
 
 
 def catalog(name: str) -> Graph:
     """Named graph by catalog string, e.g. "petersen" or "complete_multipartite(3,2)"."""
-    key = name.strip().lower().replace(" ", "")
-    if key in _NAMED:
-        return _NAMED[key]()
-    m = _PARAM.match(key)
-    if m:
-        kind, a, b = m.group(1), int(m.group(2)), m.group(3)
-        if kind == "complete_multipartite":
-            if b is None:
-                raise ValueError("complete_multipartite needs two parameters")
-            return _complete_multipartite(a, int(b))
-        if b is not None:
-            raise ValueError(f"{kind} takes one parameter")
-        return {"complete": _complete, "cycle": _cycle, "path": _path}[kind](a)
-    raise ValueError(f"unknown catalog name {name!r}")
+    m = _NAME.fullmatch("".join(name.lower().split()))
+    if m is None or m[1] not in CATALOG:
+        raise ValueError(f"unknown catalog name {name!r}")
+    build, listing, _ = CATALOG[m[1]]
+    args = [int(a) for a in m[2].split(",")] if m[2] else []
+    arity = listing.count(",") + 1 if "(" in listing else 0
+    if len(args) != arity:
+        raise ValueError(f"{listing} takes {arity} parameter{'' if arity == 1 else 's'}, "
+                         f"got {len(args)}")
+    return build(*args)
 
 
 def catalog_entries() -> list[tuple[str, str]]:
     """(name, short description) pairs for the CLI listing."""
-    return [
-        ("complete(n)", "complete graph on n vertices"),
-        ("cycle(n)", "cycle on n >= 3 vertices"),
-        ("path(r)", "path of length r (r edges, r+1 vertices)"),
-        ("complete_multipartite(m,b)", "m parts of b vertices, all cross edges"),
-        ("petersen", "2-subsets of a 5-set, adjacent when disjoint"),
-        ("heawood", "point-line incidence of the 7-point plane"),
-        ("tutte_8_cage", "incidence graph of the order-2 generalized quadrangle"),
-        ("icosahedron", "1-skeleton of the regular icosahedron"),
-        ("k33", "complete bipartite 3+3"),
-    ]
+    return [(listing, desc) for _, listing, desc in CATALOG.values()]

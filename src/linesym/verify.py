@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .constructions import EdgeIndex, catalog, clique_graph, subdivision_graph
 from .graph6 import emit_graph6, parse_graph6
@@ -350,13 +351,6 @@ DEFAULT_CORPUS_NAMES = (
     "path(4)",
 )
 
-CHECK_NAMES = ("thm13", "lemma22", "thm32", "classify-v4g3", "locally-cyclic", "weiss")
-# Checks swept over s behind the equivalence gate: check name -> (claim, checker).
-_GATED_SWEEPS = {
-    "thm13": ("thm-1.3", check_line_equivalence),
-    "weiss": ("cor-1.4", check_weiss_flag),
-}
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -387,41 +381,52 @@ def _theorem_s_range(g: Graph):
     return range(2, diameter(g.line) + 2)
 
 
+class Check(NamedTuple):
+    claim: str  # the claim id of its not-applicable record
+    s_values: Callable | None  # g -> the s a corpus sweep runs, or a not-applicable reason
+    takes_group: bool
+    run: Callable  # (g, s, group or None for Aut(g)) -> reports
+
+
+# The one registry of checks, read by run_corpus and the CLI.  s_values is None
+# for a check without s.  Each run looks its checker up when called.
+CHECKS = {
+    "thm13": Check("thm-1.3", lambda g: _line_equivalence_gate(g) or _theorem_s_range(g), True,
+                   lambda g, s, grp: [check_line_equivalence(g, s, grp)]),
+    "lemma22": Check("lemma-2.2", None, False,
+                     lambda g, s, grp: [check_diameter_lemma(g), check_subdivision_diameter(g)]),
+    "thm32": Check("thm-3.2", lambda g: [s for s in _theorem_s_range(g) if count_arcs(g, s)]
+                   or "no usable s", True, lambda g, s, grp: [check_lmap_theorem(g, s, grp)]),
+    "classify-v4g3": Check("thm-1.1", None, True,
+                           lambda g, s, grp: [classify_valency4_girth3(g, grp)]),
+    "locally-cyclic": Check("cor-1.2", None, True, lambda g, s, grp: [check_locally_cyclic(g, grp)]),
+    "weiss": Check("cor-1.4", lambda g: _line_equivalence_gate(g) or _theorem_s_range(g), True,
+                   lambda g, s, grp: [check_weiss_flag(g, s, grp)]),
+}
+
+
 def run_corpus(corpus: Corpus, checks=None) -> list[VerdictReport]:
     """Run the selected checks over every corpus graph, deterministically.
 
-    Reports come back sorted by graph name, then claim id, then s.  The
-    s-parameterized checks sweep 2..diam(L)+1 for each graph; hypothesis
-    failures surface as single not-applicable records.
+    Reports come back sorted by graph name, then claim id, then s.  Each
+    check runs once per s of its s values (2..diam(L)+1, less what its
+    hypotheses rule out), once if it has none; a graph whose s values are a
+    reason gets a single not-applicable record with s null.
     """
-    selected = tuple(checks) if checks else CHECK_NAMES
-    unknown = [c for c in selected if c not in CHECK_NAMES]
+    selected = tuple(checks) if checks else tuple(CHECKS)
+    unknown = [c for c in selected if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
     reports: list[VerdictReport] = []
     for name, g in sorted(corpus.entries, key=lambda e: e[0]):
         g = Graph(g.n, g.adj, name=name)
-        for check in selected:
-            if check in _GATED_SWEEPS:
-                claim, checker = _GATED_SWEEPS[check]
-                reason = _line_equivalence_gate(g)
-                if reason:
-                    reports.append(_na(claim, g, {"s": None}, reason, time.perf_counter()))
-                else:
-                    reports.extend(checker(g, s) for s in _theorem_s_range(g))
-            elif check == "lemma22":
-                reports.append(check_diameter_lemma(g))
-                reports.append(check_subdivision_diameter(g))
-            elif check == "thm32":
-                srange = [s for s in _theorem_s_range(g) if count_arcs(g, s)]
-                if srange:
-                    reports.extend(check_lmap_theorem(g, s) for s in srange)
-                else:
-                    reports.append(_na("thm-3.2", g, {"s": None}, "no usable s", time.perf_counter()))
-            elif check == "classify-v4g3":
-                reports.append(classify_valency4_girth3(g))
-            elif check == "locally-cyclic":
-                reports.append(check_locally_cyclic(g))
+        for check in map(CHECKS.__getitem__, selected):
+            s_values = [None] if check.s_values is None else check.s_values(g)
+            if isinstance(s_values, str):
+                reports.append(_na(check.claim, g, {"s": None}, s_values, time.perf_counter()))
+            else:
+                for s in s_values:
+                    reports.extend(check.run(g, s, None))
     reports.sort(key=lambda r: (r.graph, r.claim, str(r.params.get("s"))))
     return reports
 

@@ -13,7 +13,7 @@ import linesym.verify
 from linesym.cli import main
 from linesym.constructions import catalog
 from linesym.graph6 import emit_graph6
-from linesym.verify import PASS, VerdictReport
+from linesym.verify import CHECKS, PASS, VerdictReport
 from linesym.walks import EnumerationCapExceeded
 
 
@@ -138,20 +138,29 @@ def test_verify_not_applicable_is_not_failure(capsys):
 
 
 def test_verify_requires_s(capsys):
-    assert main(["verify", "--check", "thm13", "--catalog", "petersen"]) == 2
-    assert "--s is required" in capsys.readouterr().err
+    with_s = [name for name, check in CHECKS.items() if check.s_values is not None]
+    assert {"thm13", "thm32", "weiss"} <= set(with_s)
+    for name in with_s:
+        assert main(["verify", "--check", name, "--catalog", "petersen"]) == 2
+        assert "--s is required" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("check", ["lemma22", "classify-v4g3", "locally-cyclic"])
+@pytest.mark.parametrize("check", [n for n, c in CHECKS.items() if c.s_values is None])
 def test_verify_rejects_s_where_the_check_takes_none(check, capsys):
     assert main(["verify", "--check", check, "--s", "3", "--catalog", "petersen"]) == 2
     assert "--s does not apply" in capsys.readouterr().err
 
 
 def test_verify_rejects_group_where_the_check_takes_none(capsys):
-    argv = ["verify", "--check", "lemma22", "--catalog", "petersen", "--group", "0 1 3 2 4 6 5 8 7 9"]
-    assert main(argv) == 2
-    assert "error: --group does not apply to this check" in capsys.readouterr().err
+    # The identity of petersen: a valid group, rejected only by a check that takes none.
+    identity = " ".join(map(str, range(10)))
+    assert not CHECKS["lemma22"].takes_group
+    for name, check in CHECKS.items():
+        s = ["--s", "2"] if check.s_values is not None else []
+        argv = ["verify", "--check", name, *s, "--catalog", "petersen", "--group", identity]
+        assert main(argv) == (0 if check.takes_group else 2), name
+        rejected = "error: --group does not apply to this check" in capsys.readouterr().err
+        assert rejected == (not check.takes_group), name
 
 
 @pytest.mark.parametrize("argv, searched_orders", [
@@ -227,6 +236,13 @@ def test_corpus_run_default(capsys):
     assert main(["corpus", "run", "--check", "lemma22"]) == 0
     out = capsys.readouterr().out
     assert "0 fail" in out
+
+
+def test_corpus_run_all_and_check_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "run", "--all", "--check", "lemma22"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --all" in capsys.readouterr().err
 
 
 def test_corpus_run_from_graph6_file(petersen_g6, capsys):

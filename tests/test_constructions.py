@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 import sys
 
 import pytest
@@ -227,12 +228,24 @@ def test_catalog_rejects_unknown_names():
     for bad in ("doughnut", "cycle(2)", "complete(0)", "complete_multipartite(1,4)", "path(0)"):
         with pytest.raises(ValueError):
             catalog(bad)
+    for bad, message in [
+        ("petersen(3)", "petersen takes 0 parameters, got 1"),
+        ("cycle(3,4)", "cycle(n) takes 1 parameter, got 2"),
+        ("complete_multipartite(3)", "complete_multipartite(m,b) takes 2 parameters, got 1"),
+        ("complete", "complete(n) takes 1 parameter, got 0"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            catalog(bad)
 
 
 def test_catalog_entries_lists_every_name():
     names = [n for n, _ in catalog_entries()]
     assert "petersen" in names and "tutte_8_cage" in names
     assert len(names) == len(set(names))
+    for listing in names:
+        # Every parameter set to 3 is valid for every family; the built name is canonical.
+        name = re.sub(r"[a-z]+(?=[,)])", "3", listing)
+        assert catalog(name).name == name
 
 
 def test_all_catalog_fixtures_connected():
