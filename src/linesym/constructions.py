@@ -229,6 +229,20 @@ def _k33() -> Graph:
     return build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)], name="k33")
 
 
+def _projective_plane(p: int) -> Graph:
+    """Point-line incidence graph of PG(2, p), p prime: the normalised nonzero
+    vectors of GF(p)^3 are the points and also the lines, incident when their
+    dot product is 0 mod p.  Points are 0..q-1 and lines q..2q-1."""
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        raise ValueError("projective_plane(p) needs a prime p")
+    vecs = [(1, a, b) for a in range(p) for b in range(p)] + [(0, 1, b) for b in range(p)]
+    vecs.append((0, 0, 1))
+    q = len(vecs)
+    edges = [(i, q + j) for i, x in enumerate(vecs) for j, y in enumerate(vecs)
+             if sum(a * b for a, b in zip(x, y)) % p == 0]
+    return build_graph(2 * q, edges, name=f"projective_plane({p})")
+
+
 # The one catalog registry: kind -> (builder, listing, description).  A
 # listing's parenthesised names are the builder's positional parameters.
 CATALOG = {
@@ -243,6 +257,8 @@ CATALOG = {
                      "incidence graph of the order-2 generalized quadrangle"),
     "icosahedron": (_icosahedron, "icosahedron", "1-skeleton of the regular icosahedron"),
     "k33": (_k33, "k33", "complete bipartite 3+3"),
+    "projective_plane": (_projective_plane, "projective_plane(p)",
+                         "point-line incidence of PG(2,p), p prime"),
 }
 
 _NAME = re.compile(r"(\w+)(?:\((\d+(?:,\d+)*)\))?")

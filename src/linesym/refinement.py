@@ -3,16 +3,16 @@
 Everything here works on raw adjacency (a tuple of strictly sorted neighbor
 tuples) so the module stays free of package imports.  A coloring is a list of
 ints, one per vertex, ordered like its cells; `refine` returns each vertex's
-cell start index, and a coloring is "discrete" when every cell is a
-singleton.  Refinement only splits cells, by rules that read colors and
-counts, never vertex ids, so relabelling a graph relabels its search tree.
-The search carries one partition state down its tree: a child copies its
-parent's, splits its vertex off the target cell and refines in place, and a
-leaf's cell order is its vertex order.  The search keeps its own stack, so
-depth is not limited by the recursion limit.  It returns its first path's
-base, relative to which its generators are a strong generating set, the
-group order, and a canonical vertex order, so two graphs are isomorphic
-exactly when their certificates under those orders are equal.
+cell start index, and a coloring is "discrete" when every cell is a singleton.
+Refinement only splits cells, by rules that read colors and counts, never
+vertex ids, so relabelling a graph relabels its search tree.  The search
+carries one partition state down its tree: a child copies its parent's, splits
+its vertex off the target cell, the first largest (Traces' rule: it splits the
+most), and refines in place; a leaf's cell order is its vertex order.  The
+search keeps its own stack, so depth is not limited by the recursion limit.  It
+returns its first path's base, relative to which its generators are a strong
+generating set, the group order, and a canonical vertex order, so two graphs
+are isomorphic exactly when their certificates under those orders are equal.
 """
 
 from __future__ import annotations
@@ -35,20 +35,20 @@ def refine(adj: Adjacency, colors: list[int], splitter: int | None = None) -> li
     equitable coloring: then only that new singleton can split anything.
     """
     elems, pos, color, size = _state(colors)
-    _refine(adj, elems, pos, color, size, list(size) if splitter is None else [splitter])
+    _refine(adj, elems, pos, color, size, sorted(set(color)) if splitter is None else [splitter])
     return color
 
 
 def _state(colors: list[int]):
-    """colors as a partition state (elems, pos, color, size): cells are runs of elems
-    in color order, pos inverts elems, color[v] starts v's run, size[c] is c's length."""
+    """colors as a partition state (elems, pos, color, size): cells are runs of elems in
+    color order, pos inverts elems, color[v] starts v's run, size[i] counts color i."""
     n = len(colors)
     elems = sorted(range(n), key=colors.__getitem__)
-    pos, color, size = [0] * n, [0] * n, {}
+    pos, color, size = [0] * n, [0] * n, [0] * n
     for i, v in enumerate(elems):
         pos[v] = i
         color[v] = color[elems[i - 1]] if i and colors[v] == colors[elems[i - 1]] else i
-        size[color[v]] = size.get(color[v], 0) + 1
+        size[color[v]] += 1
     return elems, pos, color, size
 
 
@@ -122,15 +122,15 @@ class _Node:
 
     __slots__ = ("state", "first", "cell", "next", "parent")
 
-    def __init__(self, state, target: int, first: bool):
-        # The target is the first non-singleton cell at or after the
-        # parent's: it depends on cell sizes alone, never on vertex ids.
+    def __init__(self, state, first: bool):
+        # The target is the first largest cell, which splits the most.  size[i]
+        # counts color i, so index finds its least start, reading no vertex id.
         elems, size = state[0], state[3]
-        while target < len(elems) and size[target] == 1:
-            target += 1
+        top = max(size)
+        target = size.index(top)
         self.state, self.first = state, first  # first: on the first root-to-leaf path
         # Sorted, so that children come in vertex order.
-        self.cell = sorted(elems[target:target + size[target]]) if target < len(elems) else None
+        self.cell = sorted(elems[target:target + top]) if top > 1 else None
         self.next = 0
         self.parent: list[int] | None = None
 
@@ -182,7 +182,7 @@ def automorphism_generators(
     best_cert: Adjacency | None = None  # its certificate, once one is needed
     path: list[int] = []  # path[i]: the vertex individualized below stack[i]
     group_order = 1
-    stack = [_Node(_state(refine(adj, [0] * n)), 0, True)]
+    stack = [_Node(_state(refine(adj, [0] * n)), True)]
     while stack:
         node = stack[-1]
         if node.cell is not None and node.next < len(node.cell):
@@ -199,8 +199,7 @@ def automorphism_generators(
                 if node.find(v) != v:
                     continue
             path.append(v)
-            x = node.state[2][v]
-            stack.append(_Node(_child(adj, node.state, v), x, node.first and node.next == 1))
+            stack.append(_Node(_child(adj, node.state, v), node.first and node.next == 1))
             continue
         if node.cell is None:
             leaf, pos, color, _ = node.state  # leaf[c]: the vertex colored c

@@ -44,18 +44,6 @@ def kneser_graph(n: int, k: int) -> Graph:
     return build_graph(len(subsets), edges, name=f"K({n},{k})")
 
 
-def projective_plane(p: int) -> Graph:
-    """Point-line incidence graph of PG(2, p), p prime: the normalised nonzero
-    vectors of GF(p)^3 are the points and also the lines, incident when their
-    dot product is 0 mod p.  Points are 0..q-1 and lines q..2q-1."""
-    vecs = [(1, a, b) for a in range(p) for b in range(p)] + [(0, 1, b) for b in range(p)]
-    vecs.append((0, 0, 1))
-    q = len(vecs)
-    edges = [(i, q + j) for i, x in enumerate(vecs) for j, y in enumerate(vecs)
-             if sum(a * b for a, b in zip(x, y)) % p == 0]
-    return build_graph(2 * q, edges, name=f"PG(2,{p})")
-
-
 def random_connected_graph(rng: random.Random, n: int, extra_p: float = 0.3) -> Graph:
     """Random spanning tree plus independent extra edges; always connected."""
     edges = {(min(v, u), max(v, u)) for v in range(1, n) for u in [rng.randrange(v)]}

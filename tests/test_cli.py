@@ -282,6 +282,8 @@ def test_missing_file_is_usage_error(capsys):
 def test_bad_catalog_name_is_usage_error(capsys):
     assert main(["invariants", "--catalog", "mystery"]) == 2
     assert "error" in capsys.readouterr().err
+    assert main(["invariants", "--catalog", "projective_plane(4)"]) == 2
+    assert "needs a prime p" in capsys.readouterr().err
 
 
 def test_enumeration_cap_is_exit_2(monkeypatch, capsys):

@@ -225,7 +225,8 @@ def test_catalog_parameterized_names():
 
 
 def test_catalog_rejects_unknown_names():
-    for bad in ("doughnut", "cycle(2)", "complete(0)", "complete_multipartite(1,4)", "path(0)"):
+    for bad in ("doughnut", "cycle(2)", "complete(0)", "complete_multipartite(1,4)", "path(0)",
+                "projective_plane(1)", "projective_plane(9)"):
         with pytest.raises(ValueError):
             catalog(bad)
     for bad, message in [
@@ -236,6 +237,12 @@ def test_catalog_rejects_unknown_names():
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             catalog(bad)
+
+
+def test_projective_plane_of_order_2_is_heawood(heawood):
+    fano = catalog("projective_plane(2)")
+    assert (fano.n, fano.m) == (14, 21)
+    assert isomorphic(fano, heawood) is not None
 
 
 def test_catalog_entries_lists_every_name():

@@ -151,6 +151,12 @@ def test_isomorphic_reuses_the_search_behind_the_group(monkeypatch, petersen):
     assert searched == [g.adj, h.adj]
 
 
+def relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def search_digests() -> dict[str, str]:
     """sha256 of automorphism_generators' (base, generators, order) on six
     graphs, each under two fixed relabellings."""
@@ -159,36 +165,45 @@ def search_digests() -> dict[str, str]:
     out = {}
     for g in graphs:
         for seed in (1, 2):
-            perm = list(range(g.n))
-            random.Random(seed).shuffle(perm)
-            h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-            base, gens, order, _ = refinement.automorphism_generators(h.adj)
+            base, gens, order, _ = refinement.automorphism_generators(relabelled(g, seed).adj)
             text = json.dumps([base, [list(p) for p in gens], list(order)])
             out[f"{g.name}/{seed}"] = hashlib.sha256(text.encode()).hexdigest()
     return out
 
 
-# Recorded from the search as it stood before its partition state was carried
-# down the tree; a change to the tree (base, generators or canonical order)
-# has to re-record them.
+# Recorded from the search that targets the first largest cell; a change to
+# the tree (base, generators or canonical order) has to re-record them.
 SEARCH_DIGESTS = {
     "complete(16)/1": "c9d7f5ce68b2bd3c76d21c42f19338f869505a3637f1e1a96fd77c467b9dcffa",
     "complete(16)/2": "c9d7f5ce68b2bd3c76d21c42f19338f869505a3637f1e1a96fd77c467b9dcffa",
     "cycle(179)/1": "e6fd8a2405112a929c129dba556ac9082f0bb80cf4b6e62ef9a07a4dc03ef01d",
     "cycle(179)/2": "7ab4b75f88ac696a94af56e8afd2584b4be67ad2255292a1c0a8b817b746681c",
-    "K(9,3)/1": "ad0781e48067a24fc1c49f42757f45428cebd465019e767eb9c72f2c1d66cd82",
-    "K(9,3)/2": "6afff7f59e6ba2fb817398d5d58a177194ef5e96f0b5c2894793b87d14c09539",
-    "L(L(L(complete(5))))/1": "c9664371ff67028258d300cf04609bdec9dca4e75b59de44725fa9a077649751",
-    "L(L(L(complete(5))))/2": "9344742e4deb7dddb017b384437c60d384302f975cd9cd5eb9aea20a1039202d",
-    "tutte_8_cage/1": "96f76478cb3905eb205d5bc24fc2b0001ab38c250e86c8fa62925b0f77ddf6e4",
-    "tutte_8_cage/2": "00f89b58ffb93440662f851d785778ce8f332ecea7a3c3add7bd227c3e0c9e07",
-    "Q5/1": "271a27dd39822ebc6e54d68a5dd1d5c60672ee1007288c5e91f97ef2f52cd1a0",
-    "Q5/2": "ebf4d963b6ff9dbec507f45dfc7811ab16d210d74db22d3596acc139940be060",
+    "K(9,3)/1": "2189b86de9313a819e7280f09e14f072218929339f4341775066302dc6eb4442",
+    "K(9,3)/2": "d6b9ad46f9af01ba9b14ea289230f85cfe4da4c8427664cfc62a57f19716b799",
+    "L(L(L(complete(5))))/1": "0fc291e72a72db8bb77f47faac3ee7d82e4200cc40a841380fc6e00a2352ff8a",
+    "L(L(L(complete(5))))/2": "d034cb217a902fc5ce8fb7fb14038cac7e72eab3fb16085fac5300a5b2cf013c",
+    "tutte_8_cage/1": "8631cc4a82c5a95a04e06dffcb8cfbd995cd67420b2bd24cdb23149708e5514f",
+    "tutte_8_cage/2": "1d988c35ef9e86344b7aad1b1d4f8a7407f320f7aae773b6650c35aa44633e3a",
+    "Q5/1": "72d0b0d648727cdd1b0e756499b921bf76466bfd3e1ea7d532ed6bb0d92337ad",
+    "Q5/2": "18d1c911be2a4fd6d42b2d2d3cc85033cd0b45cef598f96c784db1f7f4ece4e6",
 }
 
 
 def test_the_search_tree_is_pinned():
     assert search_digests() == SEARCH_DIGESTS
+
+
+def test_relabelling_a_graph_relabels_its_search_tree():
+    # The target cell is chosen from cell sizes and starts alone, so every
+    # labelling gets the same base depth, group order and canonical form.
+    for g in (catalog("projective_plane(5)"), catalog("complete(5)").line.line.line,
+              kneser_graph(9, 3)):
+        found = set()
+        for seed in (1, 2, 3):
+            h = relabelled(g, seed)
+            base, _, order, group_order = refinement.automorphism_generators(h.adj)
+            found.add((len(base), group_order, refinement.certificate(h.adj, order)))
+        assert len(found) == 1, g.name
 
 
 def test_non_isomorphic_cases():

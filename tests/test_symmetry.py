@@ -37,7 +37,7 @@ from oracles import (
     orbit_partition,
 )
 
-from conftest import projective_plane, random_connected_graph
+from conftest import random_connected_graph
 
 
 # -- permutations ---------------------------------------------------------------
@@ -306,19 +306,22 @@ def test_a_child_refines_in_place_exactly_as_refine_does(g, data):
         while c < g.n:  # each start heads a run of its own color, and the runs tile elems
             assert all(color[w] == c for w in elems[c:c + size[c]])
             c += size[c]
-        assert sum(size.values()) == g.n
+        assert sum(size) == g.n  # size is 0 off the cell starts
         colors = color
     assert state[0] == sorted(range(g.n), key=colors.__getitem__)  # a leaf's cell order
 
 
 def test_projective_planes_have_their_closed_form_orders():
     # |Aut| of the incidence graph of PG(2, p) is 2 |PGL(3, p)|: collineations
-    # and a polarity swapping points with lines.  Refinement alone stalls here.
-    for p, order in ((3, 11232), (5, 744000)):
-        g = projective_plane(p)
+    # and a polarity swapping points with lines.  Refinement alone stalls here;
+    # the search individualizes 4 points, whatever p, so p = 13 is quick.
+    for p, order in ((3, 11232), (5, 744000), (7, 11261376), (11, 424855200),
+                     (13, 1621069632)):
+        g = catalog(f"projective_plane({p})")
         assert all(len(row) == p + 1 for row in g.adj)
         automorphisms.cache_clear()
         assert automorphisms(g).order == order == 2 * p**3 * (p**3 - 1) * (p**2 - 1)
+        assert len(g.search[0]) == 4
 
 
 def test_search_depth_is_not_limited_by_the_recursion_limit():
