@@ -31,9 +31,8 @@ class EdgeIndex:
 
     def rank_of(self, u: int, v: int) -> int:
         """Rank of the edge {u, v}; ValueError when it is not an edge."""
-        key = (u, v) if u < v else (v, u)
         try:
-            return self.host.edge_rank[key]
+            return self.host.edge_rank[u, v]
         except KeyError:
             raise ValueError(f"{u}-{v} is not an edge of the host") from None
 

@@ -60,20 +60,20 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def edge_rank(self) -> dict[Edge, int]:
-        """Rank of each edge in the lexicographic order of `edges`."""
-        return {e: i for i, e in enumerate(self.edges)}
+    def edge_rank(self) -> dict[tuple[int, int], int]:
+        """Rank of each edge in the order of `edges`, under (u, v) and (v, u) alike."""
+        return {k: i for i, (u, v) in enumerate(self.edges) for k in ((u, v), (v, u))}
 
     @cached_property
     def line(self) -> "Graph":
         """Line graph; vertex i is edge i, adjacent when the edges share an endpoint."""
         if self.m == 0:
             raise ValueError("line graph of an edgeless graph is empty")
-        rank = self.edge_rank
-        pairs = []
-        for v, row in enumerate(self.adj):
-            incident = [rank[(v, w) if v < w else (w, v)] for w in row]
-            pairs.extend(itertools.combinations(incident, 2))
+        incident: list[list[int]] = [[] for _ in range(self.n)]  # each vertex's edge ranks
+        for i, (u, v) in enumerate(self.edges):
+            incident[u].append(i)
+            incident[v].append(i)
+        pairs = [p for ranks in incident for p in itertools.combinations(ranks, 2)]
         return build_graph(self.m, pairs, name=f"L({self.name})" if self.name else None)
 
     @cached_property

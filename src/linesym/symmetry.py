@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -188,14 +189,14 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=
 
 def _automorphisms_of(g: Graph, perms: Iterable[Permutation]) -> tuple[Permutation, ...]:
     """The permutations as a tuple; ValueError unless each is an automorphism of g."""
-    perms = tuple(perms)
+    perms, rank = tuple(perms), g.edge_rank
     for p in perms:
         if p.degree != g.n:
             raise ValueError("generator degree does not match the graph")
-        for u, v in g.edges:
-            a, b = p(u), p(v)
-            if ((a, b) if a < b else (b, a)) not in g.edge_rank:
-                raise ValueError(f"permutation {p.one_line()!r} breaks edge {u}-{v}")
+        ends = map(p.images.__getitem__, chain.from_iterable(g.edges))
+        if not all(map(rank.__contains__, zip(ends, ends))):
+            u, v = next(e for e in g.edges if (p(e[0]), p(e[1])) not in rank)
+            raise ValueError(f"permutation {p.one_line()!r} breaks edge {u}-{v}")
     return perms
 
 
@@ -268,9 +269,10 @@ def induced_edge_action(index: EdgeIndex, p: Permutation) -> Permutation:
     """Action of a host automorphism on edge ranks: {u,v} goes to {p(u),p(v)}."""
     if p.degree != index.host.n:
         raise ValueError("permutation degree does not match the host")
+    ends = map(p.images.__getitem__, chain.from_iterable(index.edges))
     try:
-        images = tuple(index.rank_of(p(u), p(v)) for u, v in index.edges)
-    except ValueError:
+        images = tuple(map(index.host.edge_rank.__getitem__, zip(ends, ends)))
+    except KeyError:
         raise ValueError(f"permutation {p.one_line()!r} does not preserve edges") from None
     return Permutation(images)
 

@@ -7,15 +7,17 @@ endpoints at distance exactly s.  Tuples of vertex ids represent both; a
 Everything enumerates in lexicographic order so downstream reports are
 reproducible.
 
-Both enumerators run one kernel: from each start vertex, a depth-first
-search with an explicit stack grows one mutable prefix to depth max(s-3, 1),
-so a long thin walk costs linear time at any s; one list comprehension per
-level then completes all of the vertex's prefixes, at most three levels (a
-longer list-built tail copies each prefix per level, quadratic on thin
-graphs).  An enumerator raises EnumerationCapExceeded, before building any
-tuple, exactly when there are more than ENUMERATION_CAP tuples (read at call
-time); n * D * (D-1)^(s-1), D the largest valency, bounds the s-arcs and so
-the s-geodesics, and the exact count runs only when that bound is over.
+Both enumerators build only the tuples they return.  A depth-first search
+with an explicit stack grows one mutable prefix of length s-3 from each start
+vertex, walking a degree-2 run in one loop, so a long thin walk costs linear
+time at any s.  Arcs with s >= 5 append, to each prefix, the 3-step
+continuations of its last arc, from a table built once per call and shared by
+every prefix that ends in that arc; shorter arcs, and geodesics after their
+prefix, come from one fused comprehension over the last three levels or fewer.
+An enumerator raises EnumerationCapExceeded, before building any tuple,
+exactly when there are more than ENUMERATION_CAP tuples (read at call time);
+n * D * (D-1)^(s-1), D the largest valency, bounds the s-arcs and so the
+s-geodesics, and the exact count runs only when that bound is over.
 """
 
 from __future__ import annotations
@@ -105,6 +107,11 @@ def _prefixes(g: Graph, v: int, depth: int, dist):
         k, w = stack.pop()
         del path[k:]
         path.append(w)
+        while dist is None and k < depth and len(adj[w]) == 2:  # a degree-2 run has one way on
+            a, b = adj[w]
+            w = b if a == path[-2] else a
+            path.append(w)
+            k += 1
         if k == depth:
             yield tuple(path)
         elif dist is None:
@@ -121,18 +128,30 @@ def _enumerate(g: Graph, s: int, geodesic: bool) -> list[tuple[int, ...]]:
             (count_geodesics if geodesic else count_arcs)(g, s) > ENUMERATION_CAP):
         raise EnumerationCapExceeded(f"enumeration cap reached: more than {ENUMERATION_CAP} "
                                      f"{'geodesics' if geodesic else 'arcs'} of length {s}")
-    top = max(s - 3, 1)
-    out: list[tuple[int, ...]] = []
-    for v in range(g.n):
-        dist = g.distances(v) if geodesic else None
-        level = list(_prefixes(g, v, top, dist))
-        for k in range(top + 1, s + 1):
-            if dist is None:
-                level = [(*p, x) for p in level for x in adj[p[-1]] if x != p[-2]]
-            else:
-                level = [(*p, x) for p in level for x in adj[p[-1]] if dist[x] == k]
-        out.extend(level)
-    return out
+    vs = range(g.n)
+    if s == 1:
+        return [(v, w) for v in vs for w in adj[v]]
+    if geodesic:
+        if s == 2:
+            return [(v, w, x) for v in vs for dist in (g.distances(v),) for w in adj[v]
+                    for x in adj[w] if dist[x] == 2]
+        a, b = s - 2, s - 1
+        return [p + (x, y, z) for v in vs for dist in (g.distances(v),)
+                for p in ([(v,)] if s == 3 else _prefixes(g, v, s - 3, dist))
+                for x in adj[p[-1]] if dist[x] == a for y in adj[x] if dist[y] == b
+                for z in adj[y] if dist[z] == s]
+    if s == 2:
+        return [(v, w, x) for v in vs for w in adj[v] for x in adj[w] if x != v]
+    if s == 3:
+        return [(v, w, x, y) for v in vs for w in adj[v] for x in adj[w] if x != v
+                for y in adj[x] if y != w]
+    if s == 4:
+        return [(v, w, x, y, z) for v in vs for w in adj[v] for x in adj[w] if x != v
+                for y in adj[x] if y != w for z in adj[y] if z != x]
+    # every prefix that ends in the arc (u, w) shares its 3-step continuations
+    tails = {(u, w): [(x, y, z) for x in adj[w] if x != u for y in adj[x] if y != w
+                      for z in adj[y] if z != x] for u in vs for w in adj[u]}
+    return [p + t for v in vs for p in _prefixes(g, v, s - 3, None) for t in tails[p[-2:]]]
 
 
 def first_tuple(g: Graph, s: int, geodesic: bool) -> tuple[int, ...] | None:
@@ -176,9 +195,9 @@ def edge_sequences(index: EdgeIndex, arcs: Sequence[tuple[int, ...]]) -> list[tu
     ranks = []
     for a, b in zip(cols, cols[1:]):
         try:
-            ranks.append([rank[(u, v) if u < v else (v, u)] for u, v in zip(a, b)])
+            ranks.append(list(map(rank.__getitem__, zip(a, b))))
         except KeyError:
-            i = next(i for i, e in enumerate(zip(a, b)) if tuple(sorted(e)) not in rank)
+            i = next(i for i, e in enumerate(zip(a, b)) if e not in rank)
             raise ValueError(f"{a[i]}-{b[i]} is not an edge of the host, in {arcs[i]}") from None
     for r, q in zip(ranks, ranks[1:]):
         backtracks = list(map(operator.eq, r, q))

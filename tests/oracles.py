@@ -68,27 +68,35 @@ def girth_oracle(g: Graph):
     return best
 
 
-def all_arcs(g: Graph, s: int) -> set[tuple[int, ...]]:
-    """Every s-arc by filtering the full (s+1)-fold vertex product.
+def _walks(g: Graph, s: int):
+    """Every walk of length s, by filtering the product of neighbour choices:
+    the i-th choice names a position in the adjacency row of the walk's
+    i-th vertex, and a choice past the row's end drops the whole product.
 
-    Exponential; keep the callers on tiny graphs.
+    Exponential; keep the callers on thin or tiny graphs.
     """
-    out = set()
-    for tup in itertools.product(range(g.n), repeat=s + 1):
-        if all(tup[i + 1] in g.adj[tup[i]] for i in range(s)) and all(
-            tup[i - 1] != tup[i + 1] for i in range(1, s)
-        ):
-            out.add(tup)
-    return out
+    width = max(map(len, g.adj))
+    for v in range(g.n):
+        for choice in itertools.product(range(width), repeat=s):
+            walk = [v]
+            for i in choice:
+                row = g.adj[walk[-1]]
+                if i >= len(row):
+                    break
+                walk.append(row[i])
+            else:
+                yield tuple(walk)
+
+
+def all_arcs(g: Graph, s: int) -> set[tuple[int, ...]]:
+    """Every s-arc: the walks of length s with no immediate backtracking."""
+    return {w for w in _walks(g, s) if all(w[i - 1] != w[i + 1] for i in range(1, s))}
 
 
 def all_geodesics(g: Graph, s: int) -> set[tuple[int, ...]]:
+    """Every s-geodesic: the walks of length s whose ends are s apart by Floyd-Warshall."""
     dist = floyd_warshall(g)
-    out = set()
-    for tup in itertools.product(range(g.n), repeat=s + 1):
-        if all(tup[i + 1] in g.adj[tup[i]] for i in range(s)) and dist[tup[0]][tup[-1]] == s:
-            out.add(tup)
-    return out
+    return {w for w in _walks(g, s) if dist[w[0]][w[-1]] == s}
 
 
 def automorphism_count_filter(g: Graph) -> int:

@@ -82,6 +82,13 @@ def test_petersen_neighbors_all_size_3(petersen):
         assert len(petersen.adj[v]) == 3
 
 
+def test_edge_rank_is_keyed_both_ways(petersen):
+    for g in (petersen, catalog("complete(5)"), catalog("path(4)"), build_graph(1, [])):
+        assert len(g.edge_rank) == 2 * g.m
+        for i, (u, v) in enumerate(g.edges):
+            assert g.edge_rank[u, v] == g.edge_rank[v, u] == i
+
+
 def test_induced_subgraph_of_k4_is_k3(k4):
     h = induced_subgraph(k4, {0, 1, 2})
     assert h.n == 3 and is_complete(h)

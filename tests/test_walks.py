@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linesym import walks
@@ -115,8 +115,9 @@ def _core_with_runs(rng: random.Random, core: int, run: int):
 
 
 def test_enumerators_equal_the_oracle_in_order_across_the_tail_boundary():
-    # s from 1 to 6 takes the depth-first part from depth 1 to depth 3 and
-    # the list-built tail from 0 to 3 levels.
+    # s from 1 to 6 takes arcs through the fused comprehensions (s <= 4) and
+    # the shared tails (s >= 5), and geodesics through the depth-first
+    # prefix from depth 0 to depth 3 and the fused three-level tail.
     from linesym.metrics import diameter
 
     rng = random.Random(1729)
@@ -127,6 +128,58 @@ def test_enumerators_equal_the_oracle_in_order_across_the_tail_boundary():
             assert enumerate_arcs(g, s) == sorted(all_arcs(g, s))
         for s in range(1, min(diameter(g), 6) + 1):
             assert enumerate_geodesics(g, s) == sorted(all_geodesics(g, s))
+
+
+@st.composite
+def thin_hosts(draw):
+    """A connected graph of valency at most 3 on at most 13 vertices: a
+    random tree with a few extra edges, then subdivided edges (degree-2
+    runs) and pendant vertices."""
+    n = draw(st.integers(2, 6))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        edges.add((min(u, v), max(u, v)))
+    edges = {e for e in edges if e[0] != e[1]}
+    for _ in range(draw(st.integers(0, 4))):
+        u, v = draw(st.sampled_from(sorted(edges)))
+        edges -= {(u, v)}
+        edges |= {(u, n), (v, n)}
+        n += 1
+    for _ in range(draw(st.integers(0, 3))):
+        edges.add((draw(st.integers(0, n - 1)), n))
+        n += 1
+    g = build_graph(n, edges)
+    assume(max(map(len, g.adj)) <= 3)
+    return g
+
+
+def _check_against_the_oracle(g, lengths):
+    from linesym.metrics import diameter
+
+    for s in lengths:
+        arcs = sorted(all_arcs(g, s))
+        assert enumerate_arcs(g, s) == arcs
+        assert first_tuple(g, s, False) == (arcs[0] if arcs else None)
+        if s <= diameter(g):
+            geos = sorted(all_geodesics(g, s))
+            assert enumerate_geodesics(g, s) == geos
+            assert first_tuple(g, s, True) == geos[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(thin_hosts())
+def test_enumerators_equal_the_sorted_oracle_on_thin_graphs(g):
+    # s from 1 to 7 reaches every branch of the kernel: fused short arcs,
+    # shared arc tails, fused geodesic tails and degree-2 runs.
+    _check_against_the_oracle(g, range(1, 8))
+
+
+@pytest.mark.parametrize("name", [f"path({n})" for n in range(2, 9)]
+                         + [f"cycle({n})" for n in range(3, 9)])
+def test_enumerators_equal_the_sorted_oracle_on_paths_and_cycles(name):
+    # s close to n and past it: a whole path or cycle is one degree-2 run.
+    _check_against_the_oracle(catalog(name), range(1, 8))
 
 
 def test_first_tuple_is_the_least_of_its_level():
