@@ -18,7 +18,6 @@ from .graph6 import emit_graph6, parse_graph6
 from .graphs import (
     Graph,
     build_graph,
-    induced_subgraph,
     is_complete,
     is_regular,
     isomorphic,

@@ -115,7 +115,7 @@ def _cmd_invariants(args) -> int:
         ("complete", is_complete(g)),
         ("girth", girth(g)),
         ("diameter", diameter(g)),
-        ("local", f"{summary.kind}{summary.params}" if summary else None),
+        ("local", f"{summary.kind}({', '.join(map(str, summary.params))})" if summary else None),
     ]
     for key, value in rows:
         print(f"{key:10} {value}")

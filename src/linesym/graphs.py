@@ -142,18 +142,6 @@ def build_graph(n: int, edges: Iterable[Iterable[int]], name: str | None = None)
     return Graph(n, tuple(tuple(sorted(r)) for r in rows), name)
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on the given vertices, relabelled 0..k-1 in sorted order."""
-    vs = sorted(set(vertices))
-    if not vs:
-        raise ValueError("induced subgraph needs at least one vertex")
-    if vs[0] < 0 or vs[-1] >= g.n:
-        raise ValueError("induced subgraph vertex out of range")
-    pos = {v: i for i, v in enumerate(vs)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
-    return build_graph(len(vs), edges)
-
-
 def is_regular(g: Graph) -> int | None:
     """The common valency, or None when degrees differ."""
     degs = {len(row) for row in g.adj}

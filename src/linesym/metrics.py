@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, induced_subgraph, is_regular
+from .graphs import Graph, is_regular
 
 
 def is_connected(g: Graph) -> bool:
@@ -66,36 +66,28 @@ class LocalType:
     params: tuple[int, ...]
 
 
-def _classify_local(local: Graph) -> LocalType:
-    # Disjoint unions of equal cliques take precedence, so a triangle
-    # neighborhood reads as one K3 rather than as a 3-cycle.
-    comp_sizes = []
-    seen = [False] * local.n
-    all_cliques = True
-    for v in range(local.n):
-        if seen[v]:
-            continue
-        comp = [v]
-        seen[v] = True
-        stack = [v]
+def _neighborhood_type(g: Graph, v: int) -> LocalType:
+    """Shape of the graph induced on v's neighbors, read off the rows of g."""
+    nbhd = set(g.adj[v])
+    degrees = {len(nbhd.intersection(g.adj[u])) for u in nbhd}
+    if len(degrees) != 1:
+        return LocalType("other", ())
+    (d,) = degrees
+    comps, unseen = 0, set(nbhd)
+    while unseen:
+        comps += 1
+        stack = [unseen.pop()]
         while stack:
-            u = stack.pop()
-            for w in local.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comp_sizes.append(len(comp))
-        if any(len(local.adj[u]) != len(comp) - 1 for u in comp):
-            all_cliques = False
-    if all_cliques and len(set(comp_sizes)) == 1:
-        return LocalType("disjoint_cliques", (len(comp_sizes), comp_sizes[0]))
-    if (
-        local.n >= 3
-        and len(comp_sizes) == 1
-        and all(len(row) == 2 for row in local.adj)
-    ):
-        return LocalType("cycle", (local.n,))
+            reached = unseen.intersection(g.adj[stack.pop()])
+            unseen -= reached
+            stack.extend(reached)
+    # A component of a d-regular graph has d + 1 or more vertices, and d + 1
+    # exactly when it is a clique.  Cliques take precedence, so a triangle
+    # neighborhood reads as one K3 rather than as a 3-cycle.
+    if comps * (d + 1) == len(nbhd):
+        return LocalType("disjoint_cliques", (comps, d + 1))
+    if d == 2 and comps == 1:
+        return LocalType("cycle", (len(nbhd),))
     return LocalType("other", ())
 
 
@@ -106,10 +98,7 @@ def local_type(g: Graph) -> LocalType | None:
     would coincide, and otherwise when two neighborhoods differ.  Isolated
     vertices have empty neighborhoods, classified "other".
     """
-    k = is_regular(g)
-    if k is None:
+    if is_regular(g) is None:
         return None
-    if k == 0:
-        return LocalType("other", ())
-    shapes = {_classify_local(induced_subgraph(g, row)) for row in g.adj}
+    shapes = {_neighborhood_type(g, v) for v in range(g.n)}
     return shapes.pop() if len(shapes) == 1 else None

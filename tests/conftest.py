@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from linesym.constructions import catalog
 from linesym.graphs import Graph, build_graph
@@ -34,6 +35,15 @@ def triangulated_torus(k: int = 7) -> Graph:
             edges.append((vid(i, j), vid(i, j + 1)))
             edges.append((vid(i, j), vid(i + 1, j + 1)))
     return build_graph(k * k, edges, name=f"torus({k})")
+
+
+@st.composite
+def small_graphs(draw, max_n=8):
+    """Any simple graph on 1..max_n vertices."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph(n, edges)
 
 
 def kneser_graph(n: int, k: int) -> Graph:

@@ -267,3 +267,42 @@ def orbit_partition(universe, gens) -> tuple[int, ...]:
                 parent[a] = b
     names: dict = {}
     return tuple(names.setdefault(find(t), len(names)) for t in universe)
+
+
+def local_type_oracle(g: Graph):
+    """(kind, params) of the neighborhood shape every vertex shares, or None.
+
+    Straight from the definitions, one vertex at a time: components by
+    merging the sets of adjacent neighbors; "disjoint_cliques" when every
+    pair inside each component is adjacent and the components have one size;
+    "cycle" when the neighborhood is connected, has 3 or more vertices and
+    each has exactly two neighbors in it.  Cliques are tested first; anything
+    else, the empty neighborhood included, is "other".  None when the graph
+    is not regular or two neighborhoods differ.
+    """
+    if len({len(row) for row in g.adj}) != 1:
+        return None
+    shapes = set()
+    for row in g.adj:
+        comp = {u: {u} for u in row}
+        for a, b in itertools.combinations(row, 2):
+            if g.has_edge(a, b) and comp[a] is not comp[b]:
+                merged = comp[a] | comp[b]
+                for x in merged:
+                    comp[x] = merged
+        comps = list({id(c): c for c in comp.values()}.values())
+        if (
+            comps
+            and all(g.has_edge(a, b) for c in comps for a, b in itertools.combinations(c, 2))
+            and len({len(c) for c in comps}) == 1
+        ):
+            shapes.add(("disjoint_cliques", (len(comps), len(comps[0]))))
+        elif (
+            len(row) >= 3
+            and len(comps) == 1
+            and all(sum(g.has_edge(u, w) for w in row) == 2 for u in row)
+        ):
+            shapes.add(("cycle", (len(row),)))
+        else:
+            shapes.add(("other", ()))
+    return shapes.pop() if len(shapes) == 1 else None

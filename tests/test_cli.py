@@ -100,6 +100,13 @@ def test_invariants_from_graph6(petersen_g6, capsys):
     assert "disjoint_cliques(3, 1)" in out
 
 
+def test_invariants_print_the_local_params_as_a_list(capsys):
+    expected = {"icosahedron": "cycle(5)", "complete_multipartite(4,2)": "other()"}
+    for name, local in expected.items():
+        assert main(["invariants", "--catalog", name]) == 0
+        assert f"local      {local}\n" in capsys.readouterr().out
+
+
 def test_orbits_arcs(capsys):
     assert main(["orbits", "--arcs", "3", "--catalog", "petersen"]) == 0
     out = capsys.readouterr().out

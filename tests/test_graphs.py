@@ -11,7 +11,6 @@ from linesym.constructions import catalog
 from linesym.graphs import (
     Graph,
     build_graph,
-    induced_subgraph,
     is_complete,
     is_regular,
     isomorphic,
@@ -87,25 +86,6 @@ def test_edge_rank_is_keyed_both_ways(petersen):
         assert len(g.edge_rank) == 2 * g.m
         for i, (u, v) in enumerate(g.edges):
             assert g.edge_rank[u, v] == g.edge_rank[v, u] == i
-
-
-def test_induced_subgraph_of_k4_is_k3(k4):
-    h = induced_subgraph(k4, {0, 1, 2})
-    assert h.n == 3 and is_complete(h)
-
-
-def test_induced_subgraph_requires_vertices(k4):
-    with pytest.raises(ValueError):
-        induced_subgraph(k4, set())
-    with pytest.raises(ValueError):
-        induced_subgraph(k4, {0, 9})
-
-
-def test_induced_full_vertex_set_is_identity():
-    rng = random.Random(5)
-    for _ in range(20):
-        g = random_connected_graph(rng, rng.randint(2, 9))
-        assert induced_subgraph(g, set(range(g.n))).edges == g.edges
 
 
 def test_is_regular_path_absent():

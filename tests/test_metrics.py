@@ -1,14 +1,22 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from linesym.constructions import catalog, line_graph
-from linesym.graphs import build_graph
+from linesym.graphs import Graph, build_graph
 from linesym.metrics import LocalType, diameter, girth, is_connected, local_type
-from oracles import diameter_oracle, floyd_warshall, girth_oracle
+from oracles import diameter_oracle, floyd_warshall, girth_oracle, local_type_oracle
 
-from conftest import random_connected_graph
+from conftest import (
+    circulant,
+    cube_graph,
+    random_connected_graph,
+    small_graphs,
+    triangulated_torus,
+)
 
 
 def test_distance_rows_are_computed_once_per_source():
@@ -126,6 +134,13 @@ def test_partition_cells_are_distance_levels(petersen):
 # -- local types ---------------------------------------------------------------
 
 
+def prism_plus_k4() -> Graph:
+    """The triangular prism beside K4: 3-regular, two neighbourhood shapes."""
+    return build_graph(10, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                            (0, 3), (1, 4), (2, 5), (6, 7), (6, 8), (6, 9),
+                            (7, 8), (7, 9), (8, 9)])
+
+
 def test_local_type_icosahedron(icosahedron):
     assert local_type(icosahedron) == LocalType("cycle", (5,))
 
@@ -154,11 +169,74 @@ def test_local_type_mixed_graph_has_no_summary():
     assert local_type(build_graph(3, [(0, 1), (1, 2)])) is None
     # 3-regular, but the prism's neighbourhoods are an edge plus a vertex
     # while K4's are triangles: no shape is shared
-    prism_plus_k4 = build_graph(10, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
-                                     (0, 3), (1, 4), (2, 5), (6, 7), (6, 8), (6, 9),
-                                     (7, 8), (7, 9), (8, 9)])
-    assert local_type(prism_plus_k4) is None
+    assert local_type(prism_plus_k4()) is None
 
 
 def test_local_type_isolated_vertex_labeled_other():
     assert local_type(build_graph(2, [])) == LocalType("other", ())
+
+
+def cartesian_product(g: Graph, h: Graph) -> Graph:
+    """G x H, where (u, x) ~ (w, y) when u = w and x ~ y or x = y and u ~ w.
+
+    No edge joins the two halves of a neighbourhood, so each one is the
+    disjoint union of a neighbourhood of G and one of H.
+    """
+    edges = [(u * h.n + x, w * h.n + x) for u, w in g.edges for x in range(h.n)]
+    edges += [(u * h.n + x, u * h.n + y) for u in range(g.n) for x, y in h.edges]
+    return build_graph(g.n * h.n, edges)
+
+
+def _as_pair(t):
+    return None if t is None else (t.kind, t.params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_local_type_matches_the_oracle_on_small_graphs(g):
+    assert _as_pair(local_type(g)) == local_type_oracle(g)
+
+
+def _local_type_families():
+    """Hosts on which local_type gives each of its four outcomes."""
+    icosahedron, octahedron = catalog("icosahedron"), catalog("complete_multipartite(3,2)")
+    yield from (triangulated_torus(k) for k in range(4, 8))
+    yield icosahedron
+    yield octahedron
+    for name in ("complete(4)", "k33", "petersen", "heawood", "tutte_8_cage"):
+        yield catalog(name).line
+    yield cube_graph().line
+    for n in range(2, 8):
+        yield catalog(f"complete({n})")
+    yield catalog("complete_multipartite(4,2)")
+    # locally two 4-cycles, and a 4-cycle beside a 5-cycle: 2-regular, not connected
+    yield cartesian_product(octahedron, octahedron)
+    yield cartesian_product(icosahedron, octahedron)
+    for n in range(3, 17):
+        for r in (1, 2, 3):
+            for jumps in itertools.combinations(range(1, n // 2 + 1), r):
+                yield circulant(n, jumps)
+    yield prism_plus_k4()
+
+
+def test_local_type_matches_the_oracle_on_every_outcome():
+    kinds = Counter()
+    for g in _local_type_families():
+        got = local_type(g)
+        assert _as_pair(got) == local_type_oracle(g), g
+        kinds[got and got.kind] += 1
+    assert set(kinds) == {"cycle", "disjoint_cliques", "other", None}, kinds
+
+
+def test_local_type_builds_no_graph(monkeypatch, icosahedron, petersen):
+    hosts = [icosahedron, line_graph(petersen).graph, triangulated_torus(6)]
+
+    def refuse(self):
+        raise RuntimeError("local_type built a Graph")
+
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    assert [local_type(g) for g in hosts] == [
+        LocalType("cycle", (5,)),
+        LocalType("disjoint_cliques", (2, 2)),
+        LocalType("cycle", (6,)),
+    ]

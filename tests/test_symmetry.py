@@ -37,7 +37,7 @@ from oracles import (
     orbit_partition,
 )
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, small_graphs
 
 
 # -- permutations ---------------------------------------------------------------
@@ -136,14 +136,6 @@ def test_order_matches_backtracking_oracle_on_catalog():
     for name in ("petersen", "k33", "icosahedron", "cycle(6)", "path(4)"):
         g = catalog(name)
         assert automorphisms(g).order == automorphism_count_backtrack(g)
-
-
-@st.composite
-def small_graphs(draw, max_n=8):
-    n = draw(st.integers(1, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return build_graph(n, edges)
 
 
 def test_order_matches_networkx_and_the_schreier_sims_chain():
