@@ -3,15 +3,14 @@
 Permutations compose in application order: (p * q) means "apply p, then q".
 Group orders come from a stabilizer chain (orbit sizes multiplied down the
 chain), never from enumerating elements; the same chain draws uniformly
-random elements, one coset representative per level.  Each chain level maps
-every point t of its base point's orbit to an element carrying t back to
-that point.  Every chain comes from one incremental Schreier-Sims routine
-(Seress, Permutation Group Algorithms, 2003, section 4.2; Holt, Eick &
-O'Brien, Handbook of Computational Group Theory, 2005, section 4.4), which
-stops once its order reaches a known one, such as the search's for
-`automorphisms`.  `transitive_on` splits an explicit tuple
-universe into orbits; the transitivity predicates build no tuple and decide
-each level by orbit-stabilizer (`transitive_on_level`).
+random elements, one coset representative per level.  Each chain level is a
+Schreier vector, mapping each orbit point to its parent and a generator
+(Seress, Permutation Group Algorithms, 2003, section 4.1), whose elements are
+built when asked for; `automorphisms` reads its levels off the search's base
+by point images alone.  Other chains come from incremental Schreier-Sims
+(section 4.2), stopping at a known order.  `transitive_on` splits an explicit
+tuple universe into orbits; the transitivity predicates build no tuple and
+decide each level by orbit-stabilizer (`transitive_on_level`).
 """
 
 from __future__ import annotations
@@ -208,17 +207,17 @@ def _chain_order(trans) -> int:
 class AutGroup:
     """A permutation group given by generators, with an exact order.
 
-    `_transversals` holds the non-trivial chain levels; each level's first
-    key is its base point b, and each key t maps to an element carrying t to
-    b.  `_stabilizer` holds the strong generators fixing the first level's
-    base point, which generate that point's stabilizer.
+    `_levels` holds the non-trivial chain levels, base point first: Schreier
+    vectors (b -> None, x -> (t, s) with s[x] = t), or tables carrying each
+    point to b, which `_reps` memoises.  `_stabilizer` generates the first G_b.
     """
 
     degree: int
     generators: tuple[Permutation, ...]
     order: int
-    _transversals: tuple = field(repr=False, compare=False, default=())
+    _levels: tuple = field(repr=False, compare=False, default=())
     _stabilizer: tuple = field(repr=False, compare=False, default=())
+    _reps: list = field(repr=False, compare=False, default_factory=list)
 
     @staticmethod
     def from_permutations(degree: int, perms: Iterable[Permutation]) -> "AutGroup":
@@ -229,19 +228,44 @@ class AutGroup:
 
     @staticmethod
     def _build(degree: int, perms: Iterable[Permutation], prefix=(), order=None) -> "AutGroup":
-        """The group on perms from one `_stabilizer_chain`, dropping identities
-        and trivial levels, which prefix levels can be."""
+        """The group on perms, without identities or trivial levels: level i is the
+        Schreier vector of b_i under the generators fixing b_1..b_{i-1} if the orbit
+        lengths reach order >= |<perms>|, proving perms strong; else `_stabilizer_chain`."""
         gens = tuple(p for p in perms if not p.is_identity())
-        _, trans, strong = _stabilizer_chain([p.images for p in gens], degree, prefix, order)
-        trans = tuple(t for t in trans if len(t) > 1)
-        b = next(iter(trans[0])) if trans else None
-        stabilizer = tuple(p for p in strong if p[b] == b) if trans else ()
-        return AutGroup(degree, gens, _chain_order(trans), trans, stabilizer)
+        strong, levels = [p.images for p in gens], []
+        steps = [(s, _invert(s)) for s in strong] if prefix and order else []
+        for b in prefix:
+            vector, queue = {b: None}, [b]
+            for t in queue:
+                for s, inverse in steps:
+                    if (x := inverse[t]) not in vector:
+                        vector[x] = (t, s)
+                        queue.append(x)
+            levels += [vector] if len(vector) > 1 else []
+            steps = [(s, inverse) for s, inverse in steps if s[b] == b]
+        if _chain_order(levels) != order:
+            _, trans, strong = _stabilizer_chain(strong, degree, prefix, order)
+            levels = [t for t in trans if len(t) > 1]
+        reps = [v if v[next(iter(v))] else {next(iter(v)): tuple(range(degree))} for v in levels]
+        b = next(iter(levels[0])) if levels else None
+        stabilizer = tuple(p for p in strong if p[b] == b) if levels else ()
+        return AutGroup(degree, gens, _chain_order(levels), tuple(levels), stabilizer, reps)
 
     @staticmethod
     def from_generators(g: Graph, perms: Iterable[Permutation]) -> "AutGroup":
         """Validating constructor: every generator must preserve g's edge set."""
         return AutGroup.from_permutations(g.n, _automorphisms_of(g, perms))
+
+    def _reps_of(self, i: int, points) -> dict:
+        """Level i's memo, once it holds each of points: a vector's x -> (t, s) is s, then t's."""
+        level, reps = self._levels[i], self._reps[i]
+        for x in points if len(reps) < len(level) else ():
+            path = [x]
+            while path[-1] not in reps:
+                path.append(level[path[-1]][0])
+            for y in reversed(path[:-1]):
+                reps[y] = _compose(level[y][1], reps[level[y][0]])
+        return reps
 
     def random_element(self, rng: random.Random) -> Permutation:
         """A uniformly random element of the group.
@@ -249,18 +273,19 @@ class AutGroup:
         Every element is exactly one product of coset representatives, one
         per chain level in base order, so choosing each uniformly gives a
         uniform element (Seress, Permutation Group Algorithms, 2003,
-        section 2).
+        section 2).  Only the drawn representatives are built.
         """
         p = tuple(range(self.degree))
-        for level in self._transversals:
-            p = _compose(p, rng.choice(tuple(level.values())))
+        for i, level in enumerate(self._levels):
+            t = rng.choice(tuple(level))
+            p = _compose(p, self._reps[i].get(t) or self._reps_of(i, (t,))[t])
         return Permutation(p)
 
 
 @lru_cache(maxsize=256)
 def automorphisms(g: Graph) -> AutGroup:
     """Full automorphism group of g.  The search's generators are strong on
-    its base, so their chain reaches its order with no Schreier generator."""
+    its base, so their Schreier vectors reach its order by point images alone."""
     base, gens, _, order = g.search
     return AutGroup._build(g.n, map(Permutation, gens), base, order)
 
@@ -340,7 +365,7 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
     universe = tuple(tuples)
     cap = walks.ENUMERATION_CAP
     gens = [p.images for p in group.generators]
-    level = group._transversals[0] if group._transversals else {}
+    level = group._reps_of(0, group._levels[0]) if group._levels else {}
     label: dict = {}  # fibre image, or tuple starting outside O -> orbit id
     ids = []
     count = 0

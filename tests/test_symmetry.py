@@ -5,6 +5,7 @@ import math
 import operator
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -344,6 +345,95 @@ def test_random_element_is_uniform_over_the_chain():
     assert len(seen) == grp.order == 10
 
 
+def test_random_element_traces_the_schreier_vector_and_builds_no_level():
+    """A draw traces its representatives up each level's Schreier vector and
+    memoises only the points it passes; with every level tabled, the same
+    draws come from the tables instead."""
+    g = catalog("cycle(40)")
+    base, gens, _, order = g.search
+    traced, tabled = (AutGroup._build(g.n, map(Permutation, gens), base, order) for _ in "ab")
+    _transversals(tabled)
+    edges = set(g.edges)
+    for seed in range(20):
+        p = traced.random_element(random.Random(seed))
+        assert p == tabled.random_element(random.Random(seed))
+        assert {tuple(sorted((p(u), p(v)))) for u, v in g.edges} == edges
+    assert len(traced._reps[0]) < len(traced._levels[0]) == 40
+
+
+def _thrice_iterated_line_graph_of_k5():
+    g = catalog("complete(5)")
+    for _ in range(3):
+        g = line_graph(g).graph
+    return g
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: catalog("cycle(4000)"), 8000),
+    (lambda: catalog("projective_plane(13)"), 2 * 13**3 * (13**3 - 1) * (13**2 - 1)),
+    (_thrice_iterated_line_graph_of_k5, 120),
+    (lambda: catalog("complete(50)"), math.factorial(50)),
+    (lambda: catalog("tutte_8_cage"), 1440),
+])
+def test_automorphism_orders_compose_no_permutation(monkeypatch, build, order):
+    """The search's generators are strong on its base, so the chain's orbits
+    come from point images alone: the only permutation work is inverting
+    each generator once."""
+    g = build()
+    g.search  # the search itself is not under test
+
+    def refuse(p, q):
+        raise AssertionError("automorphisms() composed a permutation")
+
+    automorphisms.cache_clear()
+    monkeypatch.setattr(linesym.symmetry, "_compose", refuse)
+    assert automorphisms(g).order == order
+
+
+def test_the_group_of_a_long_cycle_holds_linear_memory():
+    """Explicit transversals would hold 4000 tuples of 4000 entries (about
+    120 MB); Schreier vectors hold one (parent, generator) pair per point."""
+    g = catalog("cycle(4000)")
+    g.search
+    automorphisms.cache_clear()
+    tracemalloc.start()
+    try:
+        assert automorphisms(g).order == 8000
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2_000_000
+
+
+@pytest.mark.parametrize("name", ["petersen", "tutte_8_cage", "cycle(12)", "complete(6)"])
+def test_build_falls_back_to_schreier_sims_when_the_generators_are_not_strong(name):
+    """With a search generator dropped, the orbits no longer reach the given
+    order, and the group built is the one the remaining generators generate."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    g = catalog(name)
+    base, gens, _, order = g.search
+    kept = [Permutation(p) for p in gens[:-1]]
+    expected = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(p.images)) for p in kept]).order()
+    group = AutGroup._build(g.n, kept, base, order)
+    assert group.order == expected < order
+    _assert_levels_carry_keys_to_their_base_points(group, set(g.edges))
+
+
+def test_groups_of_equal_graphs_are_equal_and_hash_equal_whatever_is_tabled():
+    """AutGroup keys lru caches, so its levels, tabled or not, stay out of
+    comparison and hashing."""
+    automorphisms.cache_clear()
+    first = automorphisms(catalog("petersen"))
+    automorphisms.cache_clear()
+    second = automorphisms(catalog("petersen"))
+    assert first is not second
+    first._reps_of(0, first._levels[0])
+    assert first._reps != second._reps
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+
+
 def test_from_generators_validates():
     g = catalog("cycle(4)")
     rot = Permutation((1, 2, 3, 0))
@@ -576,12 +666,17 @@ def _elements(group):
     return seen
 
 
+def _transversals(group):
+    """Every chain level's element table, built from its Schreier vector if need be."""
+    return [group._reps_of(i, level) for i, level in enumerate(group._levels)]
+
+
 def _assert_levels_carry_keys_to_their_base_points(group, edges=None):
     """Each level maps its base point to the identity and every key t to an
     element w with w[t] equal to the base point; with edges given, every w
     must also preserve them."""
     identity = tuple(range(group.degree))
-    for level in group._transversals:
+    for level in _transversals(group):
         point = next(iter(level))
         assert level[point] == identity
         for t, w in level.items():
@@ -611,7 +706,7 @@ def test_transversal_entries_are_group_elements_carrying_their_keys_to_the_base_
     gens_preserve = all({tuple(sorted((p(a), p(b)))) for a, b in edges} == edges
                         for p in group.generators)
     _assert_levels_carry_keys_to_their_base_points(group, edges if gens_preserve else None)
-    assert all(w in elements for level in group._transversals for w in level.values())
+    assert all(w in elements for level in _transversals(group) for w in level.values())
 
 
 def test_transitive_on_inverts_nothing(monkeypatch, petersen, k3_parts_of_2):
