@@ -12,6 +12,7 @@ from .constructions import (
     catalog,
     clique_graph,
     line_graph,
+    root_graph,
     subdivision_graph,
 )
 from .graph6 import emit_graph6, parse_graph6

@@ -1,4 +1,5 @@
-"""Derived graphs (line, subdivision, clique) and a small catalog of named graphs.
+"""Derived graphs (line, subdivision, clique), line-graph roots, and a small
+catalog of named graphs.
 
 Edge numbering is the load-bearing convention here: every derived object
 orders the host's edges lexicographically by (min, max) endpoint pair, and
@@ -67,6 +68,13 @@ def line_graph(g: Graph) -> DerivedGraph:
     Requires at least one edge, since the empty graph is not representable.
     """
     return DerivedGraph(g.line, "line", index=EdgeIndex.from_graph(g))
+
+
+def root_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]] | None:
+    """(H, ends) with g = L(H) under vertex x -> edge ends[x] of H, when g is a
+    connected line graph; else None.  Every root is certified: L(H) rebuilt
+    under the bijection equals g.  The root of K3 comes back as K3, not K1,3."""
+    return g.root
 
 
 def subdivision_graph(g: Graph) -> DerivedGraph:

@@ -4,15 +4,15 @@ Vertices are always 0..n-1 and every adjacency row is a strictly sorted
 tuple, so a Graph is hashable, deterministic to iterate, and safe to share.
 Anything that looks like a multigraph (duplicate edges) is collapsed at
 construction; self-loops are rejected outright.  Facts derived from the
-adjacency (the edge list and its ranks, distance rows, the line graph, the
-automorphism search) are cached on first use, so every caller holding the
-graph shares them.
+adjacency (the edge list and its ranks, distance rows, the line graph, a
+line graph's root, the automorphism search) are cached on first use, so
+every caller holding the graph shares them.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -75,6 +75,12 @@ class Graph:
             incident[v].append(i)
         pairs = [p for ranks in incident for p in itertools.combinations(ranks, 2)]
         return build_graph(self.m, pairs, name=f"L({self.name})" if self.name else None)
+
+    @cached_property
+    def root(self) -> "tuple[Graph, tuple[Edge, ...]] | None":
+        """(H, ends) with self = L(H) under vertex x -> edge ends[x] of H, for
+        a connected line graph; None for any other graph (see `_line_root`)."""
+        return _line_root(self)
 
     @cached_property
     def search(self) -> tuple[list[int], list[tuple[int, ...]], tuple[int, ...], int]:
@@ -140,6 +146,67 @@ def build_graph(n: int, edges: Iterable[Iterable[int]], name: str | None = None)
         rows[u].append(v)
         rows[v].append(u)
     return Graph(n, tuple(tuple(sorted(r)) for r in rows), name)
+
+
+def _line_root(g: Graph) -> tuple[Graph, tuple[Edge, ...]] | None:
+    """Root of a connected line graph by clique propagation (Roussopoulos 1973).
+
+    In L(H) the edges at each vertex u of H form a clique C_u, and a vertex
+    x = uv of L(H) lies in exactly two of them, with N[x] = C_u | C_v.  So one
+    clique of x gives its other one, and the cliques propagate from the one
+    holding an edge {0, y} of g: {0, y} with each common neighbour z whose
+    triangle {0, y, z} is odd, some other vertex seeing one or all three of
+    its corners.  Three edges at one root vertex give an odd triangle unless
+    the root has at most 4 vertices, and three edges of a root triangle never
+    do (van Rooij & Wilf 1965).  On at most 6 vertices, where the root may
+    have 4, every clique the edge can lie in is tried.  A candidate counts
+    only once L(H), rebuilt under the bijection, equals g.
+    """
+    adj = g.adj
+    if g.n == 1:
+        return build_graph(2, [(0, 1)]), ((0, 1),)
+    if not adj[0]:
+        return None
+    y = adj[0][0]
+    common = sorted(set(adj[0]).intersection(adj[y]))
+    starts = [[0, y, *(z for z in common if _odd_triangle(adj, (0, y, z)))]]
+    if g.n <= 6:
+        starts += [[0, y, *(w for w in common if w != z)] for z in [None, *common]]
+    for start in starts:
+        found = _propagate_cliques(adj, start)
+        if found is not None:
+            return found
+    return None
+
+
+def _odd_triangle(adj, t) -> bool:
+    seen = Counter(w for v in t for w in adj[v] if w not in t)
+    return 1 in seen.values() or 3 in seen.values()
+
+
+def _propagate_cliques(adj, start) -> tuple[Graph, tuple[Edge, ...]] | None:
+    """The root whose first vertex's edges are start, certified, or None."""
+    cliques, at = [start], [[] for _ in adj]  # at[x]: the cliques holding x
+    for x in start:
+        at[x].append(0)
+    for clique in cliques:
+        members = set(clique)
+        for y in clique:
+            if len(at[y]) == 1:
+                other = [y, *set(adj[y]).difference(members)]
+                if len(clique) + len(other) != len(adj[y]) + 2:
+                    return None  # y is not adjacent to all of its first clique
+                for w in other:
+                    at[w].append(len(cliques))
+                    if len(at[w]) > 2:
+                        return None
+                cliques.append(other)
+    # L(H) = g under the bijection iff each N[x] is its two cliques, meeting in x alone
+    ends = tuple(map(tuple, at))
+    for x, (row, pair) in enumerate(zip(adj, ends)):
+        if len(pair) != 2 or sorted(cliques[pair[0]] + cliques[pair[1]]) != sorted((x, x, *row)):
+            return None
+    return build_graph(len(cliques), ends), ends
 
 
 def is_regular(g: Graph) -> int | None:

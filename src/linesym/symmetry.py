@@ -7,10 +7,18 @@ random elements, one coset representative per level.  Each chain level is a
 Schreier vector, mapping each orbit point to its parent and a generator
 (Seress, Permutation Group Algorithms, 2003, section 4.1), whose elements are
 built when asked for; `automorphisms` reads its levels off the search's base
-by point images alone.  Other chains come from incremental Schreier-Sims
-(section 4.2), stopping at a known order.  `transitive_on` splits an explicit
-tuple universe into orbits; the transitivity predicates build no tuple and
-decide each level by orbit-stabilizer (`transitive_on_level`).
+by point images alone.  A line graph L(H) whose connected root has 5 <= |H|
+< |L(H)| vertices is not searched: by Whitney's theorem (1932) Aut(H) acts
+on its edges as all of Aut(L(H)), the exceptions K2, K3, K1,3, K4, K4 - e and
+K1,3 + e having fewer vertices.  Aut(H) (itself through H's root where H
+qualifies) is mapped through the certified edge bijection `Graph.root`, and
+the Schreier vectors of the edges at H's base points are the levels when
+their orbit lengths multiply to |Aut H|, which proves the mapped generators
+strong; otherwise L(H) is searched.  Other chains come from incremental
+Schreier-Sims (section 4.2), stopping at a known order.  `transitive_on`
+splits an explicit tuple universe into orbits; the transitivity predicates
+build no tuple and decide each level by orbit-stabilizer
+(`transitive_on_level`).
 """
 
 from __future__ import annotations
@@ -186,6 +194,24 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=
     return base, trans, list(inverse)
 
 
+def _schreier_vectors(strong, prefix) -> list[dict]:
+    """Level i is the Schreier vector of prefix[i] under the generators fixing
+    prefix[:i], trivial levels dropped.  Each orbit lies in its stabilizer's
+    true basic orbit, so the orbit lengths multiply to at most the group
+    order, and reach it exactly when the generators are strong on prefix."""
+    levels, steps = [], [(s, _invert(s)) for s in strong]
+    for b in prefix:
+        vector, queue = {b: None}, [b]
+        for t in queue:
+            for s, inverse in steps:
+                if (x := inverse[t]) not in vector:
+                    vector[x] = (t, s)
+                    queue.append(x)
+        levels += [vector] if len(vector) > 1 else []
+        steps = [(s, inverse) for s, inverse in steps if s[b] == b]
+    return levels
+
+
 def _automorphisms_of(g: Graph, perms: Iterable[Permutation]) -> tuple[Permutation, ...]:
     """The permutations as a tuple; ValueError unless each is an automorphism of g."""
     perms, rank = tuple(perms), g.edge_rank
@@ -232,20 +258,16 @@ class AutGroup:
         Schreier vector of b_i under the generators fixing b_1..b_{i-1} if the orbit
         lengths reach order >= |<perms>|, proving perms strong; else `_stabilizer_chain`."""
         gens = tuple(p for p in perms if not p.is_identity())
-        strong, levels = [p.images for p in gens], []
-        steps = [(s, _invert(s)) for s in strong] if prefix and order else []
-        for b in prefix:
-            vector, queue = {b: None}, [b]
-            for t in queue:
-                for s, inverse in steps:
-                    if (x := inverse[t]) not in vector:
-                        vector[x] = (t, s)
-                        queue.append(x)
-            levels += [vector] if len(vector) > 1 else []
-            steps = [(s, inverse) for s, inverse in steps if s[b] == b]
+        strong = [p.images for p in gens]
+        levels = _schreier_vectors(strong, prefix) if prefix and order else []
         if _chain_order(levels) != order:
             _, trans, strong = _stabilizer_chain(strong, degree, prefix, order)
             levels = [t for t in trans if len(t) > 1]
+        return AutGroup._from_levels(degree, gens, strong, levels)
+
+    @staticmethod
+    def _from_levels(degree: int, gens, strong, levels) -> "AutGroup":
+        """The group on gens with these non-trivial levels, strong generating them."""
         reps = [v if v[next(iter(v))] else {next(iter(v)): tuple(range(degree))} for v in levels]
         b = next(iter(levels[0])) if levels else None
         stabilizer = tuple(p for p in strong if p[b] == b) if levels else ()
@@ -284,10 +306,47 @@ class AutGroup:
 
 @lru_cache(maxsize=256)
 def automorphisms(g: Graph) -> AutGroup:
-    """Full automorphism group of g.  The search's generators are strong on
-    its base, so their Schreier vectors reach its order by point images alone."""
-    base, gens, _, order = g.search
-    return AutGroup._build(g.n, map(Permutation, gens), base, order)
+    """Full automorphism group of g: a line graph's comes from its root
+    (`_line_group`); any other's from the search, whose generators are strong
+    on its base, so their Schreier vectors reach its order by point images."""
+    group = _line_group(g)
+    if group is None:
+        base, gens, _, order = g.search
+        group = AutGroup._build(g.n, map(Permutation, gens), base, order)
+    return group
+
+
+def _line_group(g: Graph) -> AutGroup | None:
+    """Aut(g) as the action of Aut(H) on the edges of g's root H, or None.
+
+    Taken only when g has a vertex of degree 3 or more and a connected root
+    with 5 <= H.n < g.n: Whitney's theorem then makes the action an
+    isomorphism onto Aut(g), and each recursive step is smaller.  The levels
+    are the Schreier vectors, read by point images, of the edges at each of
+    H's base points in turn, led by one edge at the first.  They are taken
+    once their orbit lengths multiply to |Aut H|, which proves the mapped
+    generators strong there; whether they are depends on the generators, so
+    each edge at the first base point leads in turn.
+    """
+    if max(map(len, g.adj)) < 3 or g.root is None or not 5 <= g.root[0].n < g.n:
+        return None
+    h, ends = g.root
+    group = automorphisms(h)
+    if group.order == 1:
+        return AutGroup._from_levels(g.n, (), [], [])
+    vertex = {k: x for x, (u, v) in enumerate(ends) for k in ((u, v), (v, u))}
+    flat = tuple(chain.from_iterable(ends))
+    strong = []
+    for p in group.generators:
+        images = map(p.images.__getitem__, flat)
+        strong.append(tuple(map(vertex.__getitem__, zip(images, images))))
+    base = [next(iter(level)) for level in group._levels]
+    at_base = [vertex[b, w] for b in base for w in h.adj[b]]
+    for lead in at_base[:len(h.adj[base[0]])]:
+        levels = _schreier_vectors(strong, tuple(dict.fromkeys([lead, *at_base])))
+        if _chain_order(levels) == group.order:
+            return AutGroup._from_levels(g.n, tuple(map(Permutation, strong)), strong, levels)
+    return None
 
 
 def induced_edge_action(index: EdgeIndex, p: Permutation) -> Permutation:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -54,6 +55,12 @@ def kneser_graph(n: int, k: int) -> Graph:
     return build_graph(len(subsets), edges, name=f"K({n},{k})")
 
 
+def relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def random_connected_graph(rng: random.Random, n: int, extra_p: float = 0.3) -> Graph:
     """Random spanning tree plus independent extra edges; always connected."""
     edges = {(min(v, u), max(v, u)) for v in range(1, n) for u in [rng.randrange(v)]}
@@ -62,6 +69,21 @@ def random_connected_graph(rng: random.Random, n: int, extra_p: float = 0.3) -> 
             if (u, v) not in edges and rng.random() < extra_p:
                 edges.add((u, v))
     return build_graph(n, sorted(edges))
+
+
+@functools.lru_cache(maxsize=None)
+def _atlas() -> tuple[Graph, ...]:
+    import networkx as nx
+
+    return tuple(build_graph(a.number_of_nodes(), a.edges()) for a in nx.graph_atlas_g()
+                 if a.number_of_nodes() and nx.is_connected(a))
+
+
+def connected_atlas() -> tuple[Graph, ...]:
+    """The connected graphs of networkx's atlas, on 1 to 7 vertices (996 of
+    them); skips the calling test when networkx is missing."""
+    pytest.importorskip("networkx")
+    return _atlas()
 
 
 def _has_5_cycle(adj) -> bool:

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 import re
 import sys
@@ -11,13 +12,14 @@ from linesym.constructions import (
     catalog_entries,
     clique_graph,
     line_graph,
+    root_graph,
     subdivision_graph,
 )
 from linesym.graphs import build_graph, is_complete, is_regular, isomorphic
 from linesym.metrics import diameter, girth, is_connected
 from oracles import maximal_cliques_reference
 
-from conftest import random_connected_graph
+from conftest import connected_atlas, random_connected_graph, relabelled
 
 
 def cycle(n):
@@ -88,6 +90,91 @@ def test_line_graph_of_k4_is_k3_parts_of_2(k4, k3_parts_of_2):
 def test_line_graph_refuses_edgeless():
     with pytest.raises(ValueError):
         line_graph(build_graph(2, []))
+
+
+# -- line-graph roots ---------------------------------------------------------
+
+# Beineke's nine forbidden induced subgraphs (1970): (vertex count, edges).
+BEINEKE = [
+    (4, [(0, 3), (1, 3), (2, 3)]),
+    (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)]),
+    (5, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+    (6, [(0, 1), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (4, 5)]),
+    (6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (2, 5), (3, 4)]),
+    (6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (4, 5)]),
+    (6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]),
+    (6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]),
+    (6, [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (3, 4), (3, 5),
+         (4, 5)]),
+]
+
+
+def _assert_root_rebuilds(g, found):
+    """ends is a bijection onto the root's edges, and two vertices of g are
+    adjacent exactly when their edges share an endpoint."""
+    h, ends = found
+    assert sorted(ends) == list(h.edges)
+    pairs = itertools.combinations(range(g.n), 2)
+    assert build_graph(g.n, [(x, w) for x, w in pairs if set(ends[x]) & set(ends[w])]).adj == g.adj
+
+
+def test_root_graph_agrees_with_networkx_on_the_atlas_and_catalog_line_graphs():
+    """None exactly where networkx finds no root; otherwise an isomorphic root
+    (K3 may come back for networkx's K1,3) whose bijection rebuilds g."""
+    nx = pytest.importorskip("networkx")
+    graphs = [h for g in connected_atlas() for h in ((g, g.line) if g.m else (g,))]
+    hosts = [catalog(f"projective_plane({p})").line for p in (2, 3, 5, 7)]
+    hosts += [catalog("tutte_8_cage").line, catalog("petersen").line.line]
+    graphs += [relabelled(g, seed) for g in hosts for seed in (1, 2)]
+    found_roots = 0
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        try:
+            expected = nx.inverse_line_graph(h)
+        except nx.NetworkXError:
+            expected = None
+        found = root_graph(g)
+        assert (found is None) == (expected is None), g.edges
+        if found is not None:
+            found_roots += 1
+            _assert_root_rebuilds(g, found)
+            labels = {v: i for i, v in enumerate(expected)}
+            other = build_graph(len(labels), [(labels[u], labels[v]) for u, v in expected.edges])
+            assert isomorphic(found[0], other) is not None or (g.n, g.m) == (3, 3)
+    assert found_roots > len(graphs) // 2
+
+
+def test_root_graph_needs_a_connected_graph():
+    assert root_graph(build_graph(1, [])) == (build_graph(2, [(0, 1)]), ((0, 1),))
+    assert root_graph(build_graph(2, [])) is None
+    assert root_graph(build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])) is None
+
+
+def test_beineke_graphs_are_the_minimal_graphs_without_a_root():
+    graphs = [build_graph(n, edges) for n, edges in BEINEKE]
+    for i, g in enumerate(graphs):
+        assert root_graph(g) is None
+        assert all(isomorphic(g, h) is None for h in graphs[:i])
+        for v in range(g.n):  # every vertex-deleted subgraph is a line graph
+            rest = build_graph(g.n, [e for e in g.edges if v not in e])
+            seen = {v}
+            for start in range(g.n):
+                if start in seen:
+                    continue
+                part = sorted(w for w, d in enumerate(rest.distances(start)) if d is not None)
+                seen.update(part)
+                label = {w: j for j, w in enumerate(part)}
+                piece = build_graph(len(part), [(label[a], label[b]) for a, b in rest.edges
+                                                if a in label])
+                assert root_graph(piece) is not None
+
+
+def test_the_root_is_shared_by_every_caller(petersen):
+    lg = line_graph(petersen).graph
+    assert root_graph(lg) is lg.root is root_graph(lg)
+    assert isomorphic(lg.root[0], petersen) is not None
 
 
 # -- subdivision ---------------------------------------------------------------

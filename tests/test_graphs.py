@@ -18,7 +18,7 @@ from linesym.graphs import (
 from linesym.symmetry import automorphisms
 from oracles import automorphism_count_filter
 
-from conftest import cube_graph, kneser_graph, random_connected_graph
+from conftest import cube_graph, kneser_graph, random_connected_graph, relabelled
 
 
 def test_triangle_construction():
@@ -136,12 +136,6 @@ def test_isomorphic_reuses_the_search_behind_the_group(monkeypatch, petersen):
     assert searched == [g.adj, h.adj]
     assert isomorphic(h, g) is not None
     assert searched == [g.adj, h.adj]
-
-
-def relabelled(g: Graph, seed: int) -> Graph:
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def search_digests() -> dict[str, str]:

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import inspect
 import math
@@ -20,6 +21,7 @@ from linesym.refinement import _child, _state, refine
 from linesym.symmetry import (
     AutGroup,
     Permutation,
+    _automorphisms_of,
     _chain_order,
     _stabilizer_chain,
     automorphisms,
@@ -38,7 +40,7 @@ from oracles import (
     orbit_partition,
 )
 
-from conftest import random_connected_graph, small_graphs
+from conftest import connected_atlas, random_connected_graph, small_graphs
 
 
 # -- permutations ---------------------------------------------------------------
@@ -368,19 +370,51 @@ def _thrice_iterated_line_graph_of_k5():
     return g
 
 
+def _thrice_iterated_line_graph_of_k7():
+    return catalog("complete(7)").line.line.line
+
+
+def _thrice_iterated_line_graph_of_heawood():
+    return catalog("heawood").line.line.line
+
+
+# The vertex count of the one graph an iterated line graph's group searches:
+# its first root that takes no root path.
+SEARCHED_ROOT = {
+    _thrice_iterated_line_graph_of_k5: 5,
+    _thrice_iterated_line_graph_of_k7: 7,
+    _thrice_iterated_line_graph_of_heawood: 14,
+}
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The vertex count of each graph the automorphism search runs on."""
+    sizes, search = [], linesym.refinement.automorphism_generators
+
+    def spy(adj):
+        sizes.append(len(adj))
+        return search(adj)
+
+    monkeypatch.setattr(linesym.refinement, "automorphism_generators", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("build, order", [
     (lambda: catalog("cycle(4000)"), 8000),
     (lambda: catalog("projective_plane(13)"), 2 * 13**3 * (13**3 - 1) * (13**2 - 1)),
     (_thrice_iterated_line_graph_of_k5, 120),
     (lambda: catalog("complete(50)"), math.factorial(50)),
     (lambda: catalog("tutte_8_cage"), 1440),
+    (_thrice_iterated_line_graph_of_k7, 5040),
+    (_thrice_iterated_line_graph_of_heawood, 336),
 ])
-def test_automorphism_orders_compose_no_permutation(monkeypatch, build, order):
-    """The search's generators are strong on its base, so the chain's orbits
-    come from point images alone: the only permutation work is inverting
-    each generator once."""
+def test_automorphism_orders_compose_no_permutation(monkeypatch, searched, build, order):
+    """The search's generators are strong on its base, and a root's, mapped
+    onto its edges, on an edge prefix: either way the chain's orbits come
+    from point images alone, and the only permutation work is inverting
+    each generator once.  A line graph's group searches only its root."""
     g = build()
-    g.search  # the search itself is not under test
 
     def refuse(p, q):
         raise AssertionError("automorphisms() composed a permutation")
@@ -388,6 +422,62 @@ def test_automorphism_orders_compose_no_permutation(monkeypatch, build, order):
     automorphisms.cache_clear()
     monkeypatch.setattr(linesym.symmetry, "_compose", refuse)
     assert automorphisms(g).order == order
+    assert searched == [SEARCHED_ROOT.get(build, g.n)]
+
+
+def test_a_line_graph_is_searched_when_the_mapped_generators_are_not_strong(monkeypatch,
+                                                                            searched):
+    """With a generator of the root's group dropped, no edge prefix reaches
+    |Aut H|, so the line graph itself is searched, and its order holds."""
+    g = line_graph(catalog("petersen")).graph
+
+    def weakened(h):
+        group = automorphisms(h)
+        return dataclasses.replace(group, generators=group.generators[:-1])
+
+    automorphisms.cache_clear()
+    monkeypatch.setattr(linesym.symmetry, "automorphisms", weakened)
+    assert automorphisms(g).order == 120
+    assert searched == [10, 15]
+
+
+def test_automorphisms_give_the_search_order_on_the_atlas_and_its_line_graphs(monkeypatch):
+    """Most line graphs here take their group from the root; the search,
+    run on each graph anyway, checks every order, and every generator is an
+    automorphism of the graph."""
+    rooted, line_group = set(), linesym.symmetry._line_group
+
+    def spy(g):
+        group = line_group(g)
+        if group is not None:
+            rooted.add(g)
+        return group
+
+    automorphisms.cache_clear()
+    monkeypatch.setattr(linesym.symmetry, "_line_group", spy)
+    graphs = [h for g in connected_atlas() for h in ((g, g.line) if g.m else (g,))]
+    for h in graphs:
+        group = automorphisms(h)
+        assert group.order == h.search[3]
+        _automorphisms_of(h, group.generators)
+    assert len(rooted.intersection(graphs)) > len(graphs) // 3
+
+
+@pytest.mark.parametrize("edges, root_order, line_order", [
+    ([(0, 1)], 2, 1),  # K2, whose line graph is K1
+    ([(0, 1), (0, 2), (1, 2)], 6, 6),  # K3 and K1,3 share their line graph
+    ([(0, 1), (0, 2), (0, 3)], 6, 6),
+    ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 24, 48),  # K4: the octahedron
+    ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], 4, 8),  # K4 - e: the 4-wheel
+    ([(0, 1), (0, 2), (0, 3), (1, 2)], 2, 4),  # K1,3 + e: K4 - e
+])
+def test_whitney_exceptions_are_searched(edges, root_order, line_order):
+    """Aut(H) -> Aut(L(H)) is no isomorphism on these roots, all on fewer
+    than 5 vertices, so their line graphs keep the search."""
+    h = build_graph(max(map(max, edges)) + 1, edges)
+    line = h.line
+    assert automorphisms(h).order == root_order
+    assert automorphisms(line).order == line.search[3] == line_order
 
 
 def test_the_group_of_a_long_cycle_holds_linear_memory():
