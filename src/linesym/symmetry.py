@@ -3,22 +3,18 @@
 Permutations compose in application order: (p * q) means "apply p, then q".
 Group orders come from a stabilizer chain (orbit sizes multiplied down the
 chain), never from enumerating elements; the same chain draws uniformly
-random elements, one coset representative per level.  Each chain level is a
-Schreier vector, mapping each orbit point to its parent and a generator
-(Seress, Permutation Group Algorithms, 2003, section 4.1), whose elements are
-built when asked for; `automorphisms` reads its levels off the search's base
-by point images alone.  A line graph L(H) whose connected root has 5 <= |H|
-< |L(H)| vertices is not searched: by Whitney's theorem (1932) Aut(H) acts
-on its edges as all of Aut(L(H)), the exceptions K2, K3, K1,3, K4, K4 - e and
-K1,3 + e having fewer vertices.  Aut(H) (itself through H's root where H
-qualifies) is mapped through the certified edge bijection `Graph.root`, and
-the Schreier vectors of the edges at H's base points are the levels when
-their orbit lengths multiply to |Aut H|, which proves the mapped generators
-strong; otherwise L(H) is searched.  Other chains come from incremental
-Schreier-Sims (section 4.2), stopping at a known order.  `transitive_on`
-splits an explicit tuple universe into orbits; the transitivity predicates
-build no tuple and decide each level by orbit-stabilizer
-(`transitive_on_level`).
+random elements, one coset representative per level.  `_stabilizer_chain`
+builds every chain: incremental Schreier-Sims (Seress, Permutation Group
+Algorithms, 2003, sections 4.1-4.2) over Schreier vectors, its coset
+elements built when needed and memoised; generators strong on the base, as
+the search's are on its own, reach a known order by point images alone.  A
+line graph L(H) whose connected root has 5 <= |H| < |L(H)| vertices is not
+searched: by Whitney's theorem (1932) Aut(H), acting on the edges through
+the certified bijection `Graph.root`, is all of Aut(L(H)), the exceptions
+K2, K3, K1,3, K4, K4 - e and K1,3 + e having fewer vertices.
+`transitive_on` splits an explicit tuple universe into orbits; the
+transitivity predicates build no tuple and decide each level by
+orbit-stabilizer (`transitive_on_level`).
 """
 
 from __future__ import annotations
@@ -102,114 +98,115 @@ def _compose(p, q):
 
 
 def _invert(p):
+    """p^-1, and p itself when p is an involution (the chain tests with `is`)."""
     inv = [0] * len(p)
     for i, j in enumerate(p):
         inv[j] = i
-    return tuple(inv)
+    return p if (inv := tuple(inv)) == p else inv
 
 
-def _grow(table, gens, inverse, frontier, first=0):
-    """Extend an orbit table breadth-first: gens[first:] act on the frontier,
-    then every generator on each point added.  A new point x = s[t] maps to
-    inverse[s] composed in front of table[t], which carries x to the table's
-    base point.  Returns the tree edges (t, k, x), s = gens[k], in order."""
-    edges, queue, pairs = [], list(frontier), list(enumerate(gens))
-    for pos, t in enumerate(queue):
-        for k, s in (pairs[first:] if pos < len(frontier) else pairs):
-            x = s[t]
-            if x not in table:
-                table[x] = _compose(inverse[s], table[t])
-                edges.append((t, k, x))
-                queue.append(x)
-    return edges
-
-
-def _sift(p, base, trans, start):
-    """Strip p through the levels from start on: (residue, level it stopped at).
-    A level whose base point p already fixes costs no composition."""
-    for j in range(start, len(base)):
-        x = p[base[j]]
-        if x != base[j]:
-            w = trans[j].get(x)
-            if w is None:
-                return p, j
-            p = _compose(p, w)
-    return p, len(base)
+def _coset(level, memo, x, down=False):
+    """memo[x], built along x's path in a Schreier vector (x -> (t, s, s^-1)
+    with s[x] = t) and memoised on the way: the element carrying x to the
+    base point, or with down the one carrying the base point to x."""
+    path = [x]
+    while path[-1] not in memo:
+        path.append(level[path[-1]][0])
+    w = memo[path.pop()]
+    for y in reversed(path):
+        _, s, inverse = level[y]
+        w = memo[y] = _compose(w, inverse) if down else _compose(s, w)
+    return w
 
 
 def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=None):
-    """Incremental Schreier-Sims: (base, transversals, strong), where strong
-    holds every permutation that joined a level and the order is the product
-    of the transversal sizes.  The base starts with prefix, one level per
-    point however short its orbit.  Given the order, the Schreier phase ends
-    once the product reaches it; an incomplete chain's product falls short.
-    Level i keeps its own generators S_i: a permutation sifted from level lo
-    whose residue stops at level j joins S_lo..S_j, the inputs sifted from
-    level 0 and a Schreier generator of level i from i+1.  Levels are
-    completed bottom-up, and a residue stopping at j sends processing back
-    down to j.  Orbit tables are only extended, so a settled (i, t, k) stays
-    settled: its Schreier generator lies in <S_{i+1}>, which only grows.
-    Tree edges wait until the Schreier phase visits their level; there each
-    is settled and gives its point t the forward element (base point -> t),
-    so a chain complete once its inputs are in never builds them."""
-    identity = tuple(range(n))
-    base, level_gens, settled, inverse = list(prefix), [[] for _ in prefix], set(), {}
-    trans, fwd = [{b: identity} for b in base], [{b: identity} for b in base]
-    edges = [[] for _ in base]  # tree edges (t, k, x) per level, not yet visited
+    """Incremental Schreier-Sims over Schreier vectors: (base, levels, up,
+    steps), one entry per base point, the base starting with prefix however
+    short its orbits.  levels[i] is the Schreier vector of base[i] (b -> None,
+    x -> (t, s, s^-1) with s[x] = t) under S_i, held in steps[i] as (s, s^-1)
+    pairs; up[i] memoises elements carrying points to base[i].  The orbit
+    lengths multiply to the order of the group on gens.
 
-    def add(p, lo):
-        p, j = _sift(p, base, trans, lo)
-        if p == identity:
-            return None
-        inverse[p] = _invert(p)
-        if j == len(base):
-            base.append(min(v for v in range(n) if p[v] != v))
-            trans.append({base[j]: identity})
-            fwd.append({base[j]: identity})
-            level_gens.append([])
-            edges.append([])
-        for m in range(lo, j + 1):
-            level = level_gens[m]
-            level.append(p)
-            edges[m] += _grow(trans[m], level, inverse, list(trans[m]), len(level) - 1)
-        return j
+    Each input joins S_0..S_j, j the first base point it moves, unsifted.
+    Given the order, orbits that reach it prove the inputs strong.  Else the
+    Schreier phase completes the levels bottom-up, visiting each pair (t, s)
+    of level i's orbit and S_i once: a tree edge, either way round, costs
+    nothing, and the Schreier generator down[t] s up[s[t]] (down[x] carrying
+    base[i] to x) is built only when down[t] s != down[s[t]].  Its residue,
+    sifted from level i+1, joins S_{i+1}..S_j when it stops at level j, and
+    processing goes back to j.  Coset elements are built only when a sift or
+    a Schreier generator needs them, and memoised in both directions."""
+    identity, base, steps = tuple(range(n)), list(prefix), []
+    pairs = [(p, _invert(p)) for p in map(tuple, gens) if p != identity]
+    while len(steps) < len(base) or pairs:  # S_i: the inputs fixing base[:i]
+        if len(steps) == len(base):
+            base.append(next(v for v in range(n) if pairs[0][0][v] != v))
+        b = base[len(steps)]
+        steps.append(pairs)
+        pairs = [q for q in pairs if q[0][b] == b]
+    levels, up = [{b: None} for b in base], [{b: identity} for b in base]
+    down, settled = {}, {}  # per level in the Schreier phase; settled: point -> pairs visited
 
-    for g in gens:
-        add(tuple(g), 0)
-    i = len(base) - 1
-    while i >= 0 and (order is None or _chain_order(trans) != order):
-        for t, k, x in edges[i]:
-            fwd[i][x] = _compose(fwd[i][t], level_gens[i][k])
-            settled.add((i, t, k))
-        edges[i].clear()
-        j = None
-        for t, k in ((t, k) for t in trans[i] for k in range(len(level_gens[i]))
-                     if (i, t, k) not in settled):
-            settled.add((i, t, k))
-            s = level_gens[i][k]
-            ts = _compose(fwd[i][t], s)  # the Schreier generator is ts * trans[i][s[t]]
-            if ts != fwd[i][s[t]] and (j := add(_compose(ts, trans[i][s[t]]), i + 1)) is not None:
-                break
-        i = i - 1 if j is None else j
-    return base, trans, list(inverse)
-
-
-def _schreier_vectors(strong, prefix) -> list[dict]:
-    """Level i is the Schreier vector of prefix[i] under the generators fixing
-    prefix[:i], trivial levels dropped.  Each orbit lies in its stabilizer's
-    true basic orbit, so the orbit lengths multiply to at most the group
-    order, and reach it exactly when the generators are strong on prefix."""
-    levels, steps = [], [(s, _invert(s)) for s in strong]
-    for b in prefix:
-        vector, queue = {b: None}, [b]
-        for t in queue:
-            for s, inverse in steps:
-                if (x := inverse[t]) not in vector:
-                    vector[x] = (t, s)
+    def grow(m, first):
+        """S_m from first on acts on level m's orbit, then all of S_m on each
+        point added: x = s^-1[t] joins as x -> (t, s, s^-1)."""
+        level, queue, pairs = levels[m], [], steps[m]
+        new = pairs[first:]
+        for t in list(level):
+            for s, inverse in new:
+                if (x := inverse[t]) not in level:
+                    level[x] = (t, s, inverse)
                     queue.append(x)
-        levels += [vector] if len(vector) > 1 else []
-        steps = [(s, inverse) for s, inverse in steps if s[b] == b]
-    return levels
+        for t in queue:
+            for s, inverse in pairs:
+                if (x := inverse[t]) not in level:
+                    level[x] = (t, s, inverse)
+                    queue.append(x)
+
+    def join(p, lo, j):
+        """p joins S_lo..S_j, opening a level at its first moved point past the base."""
+        if j == len(base):
+            base.append(next(v for v in range(n) if p[v] != v))
+            levels.append({base[j]: None})
+            steps.append([])
+            up.append({base[j]: identity})
+        step = (p, _invert(p))
+        for m in range(lo, j + 1):
+            steps[m].append(step)
+            grow(m, len(steps[m]) - 1)
+
+    def sift(p, lo):
+        for j in range(lo, len(base)):
+            x = p[base[j]]
+            if x != base[j]:
+                if x not in levels[j]:
+                    return p, j
+                p = _compose(p, up[j].get(x) or _coset(levels[j], up[j], x))
+        return p, len(base)
+
+    for m, pairs in enumerate(steps):
+        if pairs:
+            grow(m, 0)
+    i = len(base) - 1
+    while i >= 0 and _chain_order(levels) != order:
+        level, pairs, ups, j = levels[i], steps[i], up[i], None
+        downs, done = down.setdefault(i, {base[i]: identity}), settled.setdefault(i, {})
+        for t, k in ((t, k) for t in level for k in range(done.get(t, 0), len(pairs))):
+            done[t] = k + 1
+            s, si = pairs[k]
+            x = s[t]
+            v, w = level[t], level[x]
+            if v and v[0] == x and v[1] is s or w and w[0] == t and w[1] is si:
+                continue  # a tree edge, one way round or the other
+            ts = _compose(downs.get(t) or _coset(level, downs, t, True), s)
+            if ts != (downs.get(x) or _coset(level, downs, x, True)):
+                p, stop = sift(_compose(ts, ups.get(x) or _coset(level, ups, x)), i + 1)
+                if p != identity:
+                    join(p, i + 1, stop)
+                    j = stop
+                    break
+        i = i - 1 if j is None else j
+    return base, levels, up, steps
 
 
 def _automorphisms_of(g: Graph, perms: Iterable[Permutation]) -> tuple[Permutation, ...]:
@@ -225,17 +222,18 @@ def _automorphisms_of(g: Graph, perms: Iterable[Permutation]) -> tuple[Permutati
     return perms
 
 
-def _chain_order(trans) -> int:
-    return math.prod(len(t) for t in trans) if trans else 1
+def _chain_order(levels) -> int:
+    return math.prod(map(len, levels))
 
 
 @dataclass(frozen=True)
 class AutGroup:
     """A permutation group given by generators, with an exact order.
 
-    `_levels` holds the non-trivial chain levels, base point first: Schreier
-    vectors (b -> None, x -> (t, s) with s[x] = t), or tables carrying each
-    point to b, which `_reps` memoises.  `_stabilizer` generates the first G_b.
+    `_levels` holds the non-trivial levels of its stabilizer chain, base
+    point first: Schreier vectors (b -> None, x -> (t, s, s^-1) with s[x] =
+    t).  `_reps` memoises, per level, the elements carrying points to b; the
+    chain hands over what it built.  `_stabilizer` generates the first G_b.
     """
 
     degree: int
@@ -254,24 +252,16 @@ class AutGroup:
 
     @staticmethod
     def _build(degree: int, perms: Iterable[Permutation], prefix=(), order=None) -> "AutGroup":
-        """The group on perms, without identities or trivial levels: level i is the
-        Schreier vector of b_i under the generators fixing b_1..b_{i-1} if the orbit
-        lengths reach order >= |<perms>|, proving perms strong; else `_stabilizer_chain`."""
-        gens = tuple(p for p in perms if not p.is_identity())
-        strong = [p.images for p in gens]
-        levels = _schreier_vectors(strong, prefix) if prefix and order else []
-        if _chain_order(levels) != order:
-            _, trans, strong = _stabilizer_chain(strong, degree, prefix, order)
-            levels = [t for t in trans if len(t) > 1]
-        return AutGroup._from_levels(degree, gens, strong, levels)
-
-    @staticmethod
-    def _from_levels(degree: int, gens, strong, levels) -> "AutGroup":
-        """The group on gens with these non-trivial levels, strong generating them."""
-        reps = [v if v[next(iter(v))] else {next(iter(v)): tuple(range(degree))} for v in levels]
-        b = next(iter(levels[0])) if levels else None
-        stabilizer = tuple(p for p in strong if p[b] == b) if levels else ()
-        return AutGroup(degree, gens, _chain_order(levels), tuple(levels), stabilizer, reps)
+        """The group on perms, without identities or trivial levels, its chain
+        based at prefix and stopped at order (`_stabilizer_chain`)."""
+        identity = tuple(range(degree))
+        gens = tuple(p for p in perms if p.images != identity)
+        _, levels, reps, steps = _stabilizer_chain([p.images for p in gens], degree, prefix, order)
+        kept = [i for i, level in enumerate(levels) if len(level) > 1]
+        # G fixes the base points before the first kept level k, so S_{k+1} generates G_b
+        below = steps[kept[0] + 1] if kept and kept[0] + 1 < len(steps) else ()
+        return AutGroup(degree, gens, _chain_order(levels), tuple(levels[i] for i in kept),
+                        tuple(s for s, _ in below), [reps[i] for i in kept])
 
     @staticmethod
     def from_generators(g: Graph, perms: Iterable[Permutation]) -> "AutGroup":
@@ -279,14 +269,10 @@ class AutGroup:
         return AutGroup.from_permutations(g.n, _automorphisms_of(g, perms))
 
     def _reps_of(self, i: int, points) -> dict:
-        """Level i's memo, once it holds each of points: a vector's x -> (t, s) is s, then t's."""
+        """Level i's memo, once it holds each of points."""
         level, reps = self._levels[i], self._reps[i]
         for x in points if len(reps) < len(level) else ():
-            path = [x]
-            while path[-1] not in reps:
-                path.append(level[path[-1]][0])
-            for y in reversed(path[:-1]):
-                reps[y] = _compose(level[y][1], reps[level[y][0]])
+            _coset(level, reps, x)
         return reps
 
     def random_element(self, rng: random.Random) -> Permutation:
@@ -298,9 +284,9 @@ class AutGroup:
         section 2).  Only the drawn representatives are built.
         """
         p = tuple(range(self.degree))
-        for i, level in enumerate(self._levels):
+        for level, reps in zip(self._levels, self._reps):
             t = rng.choice(tuple(level))
-            p = _compose(p, self._reps[i].get(t) or self._reps_of(i, (t,))[t])
+            p = _compose(p, reps.get(t) or _coset(level, reps, t))
         return Permutation(p)
 
 
@@ -308,7 +294,7 @@ class AutGroup:
 def automorphisms(g: Graph) -> AutGroup:
     """Full automorphism group of g: a line graph's comes from its root
     (`_line_group`); any other's from the search, whose generators are strong
-    on its base, so their Schreier vectors reach its order by point images."""
+    on its base, so the chain reaches its order by point images."""
     group = _line_group(g)
     if group is None:
         base, gens, _, order = g.search
@@ -321,32 +307,27 @@ def _line_group(g: Graph) -> AutGroup | None:
 
     Taken only when g has a vertex of degree 3 or more and a connected root
     with 5 <= H.n < g.n: Whitney's theorem then makes the action an
-    isomorphism onto Aut(g), and each recursive step is smaller.  The levels
-    are the Schreier vectors, read by point images, of the edges at each of
-    H's base points in turn, led by one edge at the first.  They are taken
-    once their orbit lengths multiply to |Aut H|, which proves the mapped
-    generators strong there; whether they are depends on the generators, so
-    each edge at the first base point leads in turn.
+    isomorphism onto Aut(g), and each recursive step is smaller.
     """
     if max(map(len, g.adj)) < 3 or g.root is None or not 5 <= g.root[0].n < g.n:
         return None
-    h, ends = g.root
-    group = automorphisms(h)
-    if group.order == 1:
-        return AutGroup._from_levels(g.n, (), [], [])
-    vertex = {k: x for x, (u, v) in enumerate(ends) for k in ((u, v), (v, u))}
+    return _edge_group(*g.root, automorphisms(g.root[0]))
+
+
+def _edge_group(h: Graph, ends, group: AutGroup) -> AutGroup:
+    """The action of a group of automorphisms of h on its edges, edge ends[x]
+    becoming point x.  The chain is based at the edges at the group's base
+    points, which pin those points down where their degree is 2 or more, and
+    stops at |group|, the order whenever the action is faithful."""
+    point = {k: x for x, (u, v) in enumerate(ends) for k in ((u, v), (v, u))}
     flat = tuple(chain.from_iterable(ends))
-    strong = []
+    perms = []
     for p in group.generators:
         images = map(p.images.__getitem__, flat)
-        strong.append(tuple(map(vertex.__getitem__, zip(images, images))))
-    base = [next(iter(level)) for level in group._levels]
-    at_base = [vertex[b, w] for b in base for w in h.adj[b]]
-    for lead in at_base[:len(h.adj[base[0]])]:
-        levels = _schreier_vectors(strong, tuple(dict.fromkeys([lead, *at_base])))
-        if _chain_order(levels) == group.order:
-            return AutGroup._from_levels(g.n, tuple(map(Permutation, strong)), strong, levels)
-    return None
+        perms.append(Permutation(tuple(map(point.__getitem__, zip(images, images)))))
+    prefix = dict.fromkeys(point[b, w] for b in (next(iter(v)) for v in group._levels)
+                           for w in h.adj[b])
+    return AutGroup._build(len(ends), perms, tuple(prefix), group.order)
 
 
 def induced_edge_action(index: EdgeIndex, p: Permutation) -> Permutation:
@@ -456,8 +437,9 @@ def transitive_on_level(g: Graph, kind: str, t: int, group: AutGroup) -> bool:
         return True
     count = (walks.count_geodesics if geodesic else walks.count_arcs)(g, t)
     prefix = tuple(dict.fromkeys(r))
-    _, trans, _ = _stabilizer_chain([p.images for p in group.generators], g.n, prefix, group.order)
-    return group.order == count * _chain_order(trans[len(prefix):])
+    _, levels, _, _ = _stabilizer_chain([p.images for p in group.generators], g.n, prefix,
+                                        group.order)
+    return group.order == count * _chain_order(levels[len(prefix):])
 
 
 def _acting_group(g: Graph, group: AutGroup | None) -> AutGroup:

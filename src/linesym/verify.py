@@ -26,7 +26,7 @@ from .metrics import diameter, girth, is_connected, local_type
 from .symmetry import (
     AutGroup,
     _acting_group,
-    induced_edge_action,
+    _edge_group,
     is_s_arc_transitive,
     is_s_geodesic_transitive,
     transitive_on,
@@ -118,11 +118,8 @@ _reference = lru_cache(maxsize=None)(catalog)
 
 @lru_cache(maxsize=256)
 def _induced_line_group(g: Graph, group: AutGroup) -> AutGroup:
-    """The group's action on the line graph of g, built once per host and group.
-    |group| bounds its order (equal for connected g but K2, by Whitney): the chain's stop."""
-    index = EdgeIndex.from_graph(g)
-    gens = tuple(induced_edge_action(index, p) for p in group.generators)
-    return AutGroup._build(len(index), gens, order=group.order)
+    """The group's action on the line graph of g, built once per host and group."""
+    return _edge_group(g, g.edges, group)
 
 
 def check_line_equivalence(g: Graph, s: int, group: AutGroup | None = None) -> VerdictReport:

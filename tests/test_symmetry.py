@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import inspect
 import math
@@ -40,7 +39,14 @@ from oracles import (
     orbit_partition,
 )
 
-from conftest import connected_atlas, random_connected_graph, small_graphs
+from conftest import (
+    connected_atlas,
+    cube_graph,
+    kneser_graph,
+    random_connected_graph,
+    relabelled,
+    small_graphs,
+)
 
 
 # -- permutations ---------------------------------------------------------------
@@ -153,8 +159,8 @@ def test_order_matches_networkx_and_the_schreier_sims_chain():
         vf2 = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
         grp = automorphisms(g)
         assert grp.order == vf2
-        _, trans, _ = _stabilizer_chain([p.images for p in grp.generators], g.n)
-        assert _chain_order(trans) == vf2
+        _, levels, _, _ = _stabilizer_chain([p.images for p in grp.generators], g.n)
+        assert _chain_order(levels) == vf2
 
     check()
 
@@ -229,10 +235,10 @@ def test_prefixed_chain_matches_sympy_with_and_without_the_order_stop():
         order = group.order()
         stabilizer = group.pointwise_stabilizer(list(prefix)).order() if prefix else order
         for stop in (None, order, 2 * order):  # a stop above the order never fires
-            base, trans, _ = _stabilizer_chain(perms, n, prefix, stop)
+            base, levels, _, _ = _stabilizer_chain(perms, n, prefix, stop)
             assert tuple(base[:len(prefix)]) == prefix
-            assert len(trans) == len(base) and _chain_order(trans) == order
-            assert _chain_order(trans[len(prefix):]) == stabilizer
+            assert len(levels) == len(base) and _chain_order(levels) == order
+            assert _chain_order(levels[len(prefix):]) == stabilizer
 
     check()
 
@@ -425,20 +431,22 @@ def test_automorphism_orders_compose_no_permutation(monkeypatch, searched, build
     assert searched == [SEARCHED_ROOT.get(build, g.n)]
 
 
-def test_a_line_graph_is_searched_when_the_mapped_generators_are_not_strong(monkeypatch,
-                                                                            searched):
-    """With a generator of the root's group dropped, no edge prefix reaches
-    |Aut H|, so the line graph itself is searched, and its order holds."""
-    g = line_graph(catalog("petersen")).graph
-
-    def weakened(h):
-        group = automorphisms(h)
-        return dataclasses.replace(group, generators=group.generators[:-1])
-
-    automorphisms.cache_clear()
-    monkeypatch.setattr(linesym.symmetry, "automorphisms", weakened)
-    assert automorphisms(g).order == 120
-    assert searched == [10, 15]
+def test_line_graphs_of_arc_transitive_roots_search_only_the_root(searched):
+    """On these roots the edges at the base points do not always carry the
+    mapped generators' orbits to |Aut H|; the chain's Schreier phase,
+    stopped at |Aut H|, completes the levels, so the one search is the
+    root's, under every labelling."""
+    hosts = [(catalog(f"projective_plane({p})"), 2 * (p * p + p + 1)) for p in (3, 5, 7)]
+    hosts += [(cube_graph(5), 32), (kneser_graph(7, 2), 21), (kneser_graph(7, 3), 35),
+              (catalog("icosahedron"), 12), (catalog("tutte_8_cage").line, 30)]
+    for host, root in hosts:
+        for seed in range(3):
+            g = relabelled(host.line, seed)
+            automorphisms.cache_clear()
+            searched.clear()
+            order = automorphisms(g).order
+            assert searched == [root], (host.name, seed)
+            assert order == g.search[3]
 
 
 def test_automorphisms_give_the_search_order_on_the_atlas_and_its_line_graphs(monkeypatch):
@@ -493,6 +501,22 @@ def test_the_group_of_a_long_cycle_holds_linear_memory():
     finally:
         tracemalloc.stop()
     assert held < 2_000_000
+
+
+def test_the_level_predicates_on_a_long_cycle_hold_linear_memory():
+    """The chain of each arc level is based at the level's first tuple; its
+    Schreier vectors hold one entry per point, where a table of coset
+    elements per level would hold 4000 tuples of 4000 entries."""
+    g = catalog("cycle(4000)")
+    automorphisms(g)
+    transitive_on_level.cache_clear()
+    tracemalloc.start()
+    try:
+        assert is_s_arc_transitive(g, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("name", ["petersen", "tutte_8_cage", "cycle(12)", "complete(6)"])
@@ -616,40 +640,42 @@ def test_induced_line_groups_have_the_host_order(host):
 
 
 def test_each_schreier_generator_is_sifted_at_most_once(monkeypatch):
-    """Counted on the induced group of a relabelled Q6.  Each input generator
-    is sifted once, from level 0.  A non-identity residue of a sift from level
-    lo that stops at level j joins the generators S_lo..S_j, so the S_i are
-    read off the sifts.  Each pair (t, s) of a level's orbit point and
-    generator is then sifted exactly once when its Schreier generator is not
-    the identity, and never otherwise; the |O_i| - 1 tree edges of level i
-    give the identity, so the sifts number at most
-    len(inputs) + sum_i (|O_i| |S_i| - (|O_i| - 1))."""
+    """Counted through `_compose` on the induced group of a relabelled Q6,
+    with no order to stop at.  Memoising a coset element costs one
+    composition per orbit point and direction.  A pair (t, s) of a level's
+    orbit O_i and generators S_i costs nothing when it is a tree edge: t's
+    entry is s, or an involution s is s[t]'s entry.  Any other pair is
+    visited once and costs down[t] s, and the Schreier generator only when
+    that differs from down[s[t]], so no Schreier generator is the identity;
+    each is sifted once, through at most the levels above its own."""
     g = _relabelled(_hypercube(6), random.Random(6))
     lg = line_graph(g)
     inputs = [induced_edge_action(lg.index, p).images for p in automorphisms(g).generators]
-    identity = tuple(range(lg.graph.n))
-    starts = []
-    level_gens = collections.defaultdict(list)
-    real = linesym.symmetry._sift
+    calls = []
+    real = linesym.symmetry._compose
 
-    def counted(p, base, trans, start):
-        residue, j = real(p, base, trans, start)
-        starts.append(start)
-        if residue != identity:
-            for m in range(start, j + 1):
-                level_gens[m].append(residue)
-        return residue, j
+    def counted(p, q):
+        r = real(p, q)
+        calls.append((sys._getframe(1).f_code.co_name, q, r))
+        return r
 
-    monkeypatch.setattr(linesym.symmetry, "_sift", counted)
-    _, trans, _ = _stabilizer_chain(inputs, lg.graph.n)
-    assert _chain_order(trans) == 2**6 * math.factorial(6)
-    assert starts.count(0) == len(inputs)
-    nontrivial = sum(
-        (Permutation(level[t]).inverse() * Permutation(s) * Permutation(level[s[t]])).images
-        != identity for i, level in enumerate(trans) for t in level for s in level_gens[i])
-    assert len(starts) == len(inputs) + nontrivial
-    assert len(starts) <= len(inputs) + sum(len(level) * len(level_gens[i]) - (len(level) - 1)
-                                            for i, level in enumerate(trans))
+    monkeypatch.setattr(linesym.symmetry, "_compose", counted)
+    base, levels, _, steps = _stabilizer_chain(inputs, lg.graph.n)
+    assert _chain_order(levels) == 2**6 * math.factorial(6)
+    generators = {id(s) for pairs in steps for s, _ in pairs}
+    by_caller = collections.Counter(caller for caller, _, _ in calls)
+    in_chain = [(id(q) in generators, r) for caller, q, r in calls
+                if caller == "_stabilizer_chain"]
+    products = [r for product, r in in_chain if product]  # down[t] s
+    schreier = [r for product, r in in_chain if not product]  # down[t] s up[s[t]]
+    assert by_caller["_coset"] <= 2 * sum(len(level) - 1 for level in levels)
+    # each non-base point's entry is one tree edge, and two when its generator is an involution
+    tree = sum(1 + (entry[1] is entry[2]) for level in levels for entry in level.values() if entry)
+    pairs = sum(len(level) * len(pairs) for level, pairs in zip(levels, steps))
+    assert len(products) == pairs - tree
+    assert schreier and tuple(range(lg.graph.n)) not in schreier
+    assert by_caller["sift"] <= len(schreier) * (len(base) - 1)
+    assert set(by_caller) <= {"_coset", "_stabilizer_chain", "sift"}
 
 
 # -- orbits and transitivity ---------------------------------------------------------
