@@ -55,9 +55,10 @@ class Graph:
         """All edges as (min, max) pairs in lexicographic order."""
         return tuple((v, w) for v in range(self.n) for w in self.adj[v] if v < w)
 
-    @property
+    @cached_property
     def m(self) -> int:
-        return len(self.edges)
+        """The edge count, from the row lengths (so `edges` is not built)."""
+        return sum(map(len, self.adj)) // 2
 
     @cached_property
     def edge_rank(self) -> dict[tuple[int, int], int]:
@@ -180,7 +181,8 @@ def _line_root(g: Graph) -> tuple[Graph, tuple[Edge, ...]] | None:
 
 
 def _odd_triangle(adj, t) -> bool:
-    seen = Counter(w for v in t for w in adj[v] if w not in t)
+    # each corner of the triangle t lies on the other two rows: count 2, neither 1 nor 3
+    seen = Counter(itertools.chain.from_iterable(map(adj.__getitem__, t)))
     return 1 in seen.values() or 3 in seen.values()
 
 

@@ -11,7 +11,10 @@ the search's are on its own, reach a known order by point images alone.  A
 line graph L(H) whose connected root has 5 <= |H| < |L(H)| vertices is not
 searched: by Whitney's theorem (1932) Aut(H), acting on the edges through
 the certified bijection `Graph.root`, is all of Aut(L(H)), the exceptions
-K2, K3, K1,3, K4, K4 - e and K1,3 + e having fewer vertices.
+K2, K3, K1,3, K4, K4 - e and K1,3 + e having fewer vertices.  Past its
+root, a graph denser than half (2m > n(n-1)/2) takes its complement's group,
+so no search runs on the denser side: K(n,2), for n >= 8, reaches K_n
+through its complement T(n) = L(K_n).
 `transitive_on` splits an explicit tuple universe into orbits; the
 transitivity predicates build no tuple and decide each level by
 orbit-stabilizer (`transitive_on_level`).
@@ -293,9 +296,15 @@ class AutGroup:
 @lru_cache(maxsize=256)
 def automorphisms(g: Graph) -> AutGroup:
     """Full automorphism group of g: a line graph's comes from its root
-    (`_line_group`); any other's from the search, whose generators are strong
-    on its base, so the chain reaches its order by point images."""
+    (`_line_group`); a graph denser than half (2m > n(n-1)/2) has that of
+    its complement, which is not, built here and kept by no cache; any
+    other's from the search, whose generators are strong on its base, so
+    the chain reaches its order by point images."""
     group = _line_group(g)
+    if group is None and sum(map(len, g.adj)) > g.n * (g.n - 1) // 2:
+        closed = [{v, *row} for v, row in enumerate(g.adj)]
+        g = Graph(g.n, tuple(tuple(w for w in range(g.n) if w not in c) for c in closed))
+        group = _line_group(g)  # g is now the complement, its root tried in turn
     if group is None:
         base, gens, _, order = g.search
         group = AutGroup._build(g.n, map(Permutation, gens), base, order)

@@ -488,6 +488,80 @@ def test_whitney_exceptions_are_searched(edges, root_order, line_order):
     assert automorphisms(line).order == line.search[3] == line_order
 
 
+def _complement(g):
+    return build_graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                             if v not in g.adj[u]])
+
+
+def _denser_than_half(adj) -> bool:
+    return sum(map(len, adj)) > len(adj) * (len(adj) - 1) // 2
+
+
+def test_automorphisms_give_the_search_order_on_the_whole_atlas_and_its_complements():
+    """Every atlas graph, disconnected ones included, and its complement:
+    the dense half of them take their group from the other side, and the
+    search run on each graph itself checks the order."""
+    nx = pytest.importorskip("networkx")
+    atlas = [build_graph(a.number_of_nodes(), a.edges()) for a in nx.graph_atlas_g()
+             if a.number_of_nodes()]
+    graphs = [h for g in atlas for h in (g, _complement(g))]
+    automorphisms.cache_clear()
+    for h in graphs:
+        group = automorphisms(h)
+        assert group.order == h.search[3], h.adj
+        _automorphisms_of(h, group.generators)
+    assert sum(map(_denser_than_half, (g.adj for g in atlas))) == 621
+
+
+def _dense_ladder():
+    """(graph, |Aut|, the vertex counts searched or None) for the dense ladder."""
+    f = math.factorial
+    members = [(catalog(f"complete({n})"), f(n), None) for n in range(4, 17)]
+    for m, b in ((2, 3), (2, 5), (2, 7), (3, 2), (3, 4), (4, 3), (5, 4), (6, 3), (8, 2)):
+        members.append((catalog(f"complete_multipartite({m},{b})"), f(b) ** m * f(m), None))
+    for n in range(5, 12):  # dense from n = 8; K(7,2) has exactly half the pairs
+        members.append((kneser_graph(n, 2), f(n), [n if n >= 8 else math.comb(n, 2)]))
+    members += [(kneser_graph(n, 3), f(n), None) for n in (7, 8, 9)]
+    return members
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_search_never_runs_on_the_denser_side(monkeypatch, seed):
+    """Complete, complete multipartite and Kneser graphs under relabellings:
+    no adjacency searched is denser than half, and K(n,2), from n = 8 on,
+    reaches K_n through its complement T(n) = L(K_n), so it searches K_n's
+    (edgeless) complement alone."""
+    searched, search = [], linesym.refinement.automorphism_generators
+
+    def spy(adj):
+        searched.append(adj)
+        return search(adj)
+
+    monkeypatch.setattr(linesym.refinement, "automorphism_generators", spy)
+    for g, order, sizes in _dense_ladder():
+        automorphisms.cache_clear()
+        searched.clear()
+        assert automorphisms(relabelled(g, seed)).order == order, g.name
+        assert not any(map(_denser_than_half, searched)), g.name
+        assert sizes is None or [len(adj) for adj in searched] == sizes, g.name
+
+
+@pytest.mark.parametrize("g", [
+    kneser_graph(9, 2),
+    catalog("complete_multipartite(4,3)"),
+    _complement(catalog("cycle(30)")),
+])
+def test_dense_graphs_keep_no_edge_list(g):
+    """The density test and `Graph.m` read the adjacency rows, so a dense
+    graph's group leaves no edge tuple on the graph the cache keys on."""
+    h = build_graph(g.n, g.edges)
+    automorphisms.cache_clear()
+    assert _denser_than_half(h.adj) and h.root is None
+    assert automorphisms(h).order == h.search[3]
+    assert h.m == len(g.edges)
+    assert "edges" not in vars(h)
+
+
 def test_the_group_of_a_long_cycle_holds_linear_memory():
     """Explicit transversals would hold 4000 tuples of 4000 entries (about
     120 MB); Schreier vectors hold one (parent, generator) pair per point."""
