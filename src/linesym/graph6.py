@@ -3,15 +3,20 @@
 The header is N(n): one byte n+63 for n <= 62, or '~' followed by three
 bytes carrying an 18-bit big-endian n up to 258047.  The body packs the
 upper triangle of the adjacency matrix column by column ((0,1), (0,2),
-(1,2), (0,3), ...), zero-padded to a multiple of six bits.
+(1,2), (0,3), ...), zero-padded to a multiple of six bits.  Column j
+lists the lower neighbours of j in order, so reading the columns in turn
+fills every adjacency row already sorted; writing sets one bit per edge.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, build_graph
+import itertools
+
+from .graphs import Graph
 
 _HEADER = b">>graph6<<"
 _MAX_LONG_N = 258047
+_SEXTETS = [tuple(v >> shift & 1 for shift in range(5, -1, -1)) for v in range(64)]
 
 
 def _bit_count(n: int) -> int:
@@ -55,17 +60,16 @@ def parse_graph6(data: bytes | str) -> Graph:
         val = b - 63
         if not 0 <= val <= 63:
             raise ValueError(f"byte {b} outside the printable graph6 range")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+        bits.extend(_SEXTETS[val])
     if any(bits[nbits:]):
         raise ValueError("nonzero padding bits")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return build_graph(n, edges)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for j in range(1, n):  # column j, the pairs (i, j) with i < j, starts at bit j(j-1)/2
+        k = j * (j - 1) // 2
+        rows[j] = list(itertools.compress(range(j), bits[k:k + j]))
+        for i in rows[j]:  # each row takes its lower neighbours, then its upper ones
+            rows[i].append(j)
+    return Graph(n, tuple(map(tuple, rows)))
 
 
 def emit_graph6(g: Graph) -> bytes:
@@ -77,16 +81,11 @@ def emit_graph6(g: Graph) -> bytes:
         head = bytes([n + 63])
     else:
         head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytearray()
-    for k in range(0, len(bits), 6):
-        val = 0
-        for bit in bits[k:k + 6]:
-            val = (val << 1) | bit
-        body.append(val + 63)
-    return head + bytes(body)
+    body = bytearray((_bit_count(n) + 5) // 6)
+    for j, row in enumerate(g.adj):
+        for i in row:
+            if i > j:
+                break
+            k = j * (j - 1) // 2 + i  # the bit of pair (i, j), i < j
+            body[k // 6] |= 32 >> k % 6
+    return head + bytes(b + 63 for b in body)

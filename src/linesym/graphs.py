@@ -2,8 +2,9 @@
 
 Vertices are always 0..n-1 and every adjacency row is a strictly sorted
 tuple, so a Graph is hashable, deterministic to iterate, and safe to share.
-Anything that looks like a multigraph (duplicate edges) is collapsed at
-construction; self-loops are rejected outright.  Facts derived from the
+A Graph checks its rows in one pass over the adjacency entries, symmetry
+against one set per row.  `build_graph` collapses duplicate edges; a
+self-loop is rejected outright.  Facts derived from the
 adjacency (the edge list and its ranks, distance rows, the line graph, a
 line graph's root, the automorphism search) are cached on first use, so
 every caller holding the graph shares them.
@@ -31,24 +32,24 @@ class Graph:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if len(self.adj) != self.n:
+        if len(self.adj) != n:
             raise ValueError("adjacency length does not match vertex count")
+        rows = list(map(frozenset, self.adj))  # symmetry is one set lookup per entry
         for v, row in enumerate(self.adj):
             prev = -1
             for w in row:
-                if not 0 <= w < self.n:
+                if not 0 <= w < n:
                     raise ValueError(f"neighbor {w} of vertex {v} out of range")
                 if w == v:
                     raise ValueError(f"self-loop at vertex {v}")
                 if w <= prev:
                     raise ValueError(f"adjacency row of vertex {v} not strictly sorted")
-                prev = w
-        for v, row in enumerate(self.adj):
-            for w in row:
-                if v not in self.adj[w]:
+                if v not in rows[w]:
                     raise ValueError(f"edge {v}-{w} is not symmetric")
+                prev = w
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -119,9 +120,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"<Graph{label} n={self.n} m={self.m}>"
@@ -130,7 +128,8 @@ class Graph:
 def build_graph(n: int, edges: Iterable[Iterable[int]], name: str | None = None) -> Graph:
     """Build a Graph from an edge iterable, collapsing duplicates.
 
-    Raises ValueError on self-loops, endpoints outside 0..n-1, or n < 1.
+    Raises ValueError on endpoints outside 0..n-1 or n < 1, and (from
+    `Graph`) on self-loops, naming the lowest looped vertex.
     """
     if n < 1:
         raise ValueError("graph needs at least one vertex")
@@ -139,14 +138,12 @@ def build_graph(n: int, edges: Iterable[Iterable[int]], name: str | None = None)
         u, v = e
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {u}-{v} has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
         seen.add((u, v) if u < v else (v, u))
     rows: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted(seen):
+    for u, v in sorted(seen):  # each row takes its lower neighbours, then its upper ones
         rows[u].append(v)
         rows[v].append(u)
-    return Graph(n, tuple(tuple(sorted(r)) for r in rows), name)
+    return Graph(n, tuple(map(tuple, rows)), name)
 
 
 def _line_root(g: Graph) -> tuple[Graph, tuple[Edge, ...]] | None:

@@ -301,7 +301,7 @@ def automorphisms(g: Graph) -> AutGroup:
     other's from the search, whose generators are strong on its base, so
     the chain reaches its order by point images."""
     group = _line_group(g)
-    if group is None and sum(map(len, g.adj)) > g.n * (g.n - 1) // 2:
+    if group is None and 2 * g.m > g.n * (g.n - 1) // 2:
         closed = [{v, *row} for v, row in enumerate(g.adj)]
         g = Graph(g.n, tuple(tuple(w for w in range(g.n) if w not in c) for c in closed))
         group = _line_group(g)  # g is now the complement, its root tried in turn

@@ -424,7 +424,7 @@ def run_corpus(corpus: Corpus, checks=None) -> list[VerdictReport]:
             else:
                 for s in s_values:
                     reports.extend(check.run(g, s, None))
-    reports.sort(key=lambda r: (r.graph, r.claim, str(r.params.get("s"))))
+    reports.sort(key=lambda r: (r.graph, r.claim, r.params.get("s") or 0))
     return reports
 
 

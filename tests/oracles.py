@@ -286,21 +286,21 @@ def local_type_oracle(g: Graph):
     for row in g.adj:
         comp = {u: {u} for u in row}
         for a, b in itertools.combinations(row, 2):
-            if g.has_edge(a, b) and comp[a] is not comp[b]:
+            if b in g.adj[a] and comp[a] is not comp[b]:
                 merged = comp[a] | comp[b]
                 for x in merged:
                     comp[x] = merged
         comps = list({id(c): c for c in comp.values()}.values())
         if (
             comps
-            and all(g.has_edge(a, b) for c in comps for a, b in itertools.combinations(c, 2))
+            and all(b in g.adj[a] for c in comps for a, b in itertools.combinations(c, 2))
             and len({len(c) for c in comps}) == 1
         ):
             shapes.add(("disjoint_cliques", (len(comps), len(comps[0]))))
         elif (
             len(row) >= 3
             and len(comps) == 1
-            and all(sum(g.has_edge(u, w) for w in row) == 2 for u in row)
+            and all(sum(w in g.adj[u] for w in row) == 2 for u in row)
         ):
             shapes.add(("cycle", (len(row),)))
         else:

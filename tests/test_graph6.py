@@ -1,12 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linesym.graph6 import emit_graph6, parse_graph6
-from linesym.graphs import build_graph
+from linesym.graphs import Graph, build_graph
 from oracles import encode_graph6_reference
 
 
@@ -84,8 +85,35 @@ def test_round_trip_random(n, rnd):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [e for e in pairs if rnd.random() < 0.4]
     g = build_graph(n, edges)
-    assert parse_graph6(emit_graph6(g)).edges == g.edges
+    assert parse_graph6(emit_graph6(g)) == g
     assert emit_graph6(g) == encode_graph6_reference(g)
+
+
+def _cycle_complement(n):
+    return Graph(n, tuple(tuple(w for w in range(n) if (w - v) % n not in (0, 1, n - 1)) for v in range(n)))
+
+
+def _random_graph(n):
+    rng = random.Random(n)
+    return build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_random_graph(1), _random_graph(62), _random_graph(63), _cycle_complement(90)],
+    ids=["n=1", "n=62", "n=63-long-header", "dense"],
+)
+def test_round_trip_matches_the_reference(g):
+    assert emit_graph6(g) == encode_graph6_reference(g)
+    assert parse_graph6(emit_graph6(g)) == g
+
+
+def test_large_dense_graph_builds_and_round_trips_in_linear_time():
+    # about 179,000 edges: one pass over the rows, not a row scan per entry
+    start = time.perf_counter()
+    g = _cycle_complement(600)
+    assert parse_graph6(emit_graph6(g)) == g and g.m == 600 * 597 // 2
+    assert time.perf_counter() - start < 2
 
 
 def test_round_trip_is_stable_under_reserialization():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -62,9 +63,35 @@ def test_build_rejects_bad_input(n, edges):
         build_graph(n, edges)
 
 
+@pytest.mark.parametrize(
+    "n, adj, message",
+    [
+        (2, ((1,),), "adjacency length does not match vertex count"),
+        (0, (), "graph needs at least one vertex"),
+        (2, ((2,), ()), "neighbor 2 of vertex 0 out of range"),
+        (2, ((-1,), ()), "neighbor -1 of vertex 0 out of range"),
+        (2, ((), (1,)), "self-loop at vertex 1"),
+        (3, ((2, 1), (0,), (0,)), "adjacency row of vertex 0 not strictly sorted"),
+        (3, ((1, 1), (0,), ()), "adjacency row of vertex 0 not strictly sorted"),
+    ],
+)
+def test_graph_validation_names_each_fault(n, adj, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph(n, adj)
+
+
 def test_graph_validation_catches_asymmetry():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^edge 0-1 is not symmetric$"):
         Graph(2, ((1,), ()))
+    with pytest.raises(ValueError, match="^edge 1-0 is not symmetric$"):
+        Graph(2, ((), (0,)))
+
+
+def test_build_graph_leaves_self_loops_to_graph():
+    with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+        build_graph(3, [(1, 1)])
+    with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+        build_graph(4, [(0, 3), (3, 3), (1, 1), (1, 2)])
 
 
 def test_neighbors_contract(k4):

@@ -417,8 +417,13 @@ def test_transitivity_builds_no_tuple(monkeypatch):
 
 
 def test_corpus_report_ordering(default_reports):
-    keys = [(r.graph, r.claim, str(r.params.get("s"))) for r in default_reports]
+    keys = [(r.graph, r.claim, r.params.get("s") or 0) for r in default_reports]
     assert keys == sorted(keys)
+
+
+def test_corpus_orders_s_as_a_number():
+    reports = run_corpus(Corpus((("c", catalog("cycle(24)")),)), ["thm32"])
+    assert [r.params["s"] for r in reports] == list(range(2, 14))
 
 
 def test_corpus_check_selection():
