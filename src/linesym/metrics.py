@@ -34,7 +34,7 @@ def girth(g: Graph) -> int | None:
     level closer to the root closes a walk of length 2*d(w), and a neighbour
     on w's own level one of length 2*d(w) + 1.  Either walk contains a cycle,
     and for a root on a shortest cycle the vertex opposite it attains the
-    bound.
+    bound.  A triangle ends the scan: no simple graph has a shorter cycle.
     """
     best: int | None = None
     for r in range(g.n):
@@ -51,6 +51,8 @@ def girth(g: Graph) -> int | None:
                 continue
             if best is None or cand < best:
                 best = cand
+        if best == 3:
+            break
     return best
 
 

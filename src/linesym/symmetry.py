@@ -130,38 +130,28 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=
     pairs; up[i] memoises elements carrying points to base[i].  The orbit
     lengths multiply to the order of the group on gens.
 
-    Each input joins S_0..S_j, j the first base point it moves, unsifted.
-    Given the order, orbits that reach it prove the inputs strong.  Else the
-    Schreier phase completes the levels bottom-up, visiting each pair (t, s)
-    of level i's orbit and S_i once: a tree edge, either way round, costs
-    nothing, and the Schreier generator down[t] s up[s[t]] (down[x] carrying
-    base[i] to x) is built only when down[t] s != down[s[t]].  Its residue,
-    sifted from level i+1, joins S_{i+1}..S_j when it stops at level j, and
-    processing goes back to j.  Coset elements are built only when a sift or
-    a Schreier generator needs them, and memoised in both directions."""
-    identity, base, steps = tuple(range(n)), list(prefix), []
-    pairs = [(p, _invert(p)) for p in map(tuple, gens) if p != identity]
-    while len(steps) < len(base) or pairs:  # S_i: the inputs fixing base[:i]
-        if len(steps) == len(base):
-            base.append(next(v for v in range(n) if pairs[0][0][v] != v))
-        b = base[len(steps)]
-        steps.append(pairs)
-        pairs = [q for q in pairs if q[0][b] == b]
-    levels, up = [{b: None} for b in base], [{b: identity} for b in base]
+    The prefix opens its levels bare.  Each input joins S_0..S_j as a residue
+    does, j the first base point it moves, unsifted.  Given the order, orbits
+    that reach it prove the inputs strong.  Else the Schreier phase completes
+    the levels bottom-up, visiting each pair (t, s) of level i's orbit and S_i
+    once: a tree edge, either way round, costs nothing, and the Schreier
+    generator down[t] s up[s[t]] (down[x] carrying base[i] to x) is built only
+    when down[t] s != down[s[t]].  Its residue, sifted from level i+1, joins
+    S_{i+1}..S_j when it stops at level j, and processing goes back to j.
+    Coset elements are built only when needed, and memoised both ways."""
+    identity, base = tuple(range(n)), list(prefix)
+    levels, up, steps = [{b: None} for b in base], [{b: identity} for b in base], [[] for _ in base]
     down, settled = {}, {}  # per level in the Schreier phase; settled: point -> pairs visited
 
-    def grow(m, first):
-        """S_m from first on acts on level m's orbit, then all of S_m on each
-        point added: x = s^-1[t] joins as x -> (t, s, s^-1)."""
-        level, queue, pairs = levels[m], [], steps[m]
-        new = pairs[first:]
+    def grow(m, s, inverse):
+        """s acts on level m's orbit, then S_m on each new x = s^-1[t], as x -> (t, s, s^-1)."""
+        level, queue = levels[m], []
         for t in list(level):
-            for s, inverse in new:
-                if (x := inverse[t]) not in level:
-                    level[x] = (t, s, inverse)
-                    queue.append(x)
+            if (x := inverse[t]) not in level:
+                level[x] = (t, s, inverse)
+                queue.append(x)
         for t in queue:
-            for s, inverse in pairs:
+            for s, inverse in steps[m]:
                 if (x := inverse[t]) not in level:
                     level[x] = (t, s, inverse)
                     queue.append(x)
@@ -176,7 +166,7 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=
         step = (p, _invert(p))
         for m in range(lo, j + 1):
             steps[m].append(step)
-            grow(m, len(steps[m]) - 1)
+            grow(m, *step)
 
     def sift(p, lo):
         for j in range(lo, len(base)):
@@ -187,9 +177,9 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=
                 p = _compose(p, up[j].get(x) or _coset(levels[j], up[j], x))
         return p, len(base)
 
-    for m, pairs in enumerate(steps):
-        if pairs:
-            grow(m, 0)
+    for p in map(tuple, gens):
+        if p != identity:
+            join(p, 0, next((j for j, b in enumerate(base) if p[b] != b), len(base)))
     i = len(base) - 1
     while i >= 0 and _chain_order(levels) != order:
         level, pairs, ups, j = levels[i], steps[i], up[i], None
@@ -270,13 +260,6 @@ class AutGroup:
     def from_generators(g: Graph, perms: Iterable[Permutation]) -> "AutGroup":
         """Validating constructor: every generator must preserve g's edge set."""
         return AutGroup.from_permutations(g.n, _automorphisms_of(g, perms))
-
-    def _reps_of(self, i: int, points) -> dict:
-        """Level i's memo, once it holds each of points."""
-        level, reps = self._levels[i], self._reps[i]
-        for x in points if len(reps) < len(level) else ():
-            _coset(level, reps, x)
-        return reps
 
     def random_element(self, rng: random.Random) -> Permutation:
         """A uniformly random element of the group.
@@ -398,7 +381,8 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
 
     Let b be the first base point of the group's chain and O its orbit.  A
     tuple t starting in O is moved into the fibre over b as t * w, where w
-    is the level element carrying t[0] to b; two such tuples share a G-orbit
+    is the level element carrying t[0] to b, built along t[0]'s Schreier path
+    when first asked for and memoised; two such tuples share a G-orbit
     exactly when their fibre images share an orbit of the stabilizer G_b,
     so only the fibre is searched, under G_b's strong generators.  Tuples
     starting outside O are searched under the group's generators.  Each
@@ -414,12 +398,14 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
     universe = tuple(tuples)
     cap = walks.ENUMERATION_CAP
     gens = [p.images for p in group.generators]
-    level = group._reps_of(0, group._levels[0]) if group._levels else {}
+    level, reps = (group._levels[0], group._reps[0]) if group._levels else ({}, {})
     label: dict = {}  # fibre image, or tuple starting outside O -> orbit id
     ids = []
     count = 0
     for t in universe:
-        w = level.get(t[0]) if t else None
+        w = reps.get(t[0]) if t else None
+        if w is None and t and t[0] in level:
+            w = _coset(level, reps, t[0])
         if w is None:
             key, members = t, gens
         else:

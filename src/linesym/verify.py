@@ -212,9 +212,9 @@ def check_lmap_theorem(g: Graph, s: int, group: AutGroup | None = None) -> Verdi
     within = s - 1 <= dl
     # An image is an arc of L when consecutive entries are adjacent and entries two apart
     # differ, a geodesic when also its ends are s-1 apart; L's own tuples are only counted.
-    steps = {(a, b) for a, row in enumerate(line.adj) for b in row}
+    adjacent = line.edge_rank.__contains__  # keyed by L's ordered adjacent pairs
     line_arcs = {t for t in image_set
-                 if steps.issuperset(zip(t, t[1:])) and all(map(operator.ne, t, t[2:]))}
+                 if all(map(adjacent, zip(t, t[1:]))) and all(map(operator.ne, t, t[2:]))}
     line_geos = {t for t in line_arcs if line.distances(t[0])[t[-1]] == s - 1}
     covers = len(line_geos) == count_geodesics(line, s - 1) if within else None
     # A sampled element preserves the edges, so it acts on the arc's own edges.
@@ -439,8 +439,9 @@ def format_records(reports) -> str:
 def format_table(reports) -> str:
     rows = [("claim", "graph", "s", "verdict", "lhs", "rhs", "seconds")]
     for r in reports:
+        s = r.params.get("s")
         rows.append((
-            r.claim, r.graph, str(r.params.get("s", "")),
+            r.claim, r.graph, "" if s is None else str(s),
             r.verdict, _short(r.lhs), _short(r.rhs), f"{r.seconds:.3f}",
         ))
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]

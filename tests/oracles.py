@@ -234,6 +234,20 @@ def individualize(colors: list[int], v: int) -> list[int]:
     return [c + 1 if c == cv and w != v else c for w, c in enumerate(colors)]
 
 
+def batch_base(gens, n: int, prefix=()):
+    """(base, inputs per level) of a chain on gens before any Schreier
+    generator, straight from the batch rule: past the prefix, the next base
+    point is the first point moved by the first input fixing every base point
+    so far, and level i holds the inputs, identities left out, fixing
+    base[:i], in input order."""
+    inputs = [tuple(p) for p in gens if any(v != i for i, v in enumerate(p))]
+    base = list(prefix)
+    while fixing := [p for p in inputs if all(p[b] == b for b in base)]:
+        base.append(min(v for v in range(n) if fixing[0][v] != v))
+    return base, [[p for p in inputs if all(p[b] == b for b in base[:i])]
+                  for i in range(len(base))]
+
+
 def orbit_partition(universe, gens) -> tuple[int, ...]:
     """Orbit ids of a tuple universe under permutations given as image tuples.
 

@@ -65,6 +65,21 @@ def test_girth_bounded_by_triangle():
     assert girth(g) == 3
 
 
+def test_girth_matches_the_oracle_on_the_whole_atlas():
+    nx = pytest.importorskip("networkx")
+    for a in nx.graph_atlas_g()[1:]:
+        g = build_graph(a.number_of_nodes(), a.edges())
+        assert girth(g) == girth_oracle(g)
+
+
+def test_girth_stops_at_the_first_triangle():
+    """A triangle through vertex 0 is found on root 0's row, and no other
+    distance row is built: no simple graph has a shorter cycle."""
+    g = catalog("projective_plane(3)").line  # three edges at a vertex of the host meet pairwise
+    assert girth(g) == 3
+    assert [v for v, row in enumerate(g._distance_rows) if row is not None] == [0]
+
+
 def test_metrics_agree_with_oracles_on_random_graphs():
     rng = random.Random(23)
     for _ in range(40):

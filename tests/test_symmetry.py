@@ -22,6 +22,7 @@ from linesym.symmetry import (
     Permutation,
     _automorphisms_of,
     _chain_order,
+    _coset,
     _stabilizer_chain,
     automorphisms,
     induced_edge_action,
@@ -34,6 +35,7 @@ from linesym.walks import EnumerationCapExceeded, enumerate_arcs, enumerate_geod
 from oracles import (
     automorphism_count_backtrack,
     automorphism_count_filter,
+    batch_base,
     equitable_cells,
     individualize,
     orbit_partition,
@@ -224,6 +226,10 @@ def test_from_permutations_order_matches_sympy_up_to_degree_40():
 
 
 def test_prefixed_chain_matches_sympy_with_and_without_the_order_stop():
+    """Orders against sympy; and each input, identities aside, joins the
+    levels up to the first base point it moves, so the base starts with the
+    batch rule's and each level's generators with the inputs fixing the base
+    points before it, in input order."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
 
     @settings(max_examples=200, deadline=None)
@@ -234,11 +240,15 @@ def test_prefixed_chain_matches_sympy_with_and_without_the_order_stop():
         group = combinatorics.PermutationGroup([combinatorics.Permutation(list(p)) for p in perms])
         order = group.order()
         stabilizer = group.pointwise_stabilizer(list(prefix)).order() if prefix else order
+        expected_base, inputs = batch_base(perms, n, prefix)
         for stop in (None, order, 2 * order):  # a stop above the order never fires
-            base, levels, _, _ = _stabilizer_chain(perms, n, prefix, stop)
+            base, levels, _, steps = _stabilizer_chain(perms, n, prefix, stop)
             assert tuple(base[:len(prefix)]) == prefix
             assert len(levels) == len(base) and _chain_order(levels) == order
             assert _chain_order(levels[len(prefix):]) == stabilizer
+            assert base[:len(expected_base)] == expected_base
+            for pairs, expected in zip(steps, inputs):
+                assert [s for s, _ in pairs[:len(expected)]] == expected
 
     check()
 
@@ -616,7 +626,8 @@ def test_groups_of_equal_graphs_are_equal_and_hash_equal_whatever_is_tabled():
     automorphisms.cache_clear()
     second = automorphisms(catalog("petersen"))
     assert first is not second
-    first._reps_of(0, first._levels[0])
+    for x in first._levels[0]:
+        _coset(first._levels[0], first._reps[0], x)
     assert first._reps != second._reps
     assert first == second and hash(first) == hash(second)
     assert len({first, second}) == 1
@@ -857,8 +868,11 @@ def _elements(group):
 
 
 def _transversals(group):
-    """Every chain level's element table, built from its Schreier vector if need be."""
-    return [group._reps_of(i, level) for i, level in enumerate(group._levels)]
+    """Every chain level's element table, its memo filled through `_coset`."""
+    for level, reps in zip(group._levels, group._reps):
+        for x in level:
+            _coset(level, reps, x)
+    return group._reps
 
 
 def _assert_levels_carry_keys_to_their_base_points(group, edges=None):
@@ -920,6 +934,25 @@ def test_transitive_on_inverts_nothing(monkeypatch, petersen, k3_parts_of_2):
     for universe, group in cases:
         _, part = transitive_on(universe, group)
         assert part.orbit_ids == orbit_partition(universe, [p.images for p in group.generators])
+
+
+def test_transitive_on_builds_only_the_start_points_schreier_path():
+    """A one-tuple universe asks for one level element: it is built along the
+    start point's path in the first level's Schreier vector, and no other
+    point of the orbit gets one."""
+    automorphisms.cache_clear()
+    group = automorphisms(catalog("petersen"))
+    level, reps = group._levels[0], group._reps[0]
+
+    def path(x):
+        while x is not None:
+            yield x
+            x = level[x] and level[x][0]
+
+    start = max(level, key=lambda x: len(list(path(x))))
+    assert set(reps) == {next(iter(level))}  # the search's generators are strong
+    assert transitive_on([(start,)], group)[0]
+    assert set(reps) == set(path(start)) and len(reps) < len(level) == 10
 
 
 def test_arc_transitivity_facts(petersen):

@@ -531,6 +531,18 @@ def test_format_table_tally(default_reports):
     assert "fail," in table.splitlines()[-1]
 
 
+def test_format_table_leaves_the_s_cell_empty_where_s_is_null(default_reports):
+    """Gated records hold s null; the table shows an empty cell for them, as
+    for checks that take no s, and the number wherever s is set."""
+    table = format_table(default_reports).splitlines()
+    assert table[0].split()[:3] == ["claim", "graph", "s"]
+    gated = [r for r in default_reports if "s" in r.params and r.params["s"] is None]
+    assert any(r.claim == "thm-1.3" and r.graph == "complete(4)" for r in gated)
+    for r, row in zip(default_reports, table[1:]):
+        s = r.params.get("s")
+        assert row.split()[:3] == [r.claim, r.graph, r.verdict if s is None else str(s)]
+
+
 def test_write_report(tmp_path, default_reports):
     out = tmp_path / "report.jsonl"
     write_report(default_reports, str(out))
