@@ -12,7 +12,6 @@ from .constructions import (
     catalog,
     clique_graph,
     line_graph,
-    root_graph,
     subdivision_graph,
 )
 from .graph6 import emit_graph6, parse_graph6
@@ -55,10 +54,6 @@ from .verify import (
 from .walks import (
     enumerate_arcs,
     enumerate_geodesics,
-    is_arc,
-    is_geodesic,
-    is_walk,
-    lmap,
 )
 
 __version__ = "0.1.0"

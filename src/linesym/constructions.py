@@ -1,5 +1,5 @@
-"""Derived graphs (line, subdivision, clique), line-graph roots, and a small
-catalog of named graphs.
+"""Derived graphs (line, subdivision, clique) and a small catalog of named
+graphs.  A line graph's root is `Graph.root`.
 
 Edge numbering is the load-bearing convention here: every derived object
 orders the host's edges lexicographically by (min, max) endpoint pair, and
@@ -19,8 +19,8 @@ from .graphs import Edge, Graph, build_graph
 class EdgeIndex:
     """Lexicographically ranked edge list of a host graph.
 
-    A view: the ranks are the host's own `Graph.edge_rank`, so every index of
-    one host shares them.
+    A view: edges is the host's own `Graph.edges`, and the rank of an edge
+    {u, v} is `host.edge_rank[u, v]`, so every index of one host shares them.
     """
 
     host: Graph
@@ -29,13 +29,6 @@ class EdgeIndex:
     @staticmethod
     def from_graph(g: Graph) -> "EdgeIndex":
         return EdgeIndex(g, g.edges)
-
-    def rank_of(self, u: int, v: int) -> int:
-        """Rank of the edge {u, v}; ValueError when it is not an edge."""
-        try:
-            return self.host.edge_rank[u, v]
-        except KeyError:
-            raise ValueError(f"{u}-{v} is not an edge of the host") from None
 
     def __len__(self):
         return len(self.edges)
@@ -68,13 +61,6 @@ def line_graph(g: Graph) -> DerivedGraph:
     Requires at least one edge, since the empty graph is not representable.
     """
     return DerivedGraph(g.line, "line", index=EdgeIndex.from_graph(g))
-
-
-def root_graph(g: Graph) -> tuple[Graph, tuple[Edge, ...]] | None:
-    """(H, ends) with g = L(H) under vertex x -> edge ends[x] of H, when g is a
-    connected line graph; else None.  Every root is certified: L(H) rebuilt
-    under the bijection equals g.  The root of K3 comes back as K3, not K1,3."""
-    return g.root
 
 
 def subdivision_graph(g: Graph) -> DerivedGraph:
@@ -194,20 +180,8 @@ def _tutte_8_cage() -> Graph:
     matching's three.
     """
     duads = list(itertools.combinations(range(6), 2))
-    matchings = []
-    for p1 in duads:
-        rest = [x for x in range(6) if x not in p1]
-        if p1[0] != 0:
-            continue
-        for k in range(1, 4):
-            p2 = (rest[0], rest[k])
-            p3 = tuple(x for x in rest[1:] if x != rest[k])
-            matchings.append(tuple(sorted((p1, p2, p3))))
-    matchings = sorted(set(matchings))
-    edges = []
-    for j, lines in enumerate(matchings):
-        for pair in lines:
-            edges.append((duads.index(pair), 15 + j))
+    matchings = [m for m in itertools.combinations(duads, 3) if len(set(itertools.chain(*m))) == 6]
+    edges = [(duads.index(pair), 15 + j) for j, lines in enumerate(matchings) for pair in lines]
     return build_graph(30, edges, name="tutte_8_cage")
 
 

@@ -81,7 +81,8 @@ class Graph:
     @cached_property
     def root(self) -> "tuple[Graph, tuple[Edge, ...]] | None":
         """(H, ends) with self = L(H) under vertex x -> edge ends[x] of H, for
-        a connected line graph; None for any other graph (see `_line_root`)."""
+        a connected line graph; None for any other graph (see `_line_root`).
+        Every root is certified; K3's comes back as K3, not K1,3."""
         return _line_root(self)
 
     @cached_property

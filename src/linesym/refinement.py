@@ -24,18 +24,16 @@ from itertools import chain
 Adjacency = tuple[tuple[int, ...], ...]
 
 
-def refine(adj: Adjacency, colors: list[int], splitter: int | None = None) -> list[int]:
+def refine(adj: Adjacency, colors: list[int]) -> list[int]:
     """Coarsest equitable refinement of colors, as cell start indices.
 
     Splitter cells come off a heap in start order (Hopcroft-style, O(m log n);
     Junttila & Kaski, ALENEX 2007).  A touched cell splits by neighbor count
     in the splitter, untouched members first; when it is not queued, its
-    first largest piece stays out of the queue.  Every cell starts queued,
-    unless splitter is the color of a vertex just individualized from an
-    equitable coloring: then only that new singleton can split anything.
+    first largest piece stays out of the queue.  Every cell starts queued.
     """
     elems, pos, color, size = _state(colors)
-    _refine(adj, elems, pos, color, size, sorted(set(color)) if splitter is None else [splitter])
+    _refine(adj, elems, pos, color, size, sorted(set(color)))
     return color
 
 
@@ -53,7 +51,9 @@ def _state(colors: list[int]):
 
 
 def _refine(adj: Adjacency, elems, pos, color, size, queue: list[int]):
-    """`refine` on a partition state in place, from the splitter starts in queue (a heap)."""
+    """`refine` on a partition state in place, from the splitter starts in queue (a heap).
+    Once a vertex is split off an equitable state, only its new singleton can
+    split anything, so `_child` queues that one start."""
     queued = set(queue)
     while queue:
         s = heappop(queue)

@@ -303,20 +303,25 @@ def _line_group(g: Graph) -> AutGroup | None:
     """
     if max(map(len, g.adj)) < 3 or g.root is None or not 5 <= g.root[0].n < g.n:
         return None
-    return _edge_group(*g.root, automorphisms(g.root[0]))
-
-
-def _edge_group(h: Graph, ends, group: AutGroup) -> AutGroup:
-    """The action of a group of automorphisms of h on its edges, edge ends[x]
-    becoming point x.  The chain is based at the edges at the group's base
-    points, which pin those points down where their degree is 2 or more, and
-    stops at |group|, the order whenever the action is faithful."""
+    h, ends = g.root
     point = {k: x for x, (u, v) in enumerate(ends) for k in ((u, v), (v, u))}
-    flat = tuple(chain.from_iterable(ends))
-    perms = []
-    for p in group.generators:
-        images = map(p.images.__getitem__, flat)
-        perms.append(Permutation(tuple(map(point.__getitem__, zip(images, images)))))
+    return _edge_group(h, ends, point, automorphisms(h))
+
+
+def _edge_images(p: Permutation, ends, point) -> tuple[int, ...]:
+    """The point of each edge's image under p: edge ends[x] goes to
+    point[p(u), p(v)].  KeyError when p breaks an edge."""
+    images = map(p.images.__getitem__, chain.from_iterable(ends))
+    return tuple(map(point.__getitem__, zip(images, images)))
+
+
+def _edge_group(h: Graph, ends, point, group: AutGroup) -> AutGroup:
+    """The action of a group of automorphisms of h on its edges, edge ends[x]
+    becoming point x, and point[u, v] the point of the edge {u, v} either
+    way round.  The chain is based at the edges at the group's base points,
+    which pin those points down where their degree is 2 or more, and stops
+    at |group|, the order whenever the action is faithful."""
+    perms = [Permutation(_edge_images(p, ends, point)) for p in group.generators]
     prefix = dict.fromkeys(point[b, w] for b in (next(iter(v)) for v in group._levels)
                            for w in h.adj[b])
     return AutGroup._build(len(ends), perms, tuple(prefix), group.order)
@@ -326,12 +331,10 @@ def induced_edge_action(index: EdgeIndex, p: Permutation) -> Permutation:
     """Action of a host automorphism on edge ranks: {u,v} goes to {p(u),p(v)}."""
     if p.degree != index.host.n:
         raise ValueError("permutation degree does not match the host")
-    ends = map(p.images.__getitem__, chain.from_iterable(index.edges))
     try:
-        images = tuple(map(index.host.edge_rank.__getitem__, zip(ends, ends)))
+        return Permutation(_edge_images(p, index.edges, index.host.edge_rank))
     except KeyError:
         raise ValueError(f"permutation {p.one_line()!r} does not preserve edges") from None
-    return Permutation(images)
 
 
 # --- orbits and transitivity -------------------------------------------------

@@ -119,7 +119,7 @@ _reference = lru_cache(maxsize=None)(catalog)
 @lru_cache(maxsize=256)
 def _induced_line_group(g: Graph, group: AutGroup) -> AutGroup:
     """The group's action on the line graph of g, built once per host and group."""
-    return _edge_group(g, g.edges, group)
+    return _edge_group(g, g.edges, g.edge_rank, group)
 
 
 def check_line_equivalence(g: Graph, s: int, group: AutGroup | None = None) -> VerdictReport:
@@ -204,8 +204,7 @@ def check_lmap_theorem(g: Graph, s: int, group: AutGroup | None = None) -> Verdi
         return _na("thm-3.2", g, params, f"graph has no {s}-arc", t0)
     group = _acting_group(g, group)
     line = g.line
-    index = EdgeIndex.from_graph(g)
-    table = dict(zip(arcs, edge_sequences(index, arcs)))
+    table = dict(zip(arcs, edge_sequences(EdgeIndex.from_graph(g), arcs)))
     image_set = set(table.values())
     dl = diameter(line)
     gg = girth(g)
@@ -217,12 +216,12 @@ def check_lmap_theorem(g: Graph, s: int, group: AutGroup | None = None) -> Verdi
                  if all(map(adjacent, zip(t, t[1:]))) and all(map(operator.ne, t, t[2:]))}
     line_geos = {t for t in line_arcs if line.distances(t[0])[t[-1]] == s - 1}
     covers = len(line_geos) == count_geodesics(line, s - 1) if within else None
-    # A sampled element preserves the edges, so it acts on the arc's own edges.
+    # A sampled element is an automorphism, so it maps the arc's own edges to edges.
     rng = random.Random(LMAP_SEED)
     for pairs in range(1, LMAP_SAMPLES + 1):
         sigma, arc = group.random_element(rng), rng.choice(arcs)
         equivariant = table.get(sigma.apply(arc)) == tuple(
-            index.rank_of(sigma(u), sigma(v)) for u, v in map(index.edges.__getitem__, table[arc]))
+            g.edge_rank[sigma(u), sigma(v)] for u, v in map(g.edges.__getitem__, table[arc]))
         if not equivariant:
             break
     observed = {
@@ -336,16 +335,17 @@ def check_weiss_flag(g: Graph, s: int, group: AutGroup | None = None) -> Verdict
 
 # --- corpus ------------------------------------------------------------------
 
+# In name order, the order of the default corpus's reports.
 DEFAULT_CORPUS_NAMES = (
     "complete(4)",
-    "k33",
-    "petersen",
-    "heawood",
-    "tutte_8_cage",
-    "icosahedron",
     "complete_multipartite(3,2)",
     "cycle(6)",
+    "heawood",
+    "icosahedron",
+    "k33",
     "path(4)",
+    "petersen",
+    "tutte_8_cage",
 )
 
 
@@ -405,26 +405,29 @@ CHECKS = {
 def run_corpus(corpus: Corpus, checks=None) -> list[VerdictReport]:
     """Run the selected checks over every corpus graph, deterministically.
 
-    Reports come back sorted by graph name, then claim id, then s.  Each
-    check runs once per s of its s values (2..diam(L)+1, less what its
-    hypotheses rule out), once if it has none; a graph whose s values are a
-    reason gets a single not-applicable record with s null.
+    Reports come back in corpus order (a graph6 file's line order), each
+    graph's sorted by claim id, then s.  Each check runs once per s of its s
+    values (2..diam(L)+1, less what its hypotheses rule out), once if it has
+    none; a graph whose s values are a reason gets a single not-applicable
+    record with s null.
     """
     selected = tuple(checks) if checks else tuple(CHECKS)
     unknown = [c for c in selected if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
     reports: list[VerdictReport] = []
-    for name, g in sorted(corpus.entries, key=lambda e: e[0]):
+    for name, g in corpus.entries:
         g = Graph(g.n, g.adj, name=name)
+        records: list[VerdictReport] = []
         for check in map(CHECKS.__getitem__, selected):
             s_values = [None] if check.s_values is None else check.s_values(g)
             if isinstance(s_values, str):
-                reports.append(_na(check.claim, g, {"s": None}, s_values, time.perf_counter()))
+                records.append(_na(check.claim, g, {"s": None}, s_values, time.perf_counter()))
             else:
                 for s in s_values:
-                    reports.extend(check.run(g, s, None))
-    reports.sort(key=lambda r: (r.graph, r.claim, r.params.get("s") or 0))
+                    records.extend(check.run(g, s, None))
+        records.sort(key=lambda r: (r.claim, r.params.get("s") or 0))
+        reports.extend(records)
     return reports
 
 

@@ -37,24 +37,6 @@ class EnumerationCapExceeded(RuntimeError):
     """Raised when an enumeration would produce more tuples than allowed."""
 
 
-def is_walk(g: Graph, seq: tuple[int, ...]) -> bool:
-    """True for a nonempty vertex sequence whose consecutive entries are adjacent."""
-    return (len(seq) >= 1 and all(0 <= v < g.n for v in seq)
-            and all(b in g.adj[a] for a, b in zip(seq, seq[1:])))
-
-
-def is_arc(g: Graph, seq: tuple[int, ...]) -> bool:
-    """True for a walk of length >= 1 with no immediate backtracking."""
-    return (len(seq) >= 2 and is_walk(g, seq)
-            and all(seq[i - 1] != seq[i + 1] for i in range(1, len(seq) - 1)))
-
-
-def is_geodesic(g: Graph, seq: tuple[int, ...]) -> bool:
-    """True for a walk realizing the distance between its endpoints."""
-    return (len(seq) >= 2 and is_walk(g, seq)
-            and g.distances(seq[0])[seq[-1]] == len(seq) - 1)
-
-
 @lru_cache(maxsize=256)
 def count_arcs(g: Graph, s: int) -> int:
     """Number of s-arcs, without building any.
@@ -204,8 +186,3 @@ def edge_sequences(index: EdgeIndex, arcs: Sequence[tuple[int, ...]]) -> list[tu
         if any(backtracks):
             raise ValueError(f"{arcs[backtracks.index(True)]} is not an arc of the host")
     return list(zip(*ranks))
-
-
-def lmap(index: EdgeIndex, arc: tuple[int, ...]) -> tuple[int, ...]:
-    """Edge-rank sequence of one s-arc (s >= 2): one rank per consecutive pair."""
-    return edge_sequences(index, (arc,))[0]

@@ -31,8 +31,8 @@ from linesym.verify import (
     DEFAULT_CORPUS_NAMES,
     check_line_equivalence,
 )
-from linesym.walks import enumerate_arcs, enumerate_geodesics, is_geodesic, lmap
-from oracles import automorphism_count_backtrack, encode_graph6_reference
+from linesym.walks import edge_sequences, enumerate_arcs, enumerate_geodesics
+from oracles import all_geodesics, automorphism_count_backtrack, encode_graph6_reference
 
 from conftest import cube_graph, random_connected_graph, random_cubic_no_c5
 
@@ -164,12 +164,13 @@ def test_criterion_5_lmap_property_suite():
             arcs = enumerate_arcs(g, s)
             if not arcs:
                 continue
-            images = [lmap(line.index, a) for a in arcs]
+            images = edge_sequences(line.index, arcs)
             assert len(set(images)) == len(images), (g.edges, s)
 
             if s <= d:
-                for geo in enumerate_geodesics(g, s):
-                    assert is_geodesic(line.graph, lmap(line.index, geo)), (g.edges, s, geo)
+                geos, line_geos = enumerate_geodesics(g, s), all_geodesics(line.graph, s - 1)
+                for geo, image in zip(geos, edge_sequences(line.index, geos)):
+                    assert image in line_geos, (g.edges, s, geo)
 
             if s - 1 <= dl:
                 equal = set(images) == set(enumerate_geodesics(line.graph, s - 1))
@@ -188,11 +189,11 @@ def test_criterion_5_lmap_property_suite():
             arc = arcs[rng.randrange(len(arcs))] if arcs else None
             if arc is None:
                 break
-            left = lmap(line.index, word.apply(arc))
+            left = edge_sequences(line.index, [word.apply(arc)])[0]
             right_action = induced.get(word)
             if right_action is None:
                 right_action = induced_edge_action(line.index, word)
-            right = right_action.apply(lmap(line.index, arc))
+            right = right_action.apply(edge_sequences(line.index, [arc])[0])
             assert left == right, (g.edges, word.one_line(), arc)
 
     assert branch_tally[True] > 0 and branch_tally[False] > 0, branch_tally

@@ -12,9 +12,9 @@ from linesym.constructions import (
     catalog_entries,
     clique_graph,
     line_graph,
-    root_graph,
     subdivision_graph,
 )
+from linesym.graph6 import emit_graph6
 from linesym.graphs import build_graph, is_complete, is_regular, isomorphic
 from linesym.metrics import diameter, girth, is_connected
 from oracles import maximal_cliques_reference
@@ -36,11 +36,10 @@ def path(r):
 def test_edge_index_ranks_are_lexicographic(petersen):
     idx = EdgeIndex.from_graph(petersen)
     assert idx.edges == petersen.edges
+    assert idx.edges == tuple(sorted(idx.edges)) and len(idx) == petersen.m
     for i, (u, v) in enumerate(idx.edges):
-        assert idx.rank_of(u, v) == i
-        assert idx.rank_of(v, u) == i
-    with pytest.raises(ValueError):
-        idx.rank_of(0, 0)
+        assert idx.host.edge_rank[u, v] == idx.host.edge_rank[v, u] == i
+    assert (0, 0) not in idx.host.edge_rank
 
 
 def test_line_graph_is_shared_per_host():
@@ -135,7 +134,7 @@ def test_root_graph_agrees_with_networkx_on_the_atlas_and_catalog_line_graphs():
             expected = nx.inverse_line_graph(h)
         except nx.NetworkXError:
             expected = None
-        found = root_graph(g)
+        found = g.root
         assert (found is None) == (expected is None), g.edges
         if found is not None:
             found_roots += 1
@@ -147,15 +146,15 @@ def test_root_graph_agrees_with_networkx_on_the_atlas_and_catalog_line_graphs():
 
 
 def test_root_graph_needs_a_connected_graph():
-    assert root_graph(build_graph(1, [])) == (build_graph(2, [(0, 1)]), ((0, 1),))
-    assert root_graph(build_graph(2, [])) is None
-    assert root_graph(build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])) is None
+    assert build_graph(1, []).root == (build_graph(2, [(0, 1)]), ((0, 1),))
+    assert build_graph(2, []).root is None
+    assert build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]).root is None
 
 
 def test_beineke_graphs_are_the_minimal_graphs_without_a_root():
     graphs = [build_graph(n, edges) for n, edges in BEINEKE]
     for i, g in enumerate(graphs):
-        assert root_graph(g) is None
+        assert g.root is None
         assert all(isomorphic(g, h) is None for h in graphs[:i])
         for v in range(g.n):  # every vertex-deleted subgraph is a line graph
             rest = build_graph(g.n, [e for e in g.edges if v not in e])
@@ -168,12 +167,12 @@ def test_beineke_graphs_are_the_minimal_graphs_without_a_root():
                 label = {w: j for j, w in enumerate(part)}
                 piece = build_graph(len(part), [(label[a], label[b]) for a, b in rest.edges
                                                 if a in label])
-                assert root_graph(piece) is not None
+                assert piece.root is not None
 
 
 def test_the_root_is_shared_by_every_caller(petersen):
     lg = line_graph(petersen).graph
-    assert root_graph(lg) is lg.root is root_graph(lg)
+    assert lg.root is petersen.line.root
     assert isomorphic(lg.root[0], petersen) is not None
 
 
@@ -288,6 +287,14 @@ def test_catalog_tutte_shape(tutte):
     assert is_regular(tutte) == 3
     assert girth(tutte) == 8
     assert diameter(tutte) == 4
+
+
+def test_catalog_tutte_graph_is_pinned(tutte):
+    """Its lines are the 15 perfect matchings of the six symbols, in
+    lexicographic order; the search digests and golden records rest on
+    exactly this labelling."""
+    assert emit_graph6(tutte) == (
+        b"]?????????????????C?`_AQ?EAC@AAA@?a?H?G@AG?CD??D?O?C`??AE???WC??Aa???HO???")
 
 
 def test_catalog_heawood_shape(heawood):

@@ -9,6 +9,7 @@ import linesym.symmetry
 import linesym.verify
 import linesym.walks
 from linesym.constructions import EdgeIndex, catalog, line_graph
+from linesym.graph6 import emit_graph6
 from linesym.graphs import build_graph
 from linesym.metrics import diameter
 from linesym.symmetry import (
@@ -20,6 +21,7 @@ from linesym.symmetry import (
     is_s_geodesic_transitive,
 )
 from linesym.verify import (
+    DEFAULT_CORPUS_NAMES,
     FAIL,
     NOT_APPLICABLE,
     PASS,
@@ -38,7 +40,8 @@ from linesym.verify import (
     run_corpus,
     write_report,
 )
-from linesym.walks import enumerate_arcs, enumerate_geodesics, is_arc, is_geodesic, lmap
+from linesym.walks import count_arcs, edge_sequences, enumerate_arcs, enumerate_geodesics
+from oracles import all_arcs, all_geodesics
 
 from conftest import circulant, cube_graph, random_connected_graph, triangulated_torus
 
@@ -211,40 +214,44 @@ def test_lmap_check_builds_one_tuple_list(name, s, monkeypatch):
         calls.append((g, t, geodesic))
         return enumerate_(g, t, geodesic)
 
-    def refuse(*args):
-        raise AssertionError("thm-3.2 mapped an arc on its own")
+    mapped = []
+
+    def bulk(index, arcs):
+        mapped.append(len(arcs))
+        return edge_sequences(index, arcs)
 
     monkeypatch.setattr(linesym.walks, "_enumerate", recorded)
-    monkeypatch.setattr(linesym.walks, "lmap", refuse)
+    monkeypatch.setattr(linesym.verify, "edge_sequences", bulk)
     g = catalog(name)
     assert check_lmap_theorem(g, s).verdict == PASS
     assert calls == [(g, s, False)]  # the host's s-arcs, once
-    assert not hasattr(linesym.verify, "lmap")
+    assert mapped == [count_arcs(g, s)]  # and mapped in one call, never arc by arc
 
 
 def _lmap_facts_tuple_by_tuple(g, s):
-    """thm-3.2's observed facts, one tuple at a time through the predicates,
+    """thm-3.2's observed facts, one tuple at a time against the oracle sets,
     with equivariance checked on every generator and every s-arc."""
     line = g.line
     index = EdgeIndex.from_graph(g)
     arcs = enumerate_arcs(g, s)
-    images = [lmap(index, a) for a in arcs]
+    images = [edge_sequences(index, [a])[0] for a in arcs]
     image_set = set(images)
     host_geos = enumerate_geodesics(g, s) if s <= diameter(g) else []
+    line_arcs, line_geos = all_arcs(line, s - 1), all_geodesics(line, s - 1)
     facts = {
         "injective": len(image_set) == len(images),
-        "images_are_arcs": all(is_arc(line, t) for t in image_set),
-        "onto_line_arcs": image_set == set(enumerate_arcs(line, s - 1)),
-        "geodesics_preserved": all(is_geodesic(line, lmap(index, p)) for p in host_geos),
+        "images_are_arcs": image_set <= line_arcs,
+        "onto_line_arcs": image_set == line_arcs,
+        "geodesics_preserved": all(edge_sequences(index, [p])[0] in line_geos for p in host_geos),
         "image_covers_geodesics": None,
         "image_equals_geodesics": None,
     }
     if s - 1 <= diameter(line):
-        line_geos = set(enumerate_geodesics(line, s - 1))
         facts["image_covers_geodesics"] = line_geos <= image_set
         facts["image_equals_geodesics"] = image_set == line_geos
     actions = [(p, induced_edge_action(index, p)) for p in automorphisms(g).generators]
-    facts["equivariant"] = all(lmap(index, p.apply(a)) == q.apply(lmap(index, a))
+    image = dict(zip(arcs, images))
+    facts["equivariant"] = all(image[p.apply(a)] == q.apply(image[a])
                                for p, q in actions for a in arcs)
     return facts
 
@@ -421,6 +428,19 @@ def test_corpus_report_ordering(default_reports):
     assert keys == sorted(keys)
 
 
+def test_a_graph6_corpus_reports_in_file_order(tmp_path):
+    path = tmp_path / "cycles.g6"
+    path.write_bytes(b"".join(emit_graph6(catalog(f"cycle({n})")) + b"\n" for n in range(3, 15)))
+    reports = run_corpus(Corpus.from_graph6_file(str(path)), ["lemma22"])
+    names = [f"{path}:{k}" for k in range(1, 13)]
+    assert [r.graph for r in reports] == [name for name in names for _ in range(2)]
+    assert [r.claim for r in reports] == ["lemma-2.2", "subdiv-diam"] * 12
+
+
+def test_the_default_corpus_is_listed_in_name_order():
+    assert list(DEFAULT_CORPUS_NAMES) == sorted(DEFAULT_CORPUS_NAMES)
+
+
 def test_corpus_orders_s_as_a_number():
     reports = run_corpus(Corpus((("c", catalog("cycle(24)")),)), ["thm32"])
     assert [r.params["s"] for r in reports] == list(range(2, 14))
@@ -496,8 +516,6 @@ def test_empty_corpus_runs_clean():
 
 
 def test_corpus_from_graph6_file(tmp_path, petersen, k33):
-    from linesym.graph6 import emit_graph6
-
     p = tmp_path / "two.g6"
     p.write_bytes(emit_graph6(petersen) + b"\n" + emit_graph6(k33) + b"\n")
     c = Corpus.from_graph6_file(str(p))

@@ -16,27 +16,10 @@ from linesym.walks import (
     enumerate_arcs,
     enumerate_geodesics,
     first_tuple,
-    is_arc,
-    is_geodesic,
-    is_walk,
-    lmap,
 )
 from oracles import all_arcs, all_geodesics
 
 from conftest import random_connected_graph
-
-
-def test_walk_arc_geodesic_predicates(petersen):
-    k3 = catalog("complete(3)")
-    assert is_walk(k3, (0, 1, 0))
-    assert not is_arc(k3, (0, 1, 0))          # backtracks
-    assert is_arc(k3, (0, 1, 2))
-    assert not is_geodesic(k3, (0, 1, 2))     # endpoints adjacent
-    some_2_geodesic = enumerate_geodesics(petersen, 2)[0]
-    assert is_geodesic(petersen, some_2_geodesic)
-    assert is_arc(petersen, some_2_geodesic)
-    assert not is_walk(k3, (0, 3))
-    assert not is_walk(k3, ())
 
 
 # frozen counts; every DERIVED one is double-checked against the product-filter
@@ -293,27 +276,27 @@ def test_geodesics_with_distance_filter_match_arcs(petersen):
 def test_lmap_on_triangle():
     k3 = catalog("complete(3)")
     lg = line_graph(k3)
-    out = lmap(lg.index, (0, 1, 2))
-    assert out == (lg.index.rank_of(0, 1), lg.index.rank_of(1, 2))
+    [out] = edge_sequences(lg.index, [(0, 1, 2)])
+    assert out == (k3.edge_rank[0, 1], k3.edge_rank[1, 2]) == (0, 2)
 
 
 def test_lmap_rejects_short_and_non_arcs(petersen):
     idx = line_graph(petersen).index
     with pytest.raises(ValueError):
-        lmap(idx, (0, 1))
+        edge_sequences(idx, [(0, 1)])
     bad = (0, 1, 0)
     with pytest.raises(ValueError):
-        lmap(idx, bad)
+        edge_sequences(idx, [bad])
     # not a walk: w-0 is an edge, 0-1 is not
     w = petersen.adj[0][0]
     assert 1 not in petersen.adj[0]
     with pytest.raises(ValueError, match="not an edge"):
-        lmap(idx, (w, 0, 1))
+        edge_sequences(idx, [(w, 0, 1)])
     # a walk that backtracks
     with pytest.raises(ValueError, match="not an arc"):
-        lmap(idx, (0, w, 0))
+        edge_sequences(idx, [(0, w, 0)])
     with pytest.raises(ValueError):
-        lmap(idx, (0, w, 10))
+        edge_sequences(idx, [(0, w, 10)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -327,7 +310,8 @@ def test_edge_sequences_match_lmap_arc_by_arc(n, s, rnd):
     if arcs and rnd.random() < 0.5:
         pick = random.Random(rnd.getrandbits(64))
         arcs = pick.choices(arcs, k=pick.randrange(2 * len(arcs) + 1))
-    assert edge_sequences(index, arcs) == [lmap(index, a) for a in arcs]
+    assert edge_sequences(index, arcs) == [edge_sequences(index, [a])[0] for a in arcs] == [
+        tuple(g.edge_rank[e] for e in zip(a, a[1:])) for a in arcs]
 
 
 def test_edge_sequences_reject_what_lmap_rejects(petersen):
@@ -344,15 +328,14 @@ def test_edge_sequences_reject_what_lmap_rejects(petersen):
         with pytest.raises(ValueError, match=text) as bulk:
             edge_sequences(index, good[:2] + [bad] + good[2:])
         with pytest.raises(ValueError, match=text) as one:
-            lmap(index, bad)
+            edge_sequences(index, [bad])
         assert str(bulk.value) == str(one.value)
         assert repr(bad) in str(one.value)
 
 
 def test_lmap_image_lands_in_line_arcs(petersen):
     lg = line_graph(petersen)
-    for a in enumerate_arcs(petersen, 3):
-        assert is_arc(lg.graph, lmap(lg.index, a))
+    assert set(edge_sequences(lg.index, enumerate_arcs(petersen, 3))) <= all_arcs(lg.graph, 2)
 
 
 def test_bijection_characterization():
@@ -364,7 +347,7 @@ def test_bijection_characterization():
 
     def onto(g, s):
         lg = line_graph(g)
-        image = {lmap(lg.index, a) for a in enumerate_arcs(g, s)}
+        image = set(edge_sequences(lg.index, enumerate_arcs(g, s)))
         return image == set(enumerate_arcs(lg.graph, s - 1))
 
     assert onto(c6, 3) and onto(c6, 4)
@@ -377,8 +360,8 @@ def test_bijection_characterization():
 def test_geodesic_images_are_geodesics(petersen, heawood, cube):
     for g, s in ((petersen, 2), (heawood, 3), (cube, 3)):
         lg = line_graph(g)
-        for geo in enumerate_geodesics(g, s):
-            assert is_geodesic(lg.graph, lmap(lg.index, geo))
+        assert set(edge_sequences(lg.index, enumerate_geodesics(g, s))) <= all_geodesics(
+            lg.graph, s - 1)
 
 
 def test_image_equals_geodesics_frozen_cases(petersen, k4):
@@ -387,7 +370,7 @@ def test_image_equals_geodesics_frozen_cases(petersen, k4):
 
     def image_equals(g, s):
         lg = line_graph(g)
-        image = {lmap(lg.index, a) for a in enumerate_arcs(g, s)}
+        image = set(edge_sequences(lg.index, enumerate_arcs(g, s)))
         return image == set(enumerate_geodesics(lg.graph, s - 1))
 
     assert image_equals(petersen, 3)  # girth 5 >= 4
