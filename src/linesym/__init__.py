@@ -8,7 +8,6 @@ geodesic structure.
 
 from .constructions import (
     DerivedGraph,
-    EdgeIndex,
     catalog,
     clique_graph,
     line_graph,

@@ -1,9 +1,9 @@
 """Derived graphs (line, subdivision, clique) and a small catalog of named
 graphs.  A line graph's root is `Graph.root`.
 
-Edge numbering is the load-bearing convention here: every derived object
-orders the host's edges lexicographically by (min, max) endpoint pair, and
-that rank order is what ties a line-graph vertex back to a host edge.
+Edge numbering is the load-bearing convention here, and the host `Graph`
+owns it: `Graph.edges` ranks the edges lexicographically by (min, max)
+endpoint pair, and that rank ties a derived vertex back to a host edge.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from .graphs import Edge, Graph, build_graph
 
 @dataclass(frozen=True)
 class EdgeIndex:
-    """Lexicographically ranked edge list of a host graph.
-
-    A view: edges is the host's own `Graph.edges`, and the rank of an edge
-    {u, v} is `host.edge_rank[u, v]`, so every index of one host shares them.
-    """
+    """A host graph with its `Graph.edges`: the argument of
+    `symmetry.induced_edge_action`, which sends edge {u, v} to the rank
+    `host.edge_rank[p(u), p(v)]`.  Everything else reads the host's own
+    `edges` and `edge_rank`."""
 
     host: Graph
     edges: tuple[Edge, ...]
@@ -36,19 +35,12 @@ class EdgeIndex:
 
 @dataclass(frozen=True)
 class DerivedGraph:
-    """A constructed graph plus the data tying its vertices to the host.
-
-    kind is one of "line", "subdivision", "clique".  index is set for line
-    and subdivision graphs (edge-vertex i of a subdivision is index.edges[i]),
-    tags marks subdivision vertices as "vertex" or "edge", and cliques lists
-    the maximum cliques backing a clique graph's vertices.
-    """
+    """A constructed graph and its kind: "line", "subdivision" or "clique".
+    Vertex i of a line graph, and vertex n + i of a subdivision, is the
+    host's edge `edges[i]`."""
 
     graph: Graph
     kind: str
-    index: EdgeIndex | None = None
-    tags: tuple[str, ...] | None = None
-    cliques: tuple[tuple[int, ...], ...] | None = None
 
 
 def _derived_name(g: Graph, prefix: str) -> str | None:
@@ -60,7 +52,7 @@ def line_graph(g: Graph) -> DerivedGraph:
 
     Requires at least one edge, since the empty graph is not representable.
     """
-    return DerivedGraph(g.line, "line", index=EdgeIndex.from_graph(g))
+    return DerivedGraph(g.line, "line")
 
 
 def subdivision_graph(g: Graph) -> DerivedGraph:
@@ -71,11 +63,9 @@ def subdivision_graph(g: Graph) -> DerivedGraph:
     """
     if g.m == 0:
         raise ValueError("subdividing an edgeless graph changes nothing")
-    index = EdgeIndex.from_graph(g)
-    edges = [(w, g.n + i) for i, e in enumerate(index.edges) for w in e]
-    sg = build_graph(g.n + len(index), edges, name=_derived_name(g, "S"))
-    tags = ("vertex",) * g.n + ("edge",) * len(index)
-    return DerivedGraph(sg, "subdivision", index=index, tags=tags)
+    edges = [(w, g.n + i) for i, e in enumerate(g.edges) for w in e]
+    sg = build_graph(g.n + g.m, edges, name=_derived_name(g, "S"))
+    return DerivedGraph(sg, "subdivision")
 
 
 def _maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -115,7 +105,7 @@ def clique_graph(g: Graph) -> DerivedGraph:
         if set(best[i]) & set(best[j])
     ]
     cg = build_graph(len(best), pairs, name=_derived_name(g, "C"))
-    return DerivedGraph(cg, "clique", cliques=tuple(best))
+    return DerivedGraph(cg, "clique")
 
 
 # --- catalog ---------------------------------------------------------------

@@ -118,9 +118,6 @@ class Graph:
             row = self._distance_rows[source] = tuple(dist)
         return row
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"<Graph{label} n={self.n} m={self.m}>"

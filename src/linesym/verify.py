@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .constructions import EdgeIndex, catalog, clique_graph, subdivision_graph
+from .constructions import catalog, clique_graph, subdivision_graph
 from .graph6 import emit_graph6, parse_graph6
 from .graphs import Graph, is_complete, is_regular, isomorphic
 from .metrics import diameter, girth, is_connected, local_type
@@ -204,7 +204,7 @@ def check_lmap_theorem(g: Graph, s: int, group: AutGroup | None = None) -> Verdi
         return _na("thm-3.2", g, params, f"graph has no {s}-arc", t0)
     group = _acting_group(g, group)
     line = g.line
-    table = dict(zip(arcs, edge_sequences(EdgeIndex.from_graph(g), arcs)))
+    table = dict(zip(arcs, edge_sequences(g, arcs)))
     image_set = set(table.values())
     dl = diameter(line)
     gg = girth(g)

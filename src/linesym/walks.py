@@ -3,7 +3,7 @@
 An s-arc is a walk (v0, ..., vs) whose consecutive vertices are adjacent and
 which never immediately backtracks; an s-geodesic additionally has its
 endpoints at distance exactly s.  Tuples of vertex ids represent both; a
-"line tuple" is the corresponding tuple of edge ranks in a host's EdgeIndex.
+"line tuple" is the corresponding tuple of the host's `Graph.edge_rank` ranks.
 Everything enumerates in lexicographic order so downstream reports are
 reproducible.
 
@@ -26,7 +26,6 @@ import operator
 from functools import lru_cache
 from typing import Sequence
 
-from .constructions import EdgeIndex
 from .graphs import Graph
 from .metrics import diameter
 
@@ -160,7 +159,7 @@ def enumerate_geodesics(g: Graph, s: int) -> list[tuple[int, ...]]:
     return _enumerate(g, s, True)
 
 
-def edge_sequences(index: EdgeIndex, arcs: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def edge_sequences(g: Graph, arcs: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Edge-rank sequences of equal-length s-arcs (s >= 2), built column by
     column: two vertex columns give a rank column, and two equal consecutive
     rank columns mark a backtrack.  Raises ValueError on mixed lengths, on
@@ -172,7 +171,7 @@ def edge_sequences(index: EdgeIndex, arcs: Sequence[tuple[int, ...]]) -> list[tu
         raise ValueError("the edge-sequence map needs arcs of one length")
     if len(arcs[0]) < 3:
         raise ValueError("the edge-sequence map needs an arc of length >= 2")
-    rank = index.host.edge_rank
+    rank = g.edge_rank
     cols = list(zip(*arcs))
     ranks = []
     for a, b in zip(cols, cols[1:]):

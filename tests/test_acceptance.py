@@ -13,7 +13,7 @@ import itertools
 import random
 import time
 
-from linesym.constructions import catalog, clique_graph, line_graph
+from linesym.constructions import EdgeIndex, catalog, clique_graph, line_graph
 from linesym.graph6 import emit_graph6, parse_graph6
 from linesym.graphs import build_graph, is_complete, is_regular, isomorphic
 from linesym.metrics import diameter, girth, is_connected
@@ -72,7 +72,7 @@ def _direct_equivalence(g, s) -> tuple[bool, bool]:
     line = line_graph(g)
     lgroup = AutGroup.from_permutations(
         line.graph.n,
-        tuple(induced_edge_action(line.index, p) for p in group.generators),
+        tuple(induced_edge_action(EdgeIndex.from_graph(g), p) for p in group.generators),
     )
     geos = enumerate_geodesics(line.graph, s - 1)
     rhs = 2 * s <= girth(g) + 2 and transitive_on(geos, lgroup)[0]
@@ -156,7 +156,8 @@ def test_criterion_5_lmap_property_suite():
         graphs += 1
         group = automorphisms(g)
         line = line_graph(g)
-        induced = {p: induced_edge_action(line.index, p) for p in group.generators}
+        index = EdgeIndex.from_graph(g)
+        induced = {p: induced_edge_action(index, p) for p in group.generators}
         dl = diameter(line.graph)
         gg = girth(g)
         d = diameter(g)
@@ -164,12 +165,12 @@ def test_criterion_5_lmap_property_suite():
             arcs = enumerate_arcs(g, s)
             if not arcs:
                 continue
-            images = edge_sequences(line.index, arcs)
+            images = edge_sequences(g, arcs)
             assert len(set(images)) == len(images), (g.edges, s)
 
             if s <= d:
                 geos, line_geos = enumerate_geodesics(g, s), all_geodesics(line.graph, s - 1)
-                for geo, image in zip(geos, edge_sequences(line.index, geos)):
+                for geo, image in zip(geos, edge_sequences(g, geos)):
                     assert image in line_geos, (g.edges, s, geo)
 
             if s - 1 <= dl:
@@ -189,11 +190,11 @@ def test_criterion_5_lmap_property_suite():
             arc = arcs[rng.randrange(len(arcs))] if arcs else None
             if arc is None:
                 break
-            left = edge_sequences(line.index, [word.apply(arc)])[0]
+            left = edge_sequences(g, [word.apply(arc)])[0]
             right_action = induced.get(word)
             if right_action is None:
-                right_action = induced_edge_action(line.index, word)
-            right = right_action.apply(edge_sequences(line.index, [arc])[0])
+                right_action = induced_edge_action(index, word)
+            right = right_action.apply(edge_sequences(g, [arc])[0])
             assert left == right, (g.edges, word.one_line(), arc)
 
     assert branch_tally[True] > 0 and branch_tally[False] > 0, branch_tally
@@ -280,7 +281,7 @@ def test_criterion_9_weiss_ceiling():
         group = automorphisms(g)
         lgroup = AutGroup.from_permutations(
             line.graph.n,
-            tuple(induced_edge_action(line.index, p) for p in group.generators),
+            tuple(induced_edge_action(EdgeIndex.from_graph(g), p) for p in group.generators),
         )
         for s in _s_range(g):
             if is_s_geodesic_transitive(line.graph, s - 1, lgroup):

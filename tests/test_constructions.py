@@ -67,8 +67,8 @@ def test_line_graph_degree_rule():
     for _ in range(15):
         g = random_connected_graph(rng, rng.randint(3, 9))
         lg = line_graph(g)
-        for i, (u, v) in enumerate(lg.index.edges):
-            assert lg.graph.degree(i) == g.degree(u) + g.degree(v) - 2
+        for i, (u, v) in enumerate(g.edges):
+            assert len(lg.graph.adj[i]) == len(g.adj[u]) + len(g.adj[v]) - 2
 
 
 def test_line_graph_of_cycle_is_cycle():
@@ -179,13 +179,14 @@ def test_the_root_is_shared_by_every_caller(petersen):
 # -- subdivision ---------------------------------------------------------------
 
 
-def test_subdivision_shape(petersen):
-    s = subdivision_graph(petersen)
-    assert s.graph.n == petersen.n + petersen.m
-    assert s.graph.m == 2 * petersen.m
-    assert s.tags is not None
-    assert s.tags[:petersen.n] == ("vertex",) * petersen.n
-    assert s.tags[petersen.n:] == ("edge",) * petersen.m
+def test_subdivision_shape(petersen, k4):
+    """The edge of rank i becomes vertex n + i, joined to exactly its two ends."""
+    for g in (petersen, k4):
+        s = subdivision_graph(g).graph
+        assert s.n == g.n + g.m
+        assert s.m == 2 * g.m
+        for i, e in enumerate(g.edges):
+            assert s.adj[g.n + i] == e
 
 
 def test_subdivision_doubles_girth(petersen, k4):
@@ -228,6 +229,12 @@ def test_subdivision_of_single_edge_path():
 # -- clique graphs --------------------------------------------------------------
 
 
+def _maximum_clique_count(g):
+    """The number of maximum-size cliques, by the subset oracle."""
+    sizes = [len(c) for c in maximal_cliques_reference(g)]
+    return sizes.count(max(sizes))
+
+
 def test_clique_graph_equals_line_graph_beyond_girth_3(petersen, heawood, k33):
     for g in (petersen, heawood, k33, cycle(6)):
         assert isomorphic(clique_graph(g).graph, line_graph(g).graph) is not None
@@ -236,8 +243,7 @@ def test_clique_graph_equals_line_graph_beyond_girth_3(petersen, heawood, k33):
 def test_clique_graph_of_k3_parts_of_2(k3_parts_of_2):
     # maximum cliques are the 8 triangles picking one vertex per part
     cg = clique_graph(k3_parts_of_2)
-    assert cg.graph.n == 8
-    assert cg.cliques is not None and all(len(c) == 3 for c in cg.cliques)
+    assert cg.graph.n == 8 == _maximum_clique_count(k3_parts_of_2)
 
 
 def test_clique_graph_reconstructs_host(petersen):
@@ -253,6 +259,7 @@ def test_maximal_cliques_match_subset_oracle():
         g = random_connected_graph(rng, rng.randint(3, 9), extra_p=rng.choice([0.2, 0.5, 0.8]))
         got = {frozenset(c) for c in _maximal_cliques(g)}
         assert got == maximal_cliques_reference(g)
+        assert clique_graph(g).graph.n == _maximum_clique_count(g)
 
 
 def test_clique_search_depth_is_not_limited_by_the_recursion_limit():
@@ -264,7 +271,6 @@ def test_clique_search_depth_is_not_limited_by_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert cg.graph.n == 1
-    assert cg.cliques == (tuple(range(60)),)
 
 
 # -- catalog --------------------------------------------------------------------

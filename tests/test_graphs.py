@@ -39,7 +39,7 @@ def test_single_vertex():
 
 def test_k4_every_valency_3():
     g = build_graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    assert all(g.degree(v) == 3 for v in range(4))
+    assert all(len(g.adj[v]) == 3 for v in range(4))
     assert is_regular(g) == 3
     assert is_complete(g)
 

@@ -1,5 +1,6 @@
 """Every checker can fail: a table of hand-made faults, each of which must
-turn at least one record of the default corpus into a `fail`.
+turn at least one record of the default corpus, or of the short host list its
+row names, into a `fail`.
 
 A fault replaces one name in `linesym.verify`'s namespace, with the memo
 caches cleared before and after, so no fact computed under the fault
@@ -17,7 +18,9 @@ import linesym.symmetry
 import linesym.verify as verify
 import linesym.walks
 from linesym.symmetry import AutGroup
-from linesym.verify import FAIL, Corpus, run_corpus
+from linesym.verify import FAIL, NOT_APPLICABLE, PASS, Corpus, run_corpus
+
+from conftest import cube_graph, triangulated_torus
 
 _girth, _count_geodesics = verify.girth, verify.count_geodesics
 _edge_group, _level = verify._edge_group, verify.transitive_on_level
@@ -29,18 +32,27 @@ def _drop_last_generator(*args):
     return AutGroup.from_permutations(group.degree, group.generators[:-1])
 
 
-# name -> (verify attribute, replacement, the claims whose records fail under it)
+# name -> (verify attribute, replacement, the claims whose records fail under it,
+#          the hosts it runs on, or None for the default corpus)
 FAULTS = {
     "girth + 2": ("girth", lambda g: None if _girth(g) is None else _girth(g) + 2,
-                  {"thm-1.3", "thm-3.2"}),
+                  {"thm-1.3", "thm-3.2"}, None),
     "count_geodesics + 1": ("count_geodesics", lambda g, s: _count_geodesics(g, s) + 1,
-                            {"thm-3.2"}),
+                            {"thm-3.2"}, None),
     "the induced line group drops its last generator": ("_edge_group", _drop_last_generator,
-                                                        {"thm-1.3"}),
+                                                        {"thm-1.3"}, None),
     # Level 1 stays level 1, since there is no level 0 to answer.
     "transitive_on_level answers level t - 1": (
         "transitive_on_level", lambda g, kind, t, group: _level(g, kind, max(t - 1, 1), group),
-        {"thm-1.3"}),
+        {"thm-1.3"}, None),
+    # No default host is locally cyclic without being 2-geodesic transitive;
+    # the 5 x 5 triangulated torus is (locally C6).
+    "is_s_geodesic_transitive is always true": (
+        "is_s_geodesic_transitive", lambda *args: True, {"cor-1.2"}, (triangulated_torus(5),)),
+    # No default host reaches thm-1.1's cubic-preimage branch.  L(Q3) does, and
+    # Q3 is 2-arc but not 3-arc transitive.
+    "is_s_arc_transitive is always true": (
+        "is_s_arc_transitive", lambda *args: True, {"thm-1.1"}, (cube_graph(3).line,)),
 }
 
 # Faults no check can catch, each with the reason.
@@ -48,7 +60,7 @@ EQUIVALENT = {
     # Reversed images are still injective, arc-preserving and equivariant.
     "edge_sequences reverses each image": (
         "edge_sequences",
-        lambda index, arcs: [image[::-1] for image in _edge_sequences(index, arcs)]),
+        lambda g, arcs: [image[::-1] for image in _edge_sequences(g, arcs)]),
 }
 
 
@@ -59,21 +71,43 @@ def _clear_caches():
                 value.cache_clear()
 
 
-def _run_under(monkeypatch, attr, fault):
+def _corpus(hosts):
+    return Corpus.default() if hosts is None else Corpus(tuple((g.name, g) for g in hosts))
+
+
+def _run_under(monkeypatch, attr, fault, hosts=None):
     _clear_caches()
     monkeypatch.setattr(verify, attr, fault)
     try:
-        return run_corpus(Corpus.default())
+        return run_corpus(_corpus(hosts))
     finally:
         monkeypatch.undo()
         _clear_caches()
 
 
-@pytest.mark.parametrize("name", FAULTS)
-def test_each_fault_fails_a_record_of_the_default_corpus(name, monkeypatch):
-    attr, fault, claims = FAULTS[name]
-    failed = {r.claim for r in _run_under(monkeypatch, attr, fault) if r.verdict == FAIL}
+def _assert_fails_its_claims(name, monkeypatch):
+    attr, fault, claims, hosts = FAULTS[name]
+    failed = {r.claim for r in _run_under(monkeypatch, attr, fault, hosts) if r.verdict == FAIL}
     assert failed == claims
+
+
+_ON_HOSTS = [name for name, row in FAULTS.items() if row[3] is not None]
+
+
+@pytest.mark.parametrize("name", [name for name in FAULTS if name not in _ON_HOSTS])
+def test_each_fault_fails_a_record_of_the_default_corpus(name, monkeypatch):
+    _assert_fails_its_claims(name, monkeypatch)
+
+
+@pytest.mark.parametrize("name", _ON_HOSTS)
+def test_each_fault_fails_a_record_of_its_short_host_list(name, monkeypatch):
+    _assert_fails_its_claims(name, monkeypatch)
+
+
+@pytest.mark.parametrize("name", _ON_HOSTS)
+def test_a_short_host_list_fails_nothing_without_its_fault(name):
+    _clear_caches()
+    assert {r.verdict for r in run_corpus(_corpus(FAULTS[name][3]))} <= {PASS, NOT_APPLICABLE}
 
 
 @pytest.mark.parametrize("name", EQUIVALENT)

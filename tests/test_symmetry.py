@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import linesym.symmetry
 import linesym.walks
-from linesym.constructions import catalog, line_graph
+from linesym.constructions import EdgeIndex, catalog, line_graph
 from linesym.graphs import build_graph, isomorphic
 from linesym.metrics import diameter
 from linesym.refinement import _child, _refine, _state, refine
@@ -658,7 +658,7 @@ def test_trivial_group():
 
 
 def test_induced_action_identity(petersen):
-    idx = line_graph(petersen).index
+    idx = EdgeIndex.from_graph(petersen)
     ind = induced_edge_action(idx, Permutation.identity(10))
     assert ind.images == tuple(range(len(idx)))
 
@@ -667,12 +667,12 @@ def test_induced_action_is_line_automorphism(petersen):
     lg = line_graph(petersen)
     ledges = {frozenset(e) for e in lg.graph.edges}
     for p in automorphisms(petersen).generators:
-        q = induced_edge_action(lg.index, p)
+        q = induced_edge_action(EdgeIndex.from_graph(petersen), p)
         assert {frozenset((q(a), q(b))) for a, b in ledges} == ledges
 
 
 def test_induced_action_maps_ranks_correctly(k33):
-    idx = line_graph(k33).index
+    idx = EdgeIndex.from_graph(k33)
     for p in automorphisms(k33).generators:
         q = induced_edge_action(idx, p)
         for i, (u, v) in enumerate(idx.edges):
@@ -681,7 +681,7 @@ def test_induced_action_maps_ranks_correctly(k33):
 
 def test_induced_action_rejects_non_automorphism():
     p4 = catalog("path(4)")
-    idx = line_graph(p4).index
+    idx = EdgeIndex.from_graph(p4)
     # a permutation of the vertices that is not an automorphism
     with pytest.raises(ValueError):
         induced_edge_action(idx, Permutation((1, 0, 2, 3, 4)))
@@ -691,7 +691,7 @@ def test_induced_group_order_matches_host_for_k4(k4):
     """Aut(K4) embeds in Aut(L(K4)) with index 2: 24 against 48."""
     lg = line_graph(k4)
     host = automorphisms(k4)
-    induced = tuple(induced_edge_action(lg.index, p) for p in host.generators)
+    induced = tuple(induced_edge_action(EdgeIndex.from_graph(k4), p) for p in host.generators)
     induced_group = AutGroup.from_permutations(lg.graph.n, induced)
     assert host.order == 24
     assert induced_group.order == 24
@@ -721,7 +721,7 @@ def test_induced_line_groups_have_the_host_order(host):
         g, order = catalog(host), KNOWN_ORDERS[host]
     g = _relabelled(g, random.Random(host))
     lg = line_graph(g)
-    images = [induced_edge_action(lg.index, p) for p in automorphisms(g).generators]
+    images = [induced_edge_action(EdgeIndex.from_graph(g), p) for p in automorphisms(g).generators]
     group = AutGroup.from_permutations(lg.graph.n, images)
     assert group.order == automorphisms(g).order == order
     _assert_levels_carry_keys_to_their_base_points(group, set(lg.graph.edges))
@@ -738,7 +738,7 @@ def test_each_schreier_generator_is_sifted_at_most_once(monkeypatch):
     each is sifted once, through at most the levels above its own."""
     g = _relabelled(_hypercube(6), random.Random(6))
     lg = line_graph(g)
-    inputs = [induced_edge_action(lg.index, p).images for p in automorphisms(g).generators]
+    inputs = [induced_edge_action(EdgeIndex.from_graph(g), p).images for p in automorphisms(g).generators]
     calls = []
     real = linesym.symmetry._compose
 
@@ -832,7 +832,7 @@ def _group_under_test(g, data):
         return AutGroup.from_permutations(g.n, [Permutation(tuple(p)) for p in perms]), g
     if kind == "induced" and g.edges:
         lg = line_graph(g)
-        images = [induced_edge_action(lg.index, p) for p in full.generators]
+        images = [induced_edge_action(EdgeIndex.from_graph(g), p) for p in full.generators]
         return AutGroup.from_permutations(lg.graph.n, images), lg.graph
     if kind == "trivial":
         return AutGroup.from_permutations(g.n, ()), g
@@ -924,7 +924,7 @@ def test_transitive_on_inverts_nothing(monkeypatch, petersen, k3_parts_of_2):
         full = automorphisms(g)
         lg = line_graph(g)
         induced = AutGroup.from_permutations(
-            lg.graph.n, [induced_edge_action(lg.index, p) for p in full.generators])
+            lg.graph.n, [induced_edge_action(EdgeIndex.from_graph(g), p) for p in full.generators])
         sub = AutGroup.from_permutations(g.n, [full.generators[0] * full.generators[-1]])
         for group, h in ((full, g), (induced, lg.graph), (sub, g)):
             for universe in (enumerate_arcs(h, 2), enumerate_geodesics(h, 2)):
@@ -1005,7 +1005,7 @@ def test_level_predicate_matches_the_orbits_of_the_enumerated_level(rng):
         (g, full),
         (g, AutGroup.from_permutations(g.n, [p for p in full.generators if rng.random() < 0.5])),
         (line.graph, AutGroup.from_permutations(
-            line.graph.n, [induced_edge_action(line.index, p) for p in full.generators])),
+            line.graph.n, [induced_edge_action(EdgeIndex.from_graph(g), p) for p in full.generators])),
     ]
     for h, group in cases:
         for t in range(1, 5):

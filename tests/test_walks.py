@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linesym import walks
-from linesym.constructions import EdgeIndex, catalog, line_graph
+from linesym.constructions import catalog, line_graph
 from linesym.graphs import build_graph
 from linesym.walks import (
     EnumerationCapExceeded,
@@ -275,67 +275,63 @@ def test_geodesics_with_distance_filter_match_arcs(petersen):
 
 def test_lmap_on_triangle():
     k3 = catalog("complete(3)")
-    lg = line_graph(k3)
-    [out] = edge_sequences(lg.index, [(0, 1, 2)])
+    [out] = edge_sequences(k3, [(0, 1, 2)])
     assert out == (k3.edge_rank[0, 1], k3.edge_rank[1, 2]) == (0, 2)
 
 
 def test_lmap_rejects_short_and_non_arcs(petersen):
-    idx = line_graph(petersen).index
     with pytest.raises(ValueError):
-        edge_sequences(idx, [(0, 1)])
+        edge_sequences(petersen, [(0, 1)])
     bad = (0, 1, 0)
     with pytest.raises(ValueError):
-        edge_sequences(idx, [bad])
+        edge_sequences(petersen, [bad])
     # not a walk: w-0 is an edge, 0-1 is not
     w = petersen.adj[0][0]
     assert 1 not in petersen.adj[0]
     with pytest.raises(ValueError, match="not an edge"):
-        edge_sequences(idx, [(w, 0, 1)])
+        edge_sequences(petersen, [(w, 0, 1)])
     # a walk that backtracks
     with pytest.raises(ValueError, match="not an arc"):
-        edge_sequences(idx, [(0, w, 0)])
+        edge_sequences(petersen, [(0, w, 0)])
     with pytest.raises(ValueError):
-        edge_sequences(idx, [(0, w, 10)])
+        edge_sequences(petersen, [(0, w, 10)])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 9), st.integers(2, 5), st.randoms(use_true_random=False))
 def test_edge_sequences_match_lmap_arc_by_arc(n, s, rnd):
     g = random_connected_graph(rnd, n, extra_p=rnd.choice((0.0, 0.2, 0.4)))
-    index = EdgeIndex.from_graph(g)
     arcs = enumerate_arcs(g, s)
     # every arc in order, or a random selection with repeats
     # (a plain Random: hypothesis' own refuses choices of more than 8192)
     if arcs and rnd.random() < 0.5:
         pick = random.Random(rnd.getrandbits(64))
         arcs = pick.choices(arcs, k=pick.randrange(2 * len(arcs) + 1))
-    assert edge_sequences(index, arcs) == [edge_sequences(index, [a])[0] for a in arcs] == [
+    assert edge_sequences(g, arcs) == [edge_sequences(g, [a])[0] for a in arcs] == [
         tuple(g.edge_rank[e] for e in zip(a, a[1:])) for a in arcs]
 
 
 def test_edge_sequences_reject_what_lmap_rejects(petersen):
-    index = EdgeIndex.from_graph(petersen)
-    assert edge_sequences(index, []) == []
+    assert edge_sequences(petersen, []) == []
     good = enumerate_arcs(petersen, 2)[5:8]
     with pytest.raises(ValueError, match="one length"):
-        edge_sequences(index, good + [(0, 1, 2, 3)])
+        edge_sequences(petersen, good + [(0, 1, 2, 3)])
     with pytest.raises(ValueError, match="one length"):
-        edge_sequences(index, [good[0][:2], good[1]])
+        edge_sequences(petersen, [good[0][:2], good[1]])
     w = petersen.adj[0][0]
     assert 1 not in petersen.adj[0]
     for bad, text in (((w, 0, 1), "not an edge"), ((0, w, 0), "not an arc")):
         with pytest.raises(ValueError, match=text) as bulk:
-            edge_sequences(index, good[:2] + [bad] + good[2:])
+            edge_sequences(petersen, good[:2] + [bad] + good[2:])
         with pytest.raises(ValueError, match=text) as one:
-            edge_sequences(index, [bad])
+            edge_sequences(petersen, [bad])
         assert str(bulk.value) == str(one.value)
         assert repr(bad) in str(one.value)
 
 
 def test_lmap_image_lands_in_line_arcs(petersen):
     lg = line_graph(petersen)
-    assert set(edge_sequences(lg.index, enumerate_arcs(petersen, 3))) <= all_arcs(lg.graph, 2)
+    assert set(edge_sequences(petersen, enumerate_arcs(petersen, 3))) <= all_arcs(lg.graph, 2)
 
 
 def test_bijection_characterization():
@@ -347,7 +343,7 @@ def test_bijection_characterization():
 
     def onto(g, s):
         lg = line_graph(g)
-        image = set(edge_sequences(lg.index, enumerate_arcs(g, s)))
+        image = set(edge_sequences(g, enumerate_arcs(g, s)))
         return image == set(enumerate_arcs(lg.graph, s - 1))
 
     assert onto(c6, 3) and onto(c6, 4)
@@ -360,7 +356,7 @@ def test_bijection_characterization():
 def test_geodesic_images_are_geodesics(petersen, heawood, cube):
     for g, s in ((petersen, 2), (heawood, 3), (cube, 3)):
         lg = line_graph(g)
-        assert set(edge_sequences(lg.index, enumerate_geodesics(g, s))) <= all_geodesics(
+        assert set(edge_sequences(g, enumerate_geodesics(g, s))) <= all_geodesics(
             lg.graph, s - 1)
 
 
@@ -370,7 +366,7 @@ def test_image_equals_geodesics_frozen_cases(petersen, k4):
 
     def image_equals(g, s):
         lg = line_graph(g)
-        image = set(edge_sequences(lg.index, enumerate_arcs(g, s)))
+        image = set(edge_sequences(g, enumerate_arcs(g, s)))
         return image == set(enumerate_geodesics(lg.graph, s - 1))
 
     assert image_equals(petersen, 3)  # girth 5 >= 4
