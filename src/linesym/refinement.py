@@ -8,18 +8,21 @@ Refinement only splits cells, by rules that read colors and counts, never
 vertex ids, so relabelling a graph relabels its search tree.  The search
 carries one partition state down its tree: a child copies its parent's, splits
 its vertex off the target cell, the first largest (Traces' rule: it splits the
-most), and refines in place; a leaf's cell order is its vertex order.  The
-search keeps its own stack, so depth is not limited by the recursion limit.  It
-returns its first path's base, relative to which its generators are a strong
-generating set, the group order, and a canonical vertex order, so two graphs
-are isomorphic exactly when their certificates under those orders are equal.
+most), and refines in place; a leaf's cell order is its vertex order.  Off the
+first path, a node with its cell sizes first tries the candidate mapping its
+partition onto the node's by position.  The search keeps its own stack, so
+depth is not limited by the recursion limit.  It returns its first path's base,
+relative to which its generators are a strong generating set, the group order,
+and a canonical vertex order, so two graphs are isomorphic exactly when their
+certificates under those orders are equal.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import ne
 
 Adjacency = tuple[tuple[int, ...], ...]
 
@@ -141,12 +144,12 @@ class _Node:
             x = parent[x]
         return x
 
-    def merge(self, p: tuple[int, ...]):
-        for a, b in enumerate(p):
-            if a != b:
-                ra, rb = self.find(a), self.find(b)
-                if ra != rb:
-                    self.parent[max(ra, rb)] = min(ra, rb)
+    def merge(self, p: tuple[int, ...], moved: tuple[int, ...]):
+        find, parent = self.find, self.parent
+        for a in moved:
+            ra, rb = find(a), find(p[a])
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
 
 
 def automorphism_generators(
@@ -155,34 +158,40 @@ def automorphism_generators(
     group, found without enumerating the group.
 
     Individualization-refinement search.  The first root-to-leaf path fixes a
-    reference labeling and the base it individualized; every other leaf whose
-    coloring matches yields a candidate permutation, kept only if it actually
-    preserves adjacency.  Children in the orbit of a tried sibling under the
-    generators fixing the node's prefix are skipped, and a subtree off the
-    first path is abandoned at its first automorphism, since anything deeper
-    in it is a product of that one with automorphisms found under the first
-    path.  So the generators fixing b1..b_{i-1} reach, or prune into their
-    orbits, every child equivalent to b_i: they generate that pointwise
-    stabilizer, a strong generating set relative to the base (McKay &
-    Piperno, "Practical graph isomorphism, II", 2014).
+    reference labeling and the base it individualized; its partition is kept
+    at each depth.  A node off the first path with the first path's cell sizes
+    at its depth yields a candidate, taking each position of the one partition
+    to the other's, kept if it maps each moved point's neighbors onto its
+    image's.  Refinement commutes with automorphisms, so a kept one fixes their
+    common prefix and takes the next base point to the branch vertex (saucy,
+    Darga, Sakallah & Markov, DAC 2008; at a leaf it is the leaf's
+    automorphism), and the branch's subtree is abandoned: anything deeper in it
+    is a product of that one with automorphisms found under the first path.
+    Children in the orbit of a tried sibling under the generators fixing the
+    node's prefix, read at their moved points, are skipped.  So the generators
+    fixing b1..b_{i-1} reach, or prune into their orbits, every child
+    equivalent to b_i: they generate that pointwise stabilizer, a strong
+    generating set relative to the base (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014).
 
-    Since a subtree is skipped only when an automorphism maps a searched one
-    onto it, the search reaches every leaf up to automorphism; so the order
-    of the leaf with the largest certificate is canonical.  A first-path
-    node ends with the orbits of that stabilizer in its union-find, so the
-    group order is the product of the sizes of b_i's classes.
+    The search reaches every leaf up to automorphism, so the order of the
+    first leaf with the largest certificate is canonical, candidates or not:
+    a candidate's subtree is the image of one searched before it, under the
+    least vertex of the branch cell.  A first-path node ends with the orbits
+    of that stabilizer in its union-find, so the group order is the product
+    of the sizes of b_i's classes.
     """
     n = len(adj)
     arcs = {(v, w) for v in range(n) for w in adj[v]}
-    tails, heads = zip(*arcs) if arcs else ((), ())
     gens: list[tuple[int, ...]] = []
+    moves: list[tuple[int, ...]] = []  # moves[i]: the points gens[i] moves
     base: list[int] = []
-    first_colors: list[int] | None = None
     best: list[int] = []  # the vertex order of the best leaf so far
     best_cert: Adjacency | None = None  # its certificate, once one is needed
     path: list[int] = []  # path[i]: the vertex individualized below stack[i]
     group_order = 1
     stack = [_Node(_state(refine(adj, [0] * n)), True)]
+    reference = [stack[0].state[::3]]  # reference[d]: (elems, size) on the first path at depth d
     while stack:
         node = stack[-1]
         if node.cell is not None and node.next < len(node.cell):
@@ -192,39 +201,48 @@ def automorphism_generators(
                 # Children come in vertex order, so one whose orbit has a
                 # smaller vertex is equivalent to a child already tried.
                 if node.parent is None:
-                    node.parent = list(range(n))
-                    for p in gens:
-                        if all(p[f] == f for f in path):
-                            node.merge(p)
+                    node.parent, fixed = list(range(n)), set(path)
+                    for p, moved in zip(gens, moves):
+                        if fixed.isdisjoint(moved):
+                            node.merge(p, moved)
                 if node.find(v) != v:
                     continue
-            path.append(v)
-            stack.append(_Node(_child(adj, node.state, v), node.first and node.next == 1))
-            continue
-        if node.cell is None:
-            leaf, pos, color, _ = node.state  # leaf[c]: the vertex colored c
-            if first_colors is None:
-                first_colors, base, best = color, path[:], leaf
-            else:
-                p = tuple(map(leaf.__getitem__, first_colors))
-                if all(map(arcs.__contains__, zip(map(p.__getitem__, tails),
-                                                  map(p.__getitem__, heads)))):
+            state, depth = _child(adj, node.state, v), len(stack)
+            if node.first and node.next == 1:
+                reference.append(state[::3])
+            elif depth < len(reference) and state[3] == reference[depth][1]:
+                differ = list(map(ne, state[0], reference[depth][0]))
+                moved = tuple(compress(reference[depth][0], differ))
+                image = dict(zip(moved, compress(state[0], differ)))
+                rows = tuple(map(adj.__getitem__, moved))
+                heads = list(chain.from_iterable(rows))
+                tails = chain.from_iterable(map(repeat, map(image.get, moved), map(len, rows)))
+                if all(map(arcs.__contains__, zip(tails, map(image.get, heads, heads)))):
+                    p = tuple(map(image.get, range(n), range(n)))
                     gens.append(p)
-                    while not stack[-2].first:
+                    moves.append(moved)
+                    while not stack[-1].first:
                         stack.pop()
                     # What is left is the first path, whose prefixes p fixes.
-                    for anc in stack[:-1]:
+                    for anc in stack:
                         if anc.parent is not None:
-                            anc.merge(p)
-                else:
-                    # An automorphic leaf has the first leaf's certificate,
-                    # so only the others are compared, row by row (pos
-                    # labels the leaf's vertices) until one row differs.
-                    if best_cert is None:
-                        best_cert = certificate(adj, best)
-                    rows = (tuple(sorted(map(pos.__getitem__, adj[v]))) for v in leaf)
-                    if next((r > top for r, top in zip(rows, best_cert) if r != top), False):
-                        best, best_cert = leaf, certificate(adj, leaf)
+                            anc.merge(p, moved)
+                    del path[len(stack) - 1:]
+                    continue
+            path.append(v)
+            stack.append(_Node(state, node.first and node.next == 1))
+            continue
+        if node.cell is None:
+            leaf, pos, _, _ = node.state  # leaf[c]: the vertex colored c
+            if node.first:
+                base, best = path[:], leaf
+            else:
+                # Automorphic leaves were candidates, so only the others are compared,
+                # row by row (pos labels the leaf's vertices) until one row differs.
+                best_cert = best_cert or certificate(adj, best)
+                rows = (tuple(sorted(map(pos.__getitem__, adj[v]))) for v in leaf)
+                if next((r > top for r, top in zip(rows, best_cert) if r != top), False):
+                    best, best_cert = leaf, certificate(adj, leaf)
         elif node.first:  # b_i = cell[0], the least vertex, roots its class
             group_order *= sum(node.find(v) == node.cell[0] for v in node.cell)
         stack.pop()

@@ -26,8 +26,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress
+from operator import itemgetter, ne
 from typing import Iterable, Sequence
 
 from . import walks
@@ -143,15 +143,33 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=
     levels, up, steps = [{b: None} for b in base], [{b: identity} for b in base], [[] for _ in base]
     down, settled = {}, {}  # per level in the Schreier phase; settled: point -> pairs visited
 
-    def grow(m, s, inverse):
-        """s acts on level m's orbit, then S_m on each new x = s^-1[t], as x -> (t, s, s^-1)."""
-        level, queue = levels[m], []
-        for t in list(level):
+    # Per level: steps every new point visits (steps[m] until some are indexed), the rest by point.
+    broad, index = steps[:], [{} for _ in base]
+
+    def grow(m, step, moved):
+        """step = (s, s^-1) acts on level m's orbit, then S_m on each new x = s^-1[t],
+        as x -> (t, s, s^-1).  An s moving fewer points than the orbit holds visits
+        only those, and is indexed by them: a new point visits it if it moves it."""
+        (s, inverse), level, queue, every, by_point = step, levels[m], [], broad[m], index[m]
+        if len(moved) < len(level):
+            if every is steps[m]:
+                broad[m] = every = steps[m][:-1]
+            points = []
+            for y in moved:  # s acts at once on those in the orbit, later on the others
+                if y in level:
+                    points.append(y)
+                else:
+                    by_point.setdefault(y, []).append(step)
+        else:
+            if every is not steps[m]:
+                every.append(step)
+            points = list(level)
+        for t in points:
             if (x := inverse[t]) not in level:
                 level[x] = (t, s, inverse)
                 queue.append(x)
         for t in queue:
-            for s, inverse in steps[m]:
+            for s, inverse in chain(every, by_point.get(t, ())) if by_point else every:
                 if (x := inverse[t]) not in level:
                     level[x] = (t, s, inverse)
                     queue.append(x)
@@ -163,10 +181,13 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=
             levels.append({base[j]: None})
             steps.append([])
             up.append({base[j]: identity})
-        step = (p, _invert(p))
+            broad.append(steps[j])
+            index.append({})
+        step, moved = (p, _invert(p)), tuple(compress(identity, map(ne, p, identity)))
         for m in range(lo, j + 1):
             steps[m].append(step)
-            grow(m, *step)
+            if m == j or len(levels[m]) > 1:  # else p fixes the level's one point
+                grow(m, step, moved)
 
     def sift(p, lo):
         for j in range(lo, len(base)):
@@ -290,7 +311,8 @@ def automorphisms(g: Graph) -> AutGroup:
         group = _line_group(g)  # g is now the complement, its root tried in turn
     if group is None:
         base, gens, _, order = g.search
-        group = AutGroup._build(g.n, map(Permutation, gens), base, order)
+        # Shallowest first, so that the many deeper ones join grown levels as sparse steps.
+        group = AutGroup._build(g.n, map(Permutation, reversed(gens)), base, order)
     return group
 
 

@@ -11,6 +11,7 @@ partition refinement.
 from __future__ import annotations
 
 import itertools
+import math
 
 from linesym.graphs import Graph
 
@@ -172,6 +173,48 @@ def automorphism_count_backtrack(g: Graph) -> int:
 
     place(0)
     return count
+
+
+def tree_automorphism_count(g: Graph) -> int:
+    """|Aut(T)| of a tree from AHU canonical forms (Aho, Hopcroft & Ullman,
+    1974), with no search and no group.  Rooted at its centre, a vertex's
+    count is m! |Aut(c)|^m over each class of m children c with equal forms;
+    a bicentre multiplies its two halves' counts, and doubles that when the
+    halves' forms are equal."""
+    if g.n <= 1:
+        return 1
+    degree = [len(row) for row in g.adj]
+    centre, left = [v for v in range(g.n) if degree[v] == 1], g.n
+    while left > 2:  # strip the leaves until one or two vertices are left
+        left -= len(centre)
+        stripped, centre = centre, []
+        for v in stripped:
+            for w in g.adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    centre.append(w)
+
+    def rooted(root, parent):
+        """(form, count) of root's side of the tree, away from parent."""
+        order, up = [root], {root: parent}
+        for v in order:
+            for w in g.adj[v]:
+                if w != up[v]:
+                    up[w] = v
+                    order.append(w)
+        form, count = {}, {}
+        for v in reversed(order):
+            kids = sorted((form[w], count[w]) for w in g.adj[v] if w != up[v])
+            form[v], count[v] = "(" + "".join(f for f, _ in kids) + ")", 1
+            for (_, c), same in itertools.groupby(kids):  # equal forms have equal counts
+                m = len(list(same))
+                count[v] *= math.factorial(m) * c**m
+        return form[root], count[root]
+
+    if len(centre) == 1:
+        return rooted(centre[0], None)[1]
+    (fu, cu), (fv, cv) = rooted(centre[0], centre[1]), rooted(centre[1], centre[0])
+    return cu * cv * (2 if fu == fv else 1)
 
 
 def encode_graph6_reference(g: Graph) -> bytes:

@@ -17,6 +17,8 @@ import linesym.metrics
 import linesym.symmetry
 import linesym.verify as verify
 import linesym.walks
+from linesym.constructions import DerivedGraph
+from linesym.graphs import build_graph
 from linesym.symmetry import AutGroup
 from linesym.verify import FAIL, NOT_APPLICABLE, PASS, Corpus, run_corpus
 
@@ -32,6 +34,12 @@ def _drop_last_generator(*args):
     return AutGroup.from_permutations(group.degree, group.generators[:-1])
 
 
+def _last_edge_unsubdivided(g):
+    """The subdivision, but with the host's last edge kept whole."""
+    edges = [(w, g.n + i) for i, e in enumerate(g.edges[:-1]) for w in e] + [g.edges[-1]]
+    return DerivedGraph(build_graph(g.n + g.m - 1, edges), "subdivision")
+
+
 # name -> (verify attribute, replacement, the claims whose records fail under it,
 #          the hosts it runs on, or None for the default corpus)
 FAULTS = {
@@ -45,6 +53,8 @@ FAULTS = {
     "transitive_on_level answers level t - 1": (
         "transitive_on_level", lambda g, kind, t, group: _level(g, kind, max(t - 1, 1), group),
         {"thm-1.3"}, None),
+    "subdivision_graph leaves the last edge unsubdivided": (
+        "subdivision_graph", _last_edge_unsubdivided, {"subdiv-diam"}, None),
     # No default host is locally cyclic without being 2-geodesic transitive;
     # the 5 x 5 triangulated torus is (locally C6).
     "is_s_geodesic_transitive is always true": (

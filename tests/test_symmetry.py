@@ -39,6 +39,7 @@ from oracles import (
     equitable_cells,
     individualize,
     orbit_partition,
+    tree_automorphism_count,
 )
 
 from conftest import (
@@ -127,6 +128,46 @@ KNOWN_ORDERS = {
 @pytest.mark.parametrize("name, order", sorted(KNOWN_ORDERS.items()))
 def test_known_group_orders(name, order):
     assert automorphisms(catalog(name)).order == order
+
+
+def _star(n: int):
+    return build_graph(n + 1, [(0, i) for i in range(1, n + 1)])
+
+
+def _binary_tree(depth: int):
+    n = 2 ** (depth + 1) - 1
+    return build_graph(n, [((i - 1) // 2, i) for i in range(1, n)])
+
+
+# Generators here move few points and are found by candidates deep off the
+# first path; the search before candidates took seconds on each.
+CLOSED_FORM_ORDERS = {
+    "K_{1,300}": (lambda: _star(300), math.factorial(300)),
+    # K_{m[b]}: (b!)^m m!, searched on its complement, m disjoint cliques K_b
+    "K_{10[30]}": (lambda: catalog("complete_multipartite(10,30)"),
+                   math.factorial(30) ** 10 * math.factorial(10)),
+    # the complete binary tree of depth d: 2^(2^d - 1), one swap per inner vertex
+    "binary tree of depth 8": (lambda: _binary_tree(8), 2 ** (2**8 - 1)),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_ORDERS)
+def test_sparse_symmetry_has_its_closed_form_order(name):
+    build, order = CLOSED_FORM_ORDERS[name]
+    assert automorphisms(build()).order == order
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=10**6), max_size=39),
+       st.randoms(use_true_random=False))
+def test_tree_orders_match_the_ahu_oracle(picks, rng):
+    # vertex i + 1 hangs from one before it, then the labels are shuffled
+    label = list(range(len(picks) + 1))
+    rng.shuffle(label)
+    g = build_graph(len(label), [(label[x % (i + 1)], label[i + 1]) for i, x in enumerate(picks)])
+    group = automorphisms(g)
+    assert group.order == tree_automorphism_count(g)
+    _automorphisms_of(g, group.generators)  # raises unless each one keeps every edge
 
 
 def test_generators_preserve_edges(petersen, icosahedron):
@@ -375,11 +416,20 @@ def test_random_element_traces_the_schreier_vector_and_builds_no_level():
     traced, tabled = (AutGroup._build(g.n, map(Permutation, gens), base, order) for _ in "ab")
     _transversals(tabled)
     edges = set(g.edges)
+    passed = [{b for b, step in level.items() if step is None} for level in traced._levels]
     for seed in range(20):
         p = traced.random_element(random.Random(seed))
         assert p == tabled.random_element(random.Random(seed))
         assert {tuple(sorted((p(u), p(v)))) for u, v in g.edges} == edges
-    assert len(traced._reps[0]) < len(traced._levels[0]) == 40
+        # The same seed redraws the points; each one's Schreier path is memoised.
+        rng = random.Random(seed)
+        for level, points in zip(traced._levels, passed):
+            x = rng.choice(tuple(level))
+            while level[x] is not None:
+                points.add(x)
+                x = level[x][0]
+        assert [set(reps) for reps in traced._reps] == passed
+    assert len(traced._levels[0]) == 40
 
 
 def _thrice_iterated_line_graph_of_k5():
