@@ -26,8 +26,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, compress
-from operator import itemgetter, ne
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import walks
@@ -131,45 +131,43 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=
     lengths multiply to the order of the group on gens.
 
     The prefix opens its levels bare.  Each input joins S_0..S_j as a residue
-    does, j the first base point it moves, unsifted.  Given the order, orbits
-    that reach it prove the inputs strong.  Else the Schreier phase completes
-    the levels bottom-up, visiting each pair (t, s) of level i's orbit and S_i
-    once: a tree edge, either way round, costs nothing, and the Schreier
-    generator down[t] s up[s[t]] (down[x] carrying base[i] to x) is built only
-    when down[t] s != down[s[t]].  Its residue, sifted from level i+1, joins
-    S_{i+1}..S_j when it stops at level j, and processing goes back to j.
-    Coset elements are built only when needed, and memoised both ways."""
+    does, j the first base point it moves, unsifted, shallowest first: deeper
+    inputs then meet grown orbits, which `grow` visits sparsely.  Given the
+    order, orbits that reach it prove the inputs strong.  Else the Schreier
+    phase completes the levels bottom-up, visiting each pair (t, s) of level
+    i's orbit and S_i once: a tree edge, either way round, costs nothing, and
+    the Schreier generator down[t] s up[s[t]] (down[x] carrying base[i] to x)
+    is built only when down[t] s != down[s[t]].  Its residue, sifted from
+    level i+1, joins S_{i+1}..S_j when it stops at level j, and processing
+    goes back to j.  Coset elements are built only when needed, and memoised
+    both ways."""
     identity, base = tuple(range(n)), list(prefix)
     levels, up, steps = [{b: None} for b in base], [{b: identity} for b in base], [[] for _ in base]
     down, settled = {}, {}  # per level in the Schreier phase; settled: point -> pairs visited
-
-    # Per level: steps every new point visits (steps[m] until some are indexed), the rest by point.
-    broad, index = steps[:], [{} for _ in base]
+    dense, index = [[] for _ in base], [{} for _ in base]  # per level; see grow
 
     def grow(m, step, moved):
         """step = (s, s^-1) acts on level m's orbit, then S_m on each new x = s^-1[t],
-        as x -> (t, s, s^-1).  An s moving fewer points than the orbit holds visits
-        only those, and is indexed by them: a new point visits it if it moves it."""
-        (s, inverse), level, queue, every, by_point = step, levels[m], [], broad[m], index[m]
+        as x -> (t, s, s^-1).  Each step of S_m is dense, visited by every new point,
+        or, having moved fewer points than the orbit held, indexed under those of its
+        moved points still outside: so a new point visits every step that moves it."""
+        (s, inverse), level, queue, every, by_point = step, levels[m], [], dense[m], index[m]
         if len(moved) < len(level):
-            if every is steps[m]:
-                broad[m] = every = steps[m][:-1]
             points = []
-            for y in moved:  # s acts at once on those in the orbit, later on the others
-                if y in level:
-                    points.append(y)
+            for t in moved:
+                if t in level:
+                    points.append(t)
                 else:
-                    by_point.setdefault(y, []).append(step)
+                    by_point.setdefault(t, []).append(step)
         else:
-            if every is not steps[m]:
-                every.append(step)
+            every.append(step)
             points = list(level)
         for t in points:
             if (x := inverse[t]) not in level:
                 level[x] = (t, s, inverse)
                 queue.append(x)
         for t in queue:
-            for s, inverse in chain(every, by_point.get(t, ())) if by_point else every:
+            for s, inverse in chain(every, by_point.pop(t, ())) if by_point else every:
                 if (x := inverse[t]) not in level:
                     level[x] = (t, s, inverse)
                     queue.append(x)
@@ -181,13 +179,15 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=
             levels.append({base[j]: None})
             steps.append([])
             up.append({base[j]: identity})
-            broad.append(steps[j])
+            dense.append([])
             index.append({})
-        step, moved = (p, _invert(p)), tuple(compress(identity, map(ne, p, identity)))
+        step, moved = (p, _invert(p)), [v for v, x in enumerate(p) if v != x]
         for m in range(lo, j + 1):
             steps[m].append(step)
-            if m == j or len(levels[m]) > 1:  # else p fixes the level's one point
-                grow(m, step, moved)
+            grow(m, step, moved)
+
+    def first(p):  # the first base point p moves, or the next one to open
+        return next((j for j, b in enumerate(base) if p[b] != b), len(base))
 
     def sift(p, lo):
         for j in range(lo, len(base)):
@@ -198,9 +198,9 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=
                 p = _compose(p, up[j].get(x) or _coset(levels[j], up[j], x))
         return p, len(base)
 
-    for p in map(tuple, gens):
-        if p != identity:
-            join(p, 0, next((j for j, b in enumerate(base) if p[b] != b), len(base)))
+    inputs = sorted((first(p), k, p) for k, p in enumerate(map(tuple, gens)) if p != identity)
+    for j, _, p in inputs:  # past the prefix, the base may have grown since
+        join(p, 0, j if j < len(prefix) else first(p))
     i = len(base) - 1
     while i >= 0 and _chain_order(levels) != order:
         level, pairs, ups, j = levels[i], steps[i], up[i], None
@@ -311,8 +311,7 @@ def automorphisms(g: Graph) -> AutGroup:
         group = _line_group(g)  # g is now the complement, its root tried in turn
     if group is None:
         base, gens, _, order = g.search
-        # Shallowest first, so that the many deeper ones join grown levels as sparse steps.
-        group = AutGroup._build(g.n, map(Permutation, reversed(gens)), base, order)
+        group = AutGroup._build(g.n, map(Permutation, gens), base, order)
     return group
 
 

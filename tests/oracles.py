@@ -282,8 +282,10 @@ def batch_base(gens, n: int, prefix=()):
     generator, straight from the batch rule: past the prefix, the next base
     point is the first point moved by the first input fixing every base point
     so far, and level i holds the inputs, identities left out, fixing
-    base[:i], in input order."""
+    base[:i], shallowest first: by the first prefix point they move, ties in
+    input order."""
     inputs = [tuple(p) for p in gens if any(v != i for i, v in enumerate(p))]
+    inputs.sort(key=lambda p: next((i for i, b in enumerate(prefix) if p[b] != b), len(prefix)))
     base = list(prefix)
     while fixing := [p for p in inputs if all(p[b] == b for b in base)]:
         base.append(min(v for v in range(n) if fixing[0][v] != v))

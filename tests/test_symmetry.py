@@ -270,7 +270,7 @@ def test_prefixed_chain_matches_sympy_with_and_without_the_order_stop():
     """Orders against sympy; and each input, identities aside, joins the
     levels up to the first base point it moves, so the base starts with the
     batch rule's and each level's generators with the inputs fixing the base
-    points before it, in input order."""
+    points before it, shallowest first."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
 
     @settings(max_examples=200, deadline=None)
