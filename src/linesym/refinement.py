@@ -10,11 +10,13 @@ carries one partition state down its tree: a child copies its parent's, splits
 its vertex off the target cell, the first largest (Traces' rule: it splits the
 most), and refines in place; a leaf's cell order is its vertex order.  Off the
 first path, a node with its cell sizes first tries the candidate mapping its
-partition onto the node's by position.  The search keeps its own stack, so
-depth is not limited by the recursion limit.  It returns its first path's base,
-relative to which its generators are a strong generating set, the group order,
-and a canonical vertex order, so two graphs are isomorphic exactly when their
-certificates under those orders are equal.
+partition onto the node's by position.  The first path shares one union-find of
+the orbits of the generators found so far, each merged into it once; a node off
+the first path builds its own at its second child.  The search keeps its own
+stack, so depth is not limited by the recursion limit.  It returns its first
+path's base, relative to which its generators are a strong generating set, the
+group order, and a canonical vertex order, so two graphs are isomorphic exactly
+when their certificates under those orders are equal.
 """
 
 from __future__ import annotations
@@ -120,22 +122,23 @@ def certificate(adj: Adjacency, order) -> Adjacency:
 
 class _Node:
     """A search node: its partition state and target cell (None at a leaf)
-    and, from its second child on, a union-find of the orbits of the
-    generators fixing its prefix, each orbit rooted at its least vertex."""
+    and a union-find of the orbits of the generators fixing its prefix, each
+    orbit rooted at its least vertex.  The first path's nodes share one, given
+    at creation; a node off it builds its own at its second child."""
 
     __slots__ = ("state", "first", "cell", "next", "parent")
 
-    def __init__(self, state, first: bool):
+    def __init__(self, state, parent: list[int] | None):
         # The target is the first largest cell, which splits the most.  size[i]
         # counts color i, so index finds its least start, reading no vertex id.
         elems, size = state[0], state[3]
         top = max(size)
         target = size.index(top)
-        self.state, self.first = state, first  # first: on the first root-to-leaf path
+        self.state, self.parent = state, parent
+        self.first = parent is not None  # on the first root-to-leaf path
         # Sorted, so that children come in vertex order.
         self.cell = sorted(elems[target:target + top]) if top > 1 else None
         self.next = 0
-        self.parent: list[int] | None = None
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -177,9 +180,14 @@ def automorphism_generators(
     The search reaches every leaf up to automorphism, so the order of the
     first leaf with the largest certificate is canonical, candidates or not:
     a candidate's subtree is the image of one searched before it, under the
-    least vertex of the branch cell.  A first-path node ends with the orbits
-    of that stabilizer in its union-find, so the group order is the product
-    of the sizes of b_i's classes.
+    least vertex of the branch cell.  The first path shares one union-find,
+    into which each generator is merged once, when it is found: it fixes the
+    first path down to the node whose later child found it, and every
+    first-path node below that one has finished.  So a first-path node ends
+    with the orbits of its prefix's stabilizer there, and the group order is
+    the product of the sizes of b_i's classes.  A node off the first path
+    builds its own union-find at its second child, from the generators that
+    fix its prefix.
     """
     n = len(adj)
     arcs = {(v, w) for v in range(n) for w in adj[v]}
@@ -190,7 +198,7 @@ def automorphism_generators(
     best_cert: Adjacency | None = None  # its certificate, once one is needed
     path: list[int] = []  # path[i]: the vertex individualized below stack[i]
     group_order = 1
-    stack = [_Node(_state(refine(adj, [0] * n)), True)]
+    stack = [_Node(_state(refine(adj, [0] * n)), list(range(n)))]
     reference = [stack[0].state[::3]]  # reference[d]: (elems, size) on the first path at depth d
     while stack:
         node = stack[-1]
@@ -200,7 +208,7 @@ def automorphism_generators(
             if node.next > 1:
                 # Children come in vertex order, so one whose orbit has a
                 # smaller vertex is equivalent to a child already tried.
-                if node.parent is None:
+                if node.parent is None:  # off the first path
                     node.parent, fixed = list(range(n)), set(path)
                     for p, moved in zip(gens, moves):
                         if fixed.isdisjoint(moved):
@@ -223,14 +231,12 @@ def automorphism_generators(
                     moves.append(moved)
                     while not stack[-1].first:
                         stack.pop()
-                    # What is left is the first path, whose prefixes p fixes.
-                    for anc in stack:
-                        if anc.parent is not None:
-                            anc.merge(p, moved)
+                    # What is left is the first path, whose shared union-find takes p.
+                    stack[-1].merge(p, moved)
                     del path[len(stack) - 1:]
                     continue
             path.append(v)
-            stack.append(_Node(state, node.first and node.next == 1))
+            stack.append(_Node(state, node.parent if node.first and node.next == 1 else None))
             continue
         if node.cell is None:
             leaf, pos, _, _ = node.state  # leaf[c]: the vertex colored c

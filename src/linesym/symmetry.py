@@ -48,10 +48,6 @@ class Permutation:
             raise ValueError("images do not form a bijection")
 
     @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
-
-    @staticmethod
     def from_one_line(text: str) -> "Permutation":
         """Parse one-line notation, e.g. "2 0 1 3" or "2,0,1,3"."""
         parts = text.replace(",", " ").split()
@@ -69,19 +65,9 @@ class Permutation:
     def __call__(self, v: int) -> int:
         return self.images[v]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """self, then other."""
-        return Permutation(_compose(self.images, other.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(_invert(self.images))
-
     def apply(self, seq: Sequence[int]) -> tuple[int, ...]:
         """Image of a tuple under the right action, coordinate by coordinate."""
         return _compose(tuple(seq), self.images)
-
-    def is_identity(self) -> bool:
-        return all(i == v for v, i in enumerate(self.images))
 
 
 def _getter(t):

@@ -19,6 +19,7 @@ from linesym.graphs import build_graph, is_complete, is_regular, isomorphic
 from linesym.metrics import diameter, girth, is_connected
 from linesym.symmetry import (
     AutGroup,
+    Permutation,
     automorphisms,
     induced_edge_action,
     is_s_arc_transitive,
@@ -185,8 +186,9 @@ def test_criterion_5_lmap_property_suite():
             if sigma is None:
                 break
             word = sigma
-            for _ in range(rng.randint(0, 3)):
-                word = word * group.generators[rng.randrange(len(group.generators))]
+            for _ in range(rng.randint(0, 3)):  # word, then a random generator
+                word = Permutation(group.generators[rng.randrange(len(group.generators))].apply(
+                    word.images))
             arc = arcs[rng.randrange(len(arcs))] if arcs else None
             if arc is None:
                 break

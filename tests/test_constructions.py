@@ -226,6 +226,11 @@ def test_subdivision_of_single_edge_path():
     assert isomorphic(s, path(2)) is not None
 
 
+def test_subdivision_of_an_edgeless_graph_is_refused():
+    with pytest.raises(ValueError, match="subdividing an edgeless graph changes nothing"):
+        subdivision_graph(build_graph(3, []))
+
+
 # -- clique graphs --------------------------------------------------------------
 
 

@@ -74,6 +74,23 @@ def test_parse_rejects_malformed(blob, complaint):
         parse_graph6(blob)
 
 
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"~??", "truncated long-form header"),  # three header bytes must follow the ~
+        (b"~?\x1f?", "malformed long-form header byte"),
+    ],
+)
+def test_parse_names_a_bad_long_form_header(blob, message):
+    with pytest.raises(ValueError, match=message):
+        parse_graph6(blob)
+
+
+def test_emit_refuses_more_vertices_than_the_long_form_holds():
+    with pytest.raises(ValueError, match="graphs beyond 258047 vertices are out of scope"):
+        emit_graph6(Graph(258048, ((),) * 258048))
+
+
 def test_parse_rejects_zero_vertices():
     with pytest.raises(ValueError):
         parse_graph6(bytes([63]))

@@ -37,6 +37,11 @@ def test_single_vertex():
     assert is_complete(g)  # K1 vacuously
 
 
+def test_repr_names_the_graph_when_it_has_a_name():
+    assert repr(catalog("petersen")) == "<Graph 'petersen' n=10 m=15>"
+    assert repr(build_graph(3, [(0, 1)])) == "<Graph n=3 m=1>"
+
+
 def test_k4_every_valency_3():
     g = build_graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     assert all(len(g.adj[v]) == 3 for v in range(4))

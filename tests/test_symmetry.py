@@ -2,7 +2,6 @@ import collections
 import functools
 import inspect
 import math
-import operator
 import random
 import sys
 import tracemalloc
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linesym.refinement
 import linesym.symmetry
 import linesym.walks
 from linesym.constructions import EdgeIndex, catalog, line_graph
@@ -57,20 +57,13 @@ from conftest import (
 
 def test_permutation_algebra():
     p = Permutation.from_one_line("1 2 0")
-    q = Permutation.from_one_line("0 2 1")
-    assert (p * q).images == tuple(q.images[i] for i in p.images)
-    assert p * p.inverse() == Permutation.identity(3)
-    assert p.inverse() * p == Permutation.identity(3)
     assert p(0) == 1
     assert p.apply((0, 1)) == (1, 2)
-    assert Permutation.identity(3).is_identity()
 
 
 def test_degree_one_permutations_and_short_tuples():
     # a one-index itemgetter returns a scalar; these stay tuples
-    e = Permutation.identity(1)
-    assert (e * e).images == (0,)
-    assert e.inverse().images == (0,)
+    e = Permutation((0,))
     assert e.apply(()) == ()
     assert e.apply((0,)) == (0,)
     p = Permutation((2, 0, 1))
@@ -83,7 +76,7 @@ def test_composition_order_is_left_then_right():
     # p sends 0->1; q sends 1->2: applying p then q sends 0->2
     p = Permutation((1, 0, 2))
     q = Permutation((0, 2, 1))
-    assert (p * q)(0) == 2
+    assert q.apply(p.images)[0] == 2
 
 
 def test_permutation_validation():
@@ -155,6 +148,18 @@ CLOSED_FORM_ORDERS = {
 def test_sparse_symmetry_has_its_closed_form_order(name):
     build, order = CLOSED_FORM_ORDERS[name]
     assert automorphisms(build()).order == order
+
+
+def test_the_first_path_merges_each_generator_once(monkeypatch):
+    """The first path shares one union-find, so K_{1,300}'s 299 generators make
+    299 merges; a replay at each first-path node would make 299 * 300 / 2.
+    A work count does not vary between machines, so this guard cannot flake."""
+    merges = []
+    merge = linesym.refinement._Node.merge
+    monkeypatch.setattr(linesym.refinement._Node, "merge",
+                        lambda node, p, moved: merges.append(p) or merge(node, p, moved))
+    _, gens, _, order = linesym.refinement.automorphism_generators(_star(300).adj)
+    assert (len(gens), len(merges), order) == (299, 299, math.factorial(300))
 
 
 @settings(max_examples=150, deadline=None)
@@ -296,10 +301,10 @@ def test_prefixed_chain_matches_sympy_with_and_without_the_order_stop():
 
 def test_from_permutations_checks_the_degree_of_identities_too():
     with pytest.raises(ValueError, match="degree mismatch"):
-        AutGroup.from_permutations(10, [Permutation.identity(9)])
+        AutGroup.from_permutations(10, [Permutation(tuple(range(9)))])
     with pytest.raises(ValueError, match="degree mismatch"):
-        AutGroup.from_permutations(10, [Permutation.identity(10), Permutation((1, 0, 2))])
-    assert AutGroup.from_permutations(10, [Permutation.identity(10)]).order == 1
+        AutGroup.from_permutations(10, [Permutation(tuple(range(10))), Permutation((1, 0, 2))])
+    assert AutGroup.from_permutations(10, [Permutation(tuple(range(10)))]).order == 1
 
 
 def cells_of(colors) -> set[frozenset[int]]:
@@ -709,7 +714,7 @@ def test_trivial_group():
 
 def test_induced_action_identity(petersen):
     idx = EdgeIndex.from_graph(petersen)
-    ind = induced_edge_action(idx, Permutation.identity(10))
+    ind = induced_edge_action(idx, Permutation(tuple(range(10))))
     assert ind.images == tuple(range(len(idx)))
 
 
@@ -735,6 +740,16 @@ def test_induced_action_rejects_non_automorphism():
     # a permutation of the vertices that is not an automorphism
     with pytest.raises(ValueError):
         induced_edge_action(idx, Permutation((1, 0, 2, 3, 4)))
+
+
+def test_induced_action_rejects_a_permutation_of_another_degree(petersen):
+    with pytest.raises(ValueError, match="permutation degree does not match the host"):
+        induced_edge_action(EdgeIndex.from_graph(petersen), Permutation(tuple(range(9))))
+
+
+def test_arc_transitivity_needs_a_connected_graph():
+    with pytest.raises(ValueError, match="transitivity tests need a connected graph"):
+        is_s_arc_transitive(build_graph(4, [(0, 1), (2, 3)]), 2)
 
 
 def test_induced_group_order_matches_host_for_k4(k4):
@@ -875,7 +890,9 @@ def _group_under_test(g, data):
     if kind == "subgroup" and full.generators:
         words = data.draw(st.lists(st.lists(st.sampled_from(full.generators), min_size=1,
                                             max_size=3), max_size=3))
-        products = [functools.reduce(operator.mul, w) for w in words]
+        # Each word's product, left then right.
+        products = [functools.reduce(lambda p, q: Permutation(q.apply(p.images)), w)
+                    for w in words]
         return AutGroup.from_permutations(g.n, products), g
     if kind == "permutations":
         perms = data.draw(st.lists(st.permutations(range(g.n)), max_size=2))
@@ -975,7 +992,8 @@ def test_transitive_on_inverts_nothing(monkeypatch, petersen, k3_parts_of_2):
         lg = line_graph(g)
         induced = AutGroup.from_permutations(
             lg.graph.n, [induced_edge_action(EdgeIndex.from_graph(g), p) for p in full.generators])
-        sub = AutGroup.from_permutations(g.n, [full.generators[0] * full.generators[-1]])
+        first, last = full.generators[0], full.generators[-1]
+        sub = AutGroup.from_permutations(g.n, [Permutation(last.apply(first.images))])
         for group, h in ((full, g), (induced, lg.graph), (sub, g)):
             for universe in (enumerate_arcs(h, 2), enumerate_geodesics(h, 2)):
                 cases.append((universe, group))
@@ -1067,7 +1085,7 @@ def test_level_predicate_matches_the_orbits_of_the_enumerated_level(rng):
 
 
 def test_arc_transitivity_with_subgroup(petersen):
-    trivial = AutGroup.from_permutations(10, (Permutation.identity(10),))
+    trivial = AutGroup.from_permutations(10, (Permutation(tuple(range(10))),))
     assert not is_s_arc_transitive(petersen, 1, trivial)
 
 

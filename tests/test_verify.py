@@ -92,7 +92,7 @@ def test_equivalence_gates():
 def test_equivalence_accepts_proper_subgroup(petersen):
     """The claim quantifies over subgroups: with the trivial group both sides
     must come out false, and the equivalence still holds."""
-    trivial = AutGroup.from_permutations(10, (Permutation.identity(10),))
+    trivial = AutGroup.from_permutations(10, (Permutation(tuple(range(10))),))
     r = check_line_equivalence(petersen, 2, group=trivial)
     assert r.verdict == PASS
     assert r.lhs is False and r.rhs is False
@@ -154,6 +154,17 @@ def test_diameter_lemma_cycle():
 def test_diameter_lemma_gates():
     assert check_diameter_lemma(build_graph(3, [(0, 1)])).verdict == NOT_APPLICABLE
     assert check_diameter_lemma(build_graph(2, [])).verdict == NOT_APPLICABLE
+
+
+def test_the_diameter_checks_need_an_edge_and_a_connected_graph():
+    k1, split = catalog("complete(1)"), build_graph(4, [(0, 1), (2, 3)])
+    reasons = [check_diameter_lemma(k1), check_subdivision_diameter(k1),
+               check_subdivision_diameter(split)]
+    assert [(r.claim, r.verdict, r.details) for r in reasons] == [
+        ("lemma-2.2", NOT_APPLICABLE, {"reason": "graph has no edge"}),
+        ("subdiv-diam", NOT_APPLICABLE, {"reason": "graph has no edge"}),
+        ("subdiv-diam", NOT_APPLICABLE, {"reason": "graph is not connected"}),
+    ]
 
 
 def test_subdivision_deltas():
@@ -325,6 +336,14 @@ def test_classify_gates(petersen, icosahedron, k4):
     assert classify_valency4_girth3(catalog("k33")).verdict == NOT_APPLICABLE
 
 
+def test_classify_and_locally_cyclic_need_a_connected_graph():
+    split = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    for r, claim in ((classify_valency4_girth3(split), "thm-1.1"),
+                     (check_locally_cyclic(split), "cor-1.2")):
+        assert (r.claim, r.verdict, r.details) == (
+            claim, NOT_APPLICABLE, {"reason": "graph is not connected"})
+
+
 def test_line_petersen_third_sphere_structure(petersen):
     """Every 2-geodesic (u, v, w) of L(Petersen) sees exactly one vertex of
     w's neighborhood in the third distance cell around u."""
@@ -364,6 +383,14 @@ def test_weiss_flag_first_branch(tutte, heawood):
     assert r.verdict == PASS and r.lhs is True
     r = check_weiss_flag(heawood, 4)
     assert r.verdict == PASS and r.lhs is True
+
+
+@pytest.mark.parametrize("s", [1, 5])
+def test_weiss_flag_na_outside_the_line_diameter_range(petersen, s):
+    # L(Petersen) has diameter 3, so the flag is read at s = 2..4
+    r = check_weiss_flag(petersen, s)
+    assert (r.verdict, r.details) == (
+        NOT_APPLICABLE, {"reason": f"s={s} outside 2..diam(L)+1=4"})
 
 
 def test_weiss_flag_na_when_line_not_transitive(cubic_fixtures):
@@ -507,6 +534,13 @@ def test_corpus_decides_each_transitivity_level_once(monkeypatch):
     assert len(levels) == len(groups)
     keys = list(zip(levels, groups))
     assert keys and len(keys) == len(set(keys))
+
+
+def test_corpus_gives_thm32_on_a_disconnected_graph_one_record_with_no_s():
+    split = build_graph(4, [(0, 1), (2, 3)])
+    [r] = run_corpus(Corpus((("split", split),)), ["thm32"])
+    assert (r.claim, r.params, r.verdict, r.details) == (
+        "thm-3.2", {"s": None}, NOT_APPLICABLE, {"reason": "no usable s"})
 
 
 def test_empty_corpus_runs_clean():
