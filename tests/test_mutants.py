@@ -26,7 +26,7 @@ from conftest import cube_graph, triangulated_torus
 
 _girth, _count_geodesics = verify.girth, verify.count_geodesics
 _edge_group, _level = verify._edge_group, verify.transitive_on_level
-_edge_sequences = verify.edge_sequences
+_edge_sequences, _transitive_on = verify.edge_sequences, verify.transitive_on
 
 
 def _drop_last_generator(*args):
@@ -76,6 +76,16 @@ FAULTS = {
         lambda g, arcs: [tuple({2: 3, 3: 2}.get(r, r) for r in image)
                          for image in _edge_sequences(g, arcs)],
         {"thm-3.2"}, (catalog("complete(4)"),)),
+    # Under the trivial group the 24 2-geodesics of K_{3[2]} are 24 orbits, so
+    # thm-1.1's lhs turns false while the octahedral rhs stays true.
+    "transitive_on under the trivial group": (
+        "transitive_on",
+        lambda tuples, group: _transitive_on(tuples, AutGroup.from_permutations(group.degree, ())),
+        {"thm-1.1"}, None),
+    # The sampler then takes an arc's own edges for its image's, and a sampled
+    # element that moves the arc shows it.
+    "the sampler's edge map is the identity": (
+        "_edge_images", lambda p, ends, point: tuple(point[e] for e in ends), {"thm-3.2"}, None),
 }
 
 # Faults no check can catch, each with the reason.

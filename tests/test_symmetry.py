@@ -922,6 +922,7 @@ def test_transitive_on_matches_the_union_find_oracle(g, data):
     assert ok == (part.orbit_count <= 1)
     firsts = [i for k, i in enumerate(part.orbit_ids) if i not in part.orbit_ids[:k]]
     assert firsts == list(range(part.orbit_count))
+    assert part.sizes() == [part.orbit_ids.count(i) for i in range(part.orbit_count)]
 
 
 def _elements(group):
