@@ -2,7 +2,7 @@
 
 Exit code 0 means every executed check passed or was not applicable; 1 means
 at least one failure; 2 covers usage and input errors (argparse's own among
-them) and an enumeration that would exceed its cap.
+them), an enumeration that would exceed its cap, and running out of memory.
 """
 
 from __future__ import annotations
@@ -213,6 +213,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, EnumerationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

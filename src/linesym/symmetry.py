@@ -1,20 +1,20 @@
 """Automorphism groups, induced edge actions, orbits, and transitivity tests.
 
 Permutations compose in application order: (p * q) means "apply p, then q".
-Group orders come from a stabilizer chain (orbit sizes multiplied down the
-chain), never from enumerating elements; the same chain draws uniformly
-random elements, one coset representative per level.  `_stabilizer_chain`
-builds every chain: incremental Schreier-Sims (Seress, Permutation Group
-Algorithms, 2003, sections 4.1-4.2) over Schreier vectors, its coset
-elements built when needed and memoised; generators strong on the base, as
-the search's are on its own, reach a known order by point images alone.  A
-line graph L(H) whose connected root has 5 <= |H| < |L(H)| vertices is not
-searched: by Whitney's theorem (1932) Aut(H), acting on the edges through
-the certified bijection `Graph.root`, is all of Aut(L(H)), the exceptions
-K2, K3, K1,3, K4, K4 - e and K1,3 + e having fewer vertices.  Past its
-root, a graph denser than half (2m > n(n-1)/2) takes its complement's group,
-so no search runs on the denser side: K(n,2), for n >= 8, reaches K_n
-through its complement T(n) = L(K_n).
+A group is its generators, a base and, where proven, its order: the
+search's, or its root's for a line graph.  Other orders, and uniformly
+random elements (one coset representative per level), come from a
+stabilizer chain built when first read, never from enumerating elements.
+`_stabilizer_chain` builds every chain: incremental Schreier-Sims (Seress,
+Permutation Group Algorithms, 2003, sections 4.1-4.2) over Schreier
+vectors, its coset elements built when needed and memoised.  A line graph
+L(H) whose connected root has 5 <= |H| < |L(H)| vertices is not searched:
+by Whitney's theorem (1932) Aut(H), acting on the edges through the
+certified bijection `Graph.root`, is all of Aut(L(H)), the exceptions K2,
+K3, K1,3, K4, K4 - e and K1,3 + e having fewer vertices.  Past its root, a
+graph denser than half (2m > n(n-1)/2) takes its complement's group, so no
+search runs on the denser side: K(n,2), for n >= 8, reaches K_n through its
+complement T(n) = L(K_n).
 `transitive_on` splits an explicit tuple universe into orbits; the
 transitivity predicates build no tuple and decide each level by
 orbit-stabilizer (`transitive_on_level`).
@@ -26,7 +26,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -223,40 +223,37 @@ def _chain_order(levels) -> int:
 
 @dataclass(frozen=True)
 class AutGroup:
-    """A permutation group given by generators, with an exact order.
-
-    `_levels` holds the non-trivial levels of its stabilizer chain, base
-    point first: Schreier vectors (b -> None, x -> (t, s, s^-1) with s[x] =
-    t).  `_reps` memoises, per level, the elements carrying points to b; the
-    chain hands over what it built.  `_stabilizer` generates the first G_b.
-    """
+    """A permutation group: its generators, a base and, where proven, its
+    order; compared and hashed by its generators.  `_chain`, built when first
+    read by `_stabilizer_chain` based at `_base` and stopped at `_order`,
+    holds the non-trivial levels, base point first, as Schreier vectors
+    (b -> None, x -> (t, s, s^-1) with s[x] = t), the generators of the first
+    G_b, and per level a memo of the elements carrying points to b."""
 
     degree: int
     generators: tuple[Permutation, ...]
-    order: int
-    _levels: tuple = field(repr=False, compare=False, default=())
-    _stabilizer: tuple = field(repr=False, compare=False, default=())
-    _reps: list = field(repr=False, compare=False, default_factory=list)
+    _base: tuple = field(repr=False, compare=False, default=())
+    _order: int | None = field(repr=False, compare=False, default=None)
 
-    @staticmethod
-    def from_permutations(degree: int, perms: Iterable[Permutation]) -> "AutGroup":
-        perms = tuple(perms)
-        if any(p.degree != degree for p in perms):
-            raise ValueError("generator degree mismatch")
-        return AutGroup._build(degree, perms)
+    @cached_property
+    def order(self) -> int:
+        return self._order or _chain_order(self._chain[0])
 
-    @staticmethod
-    def _build(degree: int, perms: Iterable[Permutation], prefix=(), order=None) -> "AutGroup":
-        """The group on perms, without identities or trivial levels, its chain
-        based at prefix and stopped at order (`_stabilizer_chain`)."""
-        identity = tuple(range(degree))
-        gens = tuple(p for p in perms if p.images != identity)
-        _, levels, reps, steps = _stabilizer_chain([p.images for p in gens], degree, prefix, order)
+    @cached_property
+    def _chain(self):
+        _, levels, reps, steps = _stabilizer_chain([p.images for p in self.generators],
+                                                   self.degree, self._base, self._order)
         kept = [i for i, level in enumerate(levels) if len(level) > 1]
         # G fixes the base points before the first kept level k, so S_{k+1} generates G_b
         below = steps[kept[0] + 1] if kept and kept[0] + 1 < len(steps) else ()
-        return AutGroup(degree, gens, _chain_order(levels), tuple(levels[i] for i in kept),
-                        tuple(s for s, _ in below), [reps[i] for i in kept])
+        return tuple(levels[i] for i in kept), tuple(s for s, _ in below), [reps[i] for i in kept]
+
+    @staticmethod
+    def from_permutations(degree: int, perms: Iterable[Permutation]) -> "AutGroup":
+        perms, identity = tuple(perms), tuple(range(degree))
+        if any(p.degree != degree for p in perms):
+            raise ValueError("generator degree mismatch")
+        return AutGroup(degree, tuple(p for p in perms if p.images != identity))
 
     @staticmethod
     def from_generators(g: Graph, perms: Iterable[Permutation]) -> "AutGroup":
@@ -272,7 +269,8 @@ class AutGroup:
         section 2).  Only the drawn representatives are built.
         """
         p = tuple(range(self.degree))
-        for level, reps in zip(self._levels, self._reps):
+        levels, _, memos = self._chain
+        for level, reps in zip(levels, memos):
             t = rng.choice(tuple(level))
             p = _compose(p, reps.get(t) or _coset(level, reps, t))
         return Permutation(p)
@@ -280,11 +278,10 @@ class AutGroup:
 
 @lru_cache(maxsize=256)
 def automorphisms(g: Graph) -> AutGroup:
-    """Full automorphism group of g: a line graph's comes from its root
-    (`_line_group`); a graph denser than half (2m > n(n-1)/2) has that of
-    its complement, which is not, built here and kept by no cache; any
-    other's from the search, whose generators are strong on its base, so
-    the chain reaches its order by point images."""
+    """Full automorphism group of g, its order proven: a line graph's from
+    its root (`_line_group`); a graph denser than half (2m > n(n-1)/2) has
+    that of its complement, which is not, built here and kept by no cache;
+    any other's from the search, whose generators are strong on its base."""
     group = _line_group(g)
     if group is None and 2 * g.m > g.n * (g.n - 1) // 2:
         closed = [{v, *row} for v, row in enumerate(g.adj)]
@@ -292,17 +289,15 @@ def automorphisms(g: Graph) -> AutGroup:
         group = _line_group(g)  # g is now the complement, its root tried in turn
     if group is None:
         base, gens, _, order = g.search
-        group = AutGroup._build(g.n, map(Permutation, gens), base, order)
+        group = AutGroup(g.n, tuple(map(Permutation, gens)), tuple(base), order)
     return group
 
 
 def _line_group(g: Graph) -> AutGroup | None:
     """Aut(g) as the action of Aut(H) on the edges of g's root H, or None.
-
     Taken only when g has a vertex of degree 3 or more and a connected root
-    with 5 <= H.n < g.n: Whitney's theorem then makes the action an
-    isomorphism onto Aut(g), and each recursive step is smaller.
-    """
+    with 5 <= H.n < g.n: by Whitney's theorem the action is then onto Aut(g),
+    and each recursive step is smaller."""
     if max(map(len, g.adj)) < 3 or g.root is None or not 5 <= g.root[0].n < g.n:
         return None
     h, ends = g.root
@@ -319,14 +314,15 @@ def _edge_images(p: Permutation, ends, point) -> tuple[int, ...]:
 
 def _edge_group(h: Graph, ends, point, group: AutGroup) -> AutGroup:
     """The action of a group of automorphisms of h on its edges, edge ends[x]
-    becoming point x, and point[u, v] the point of the edge {u, v} either
-    way round.  The chain is based at the edges at the group's base points,
-    which pin those points down where their degree is 2 or more, and stops
-    at |group|, the order whenever the action is faithful."""
-    perms = [Permutation(_edge_images(p, ends, point)) for p in group.generators]
-    prefix = dict.fromkeys(point[b, w] for b in (next(iter(v)) for v in group._levels)
-                           for w in h.adj[b])
-    return AutGroup._build(len(ends), perms, tuple(prefix), group.order)
+    becoming point x and point[u, v] that of {u, v} either way round, based
+    at the edges at the group's base points.  Each caller's h is connected
+    with a vertex of degree 2 or more (a Whitney root of 5 or more vertices,
+    or a host past the thm-1.3 and cor-1.4 gate, regular of valency 3 or more),
+    so an element fixing every edge fixes each such vertex, where two of its
+    edges meet, then each leaf: the action is faithful, its order |group|."""
+    gens = tuple(Permutation(_edge_images(p, ends, point)) for p in group.generators)
+    base = dict.fromkeys(point[b, w] for b in group._base for w in h.adj[b])
+    return AutGroup(len(ends), gens, tuple(base), group.order)
 
 
 def induced_edge_action(index: EdgeIndex, p: Permutation) -> Permutation:
@@ -380,10 +376,10 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
     universe = tuple(tuples)
     cap = walks.ENUMERATION_CAP
     gens = [p.images for p in group.generators]
-    level, reps = (group._levels[0], group._reps[0]) if group._levels else ({}, {})
+    levels, stabilizer, memos = group._chain
+    level, reps = (levels[0], memos[0]) if levels else ({}, {})
     label: dict = {}  # fibre image, or tuple starting outside O -> orbit id
-    ids = []
-    count = 0
+    ids, count = [], 0
     for t in universe:
         w = reps.get(t[0]) if t else None
         if w is None and t and t[0] in level:
@@ -392,7 +388,7 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
             key, members = t, gens
         else:  # `_compose(t, w)` here cost the `orbits` benchmark 7.7% of its wall time
             key = itemgetter(*t)(w) if len(t) > 1 else (w[t[0]],)
-            members = group._stabilizer
+            members = stabilizer
         if (orbit_id := label.get(key)) is None:
             orbit_id = label[key] = count
             count += 1

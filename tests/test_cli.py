@@ -303,6 +303,16 @@ def test_enumeration_cap_is_exit_2(monkeypatch, capsys):
     assert "enumeration cap" in err and "Traceback" not in err
 
 
+def test_running_out_of_memory_is_exit_2(monkeypatch, capsys):
+    def exhausted(g):
+        raise MemoryError
+
+    monkeypatch.setattr(linesym.cli, "clique_graph", exhausted)
+    assert main(["construct", "--clique", "--catalog", "petersen"]) == 2
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "Traceback" not in err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "linesym.cli", "catalog", "list"],

@@ -150,6 +150,26 @@ def test_sparse_symmetry_has_its_closed_form_order(name):
     assert automorphisms(build()).order == order
 
 
+@pytest.mark.parametrize("build, order", [
+    (lambda: _star(1000), math.factorial(1000)),  # the search's
+    (lambda: catalog("projective_plane(11)").line, 424855200),  # Whitney's, from PG(2,11)
+    (lambda: kneser_graph(12, 2), math.factorial(12)),  # the complement's root, K12
+    (lambda: catalog("complete(400)"), math.factorial(400)),  # the complement's search
+], ids=["K_{1,1000}", "L(PG(2,11))", "K(12,2)", "complete(400)"])
+def test_a_proven_order_builds_no_chain(monkeypatch, build, order):
+    """The search, Whitney's theorem and the complement each prove the order,
+    so reading it builds no stabilizer chain.  A work count does not vary
+    between machines, so this guard cannot flake."""
+    g = build()
+    automorphisms.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("a proven order built a stabilizer chain")
+
+    monkeypatch.setattr(linesym.symmetry, "_stabilizer_chain", refuse)
+    assert automorphisms(g).order == order
+
+
 def test_the_first_path_merges_each_generator_once(monkeypatch):
     """The first path shares one union-find, so K_{1,300}'s 299 generators make
     299 merges; a replay at each first-path node would make 299 * 300 / 2.
@@ -266,7 +286,7 @@ def test_from_permutations_order_matches_sympy_up_to_degree_40():
             [combinatorics.Permutation(list(p)) for p in perms]).order()
         grp = AutGroup.from_permutations(n, [Permutation(p) for p in perms])
         assert grp.order == expected
-        _assert_levels_carry_keys_to_their_base_points(grp)
+        _assert_levels_carry_keys_to_their_base_points(grp._chain)
 
     check()
 
@@ -418,23 +438,25 @@ def test_random_element_traces_the_schreier_vector_and_builds_no_level():
     draws come from the tables instead."""
     g = catalog("cycle(40)")
     base, gens, _, order = g.search
-    traced, tabled = (AutGroup._build(g.n, map(Permutation, gens), base, order) for _ in "ab")
-    _transversals(tabled)
+    traced, tabled = (AutGroup(g.n, tuple(map(Permutation, gens)), tuple(base), order)
+                      for _ in "ab")
+    _transversals(tabled._chain)
     edges = set(g.edges)
-    passed = [{b for b, step in level.items() if step is None} for level in traced._levels]
+    levels, _, memos = traced._chain
+    passed = [{b for b, step in level.items() if step is None} for level in levels]
     for seed in range(20):
         p = traced.random_element(random.Random(seed))
         assert p == tabled.random_element(random.Random(seed))
         assert {tuple(sorted((p(u), p(v)))) for u, v in g.edges} == edges
         # The same seed redraws the points; each one's Schreier path is memoised.
         rng = random.Random(seed)
-        for level, points in zip(traced._levels, passed):
+        for level, points in zip(levels, passed):
             x = rng.choice(tuple(level))
             while level[x] is not None:
                 points.add(x)
                 x = level[x][0]
-        assert [set(reps) for reps in traced._reps] == passed
-    assert len(traced._levels[0]) == 40
+        assert [set(reps) for reps in memos] == passed
+    assert len(levels[0]) == 40
 
 
 def _thrice_iterated_line_graph_of_k5():
@@ -664,16 +686,17 @@ def test_the_level_predicates_on_a_long_cycle_hold_linear_memory():
 @pytest.mark.parametrize("name", ["petersen", "tutte_8_cage", "cycle(12)", "complete(6)"])
 def test_build_falls_back_to_schreier_sims_when_the_generators_are_not_strong(name):
     """With a search generator dropped, the orbits no longer reach the given
-    order, and the group built is the one the remaining generators generate."""
+    order, a stop that the chain checks: its order is that of the group the
+    remaining generators generate."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
     g = catalog(name)
     base, gens, _, order = g.search
     kept = [Permutation(p) for p in gens[:-1]]
     expected = combinatorics.PermutationGroup(
         [combinatorics.Permutation(list(p.images)) for p in kept]).order()
-    group = AutGroup._build(g.n, kept, base, order)
-    assert group.order == expected < order
-    _assert_levels_carry_keys_to_their_base_points(group, set(g.edges))
+    _, levels, up, _ = _stabilizer_chain([p.images for p in kept], g.n, base, order)
+    assert _chain_order(levels) == expected < order
+    _assert_levels_carry_keys_to_their_base_points((levels, (), up), set(g.edges))
 
 
 def test_groups_of_equal_graphs_are_equal_and_hash_equal_whatever_is_tabled():
@@ -684,9 +707,10 @@ def test_groups_of_equal_graphs_are_equal_and_hash_equal_whatever_is_tabled():
     automorphisms.cache_clear()
     second = automorphisms(catalog("petersen"))
     assert first is not second
-    for x in first._levels[0]:
-        _coset(first._levels[0], first._reps[0], x)
-    assert first._reps != second._reps
+    (level, *_), _, (reps, *_) = first._chain
+    for x in level:
+        _coset(level, reps, x)
+    assert first._chain[2] != second._chain[2]
     assert first == second and hash(first) == hash(second)
     assert len({first, second}) == 1
 
@@ -789,7 +813,7 @@ def test_induced_line_groups_have_the_host_order(host):
     images = [induced_edge_action(EdgeIndex.from_graph(g), p) for p in automorphisms(g).generators]
     group = AutGroup.from_permutations(lg.graph.n, images)
     assert group.order == automorphisms(g).order == order
-    _assert_levels_carry_keys_to_their_base_points(group, set(lg.graph.edges))
+    _assert_levels_carry_keys_to_their_base_points(group._chain, set(lg.graph.edges))
 
 
 def test_each_schreier_generator_is_sifted_at_most_once(monkeypatch):
@@ -938,22 +962,22 @@ def _elements(group):
     return seen
 
 
-def _transversals(group):
+def _transversals(chain):
     """Every chain level's element table, its memo filled through `_coset`."""
-    for level, reps in zip(group._levels, group._reps):
+    levels, _, memos = chain
+    for level, reps in zip(levels, memos):
         for x in level:
             _coset(level, reps, x)
-    return group._reps
+    return memos
 
 
-def _assert_levels_carry_keys_to_their_base_points(group, edges=None):
-    """Each level maps its base point to the identity and every key t to an
-    element w with w[t] equal to the base point; with edges given, every w
-    must also preserve them."""
-    identity = tuple(range(group.degree))
-    for level in _transversals(group):
+def _assert_levels_carry_keys_to_their_base_points(chain, edges=None):
+    """Each level of a chain (levels, stabilizer, memos) maps its base point
+    to the identity and every key t to an element w with w[t] equal to the
+    base point; with edges given, every w must also preserve them."""
+    for level in _transversals(chain):
         point = next(iter(level))
-        assert level[point] == identity
+        assert level[point] == tuple(range(len(level[point])))
         for t, w in level.items():
             assert w[t] == point
             if edges is not None:
@@ -964,7 +988,7 @@ def _assert_levels_carry_keys_to_their_base_points(group, edges=None):
 @given(small_graphs())
 def test_transversal_entries_are_automorphisms_carrying_their_keys_to_the_base_point(g):
     """On chains read off the search: every entry is an automorphism of g."""
-    _assert_levels_carry_keys_to_their_base_points(automorphisms(g), set(g.edges))
+    _assert_levels_carry_keys_to_their_base_points(automorphisms(g)._chain, set(g.edges))
 
 
 @settings(max_examples=200, deadline=None)
@@ -980,13 +1004,15 @@ def test_transversal_entries_are_group_elements_carrying_their_keys_to_the_base_
     edges = set(h.edges)
     gens_preserve = all({tuple(sorted((p(a), p(b)))) for a, b in edges} == edges
                         for p in group.generators)
-    _assert_levels_carry_keys_to_their_base_points(group, edges if gens_preserve else None)
-    assert all(w in elements for level in _transversals(group) for w in level.values())
+    _assert_levels_carry_keys_to_their_base_points(group._chain, edges if gens_preserve else None)
+    assert all(w in elements for level in _transversals(group._chain) for w in level.values())
 
 
 def test_transitive_on_inverts_nothing(monkeypatch, petersen, k3_parts_of_2):
     """Tuples starting in the first base point's orbit reach the fibre by
-    composition alone, on full, induced and subgroup groups."""
+    composition alone, on full, induced and subgroup groups.  Each chain,
+    which inverts its generators, is built before the patch."""
+    automorphisms.cache_clear()
     cases = []
     for g in (petersen, k3_parts_of_2):
         full = automorphisms(g)
@@ -996,6 +1022,7 @@ def test_transitive_on_inverts_nothing(monkeypatch, petersen, k3_parts_of_2):
         first, last = full.generators[0], full.generators[-1]
         sub = AutGroup.from_permutations(g.n, [Permutation(last.apply(first.images))])
         for group, h in ((full, g), (induced, lg.graph), (sub, g)):
+            group._chain
             for universe in (enumerate_arcs(h, 2), enumerate_geodesics(h, 2)):
                 cases.append((universe, group))
 
@@ -1014,7 +1041,7 @@ def test_transitive_on_builds_only_the_start_points_schreier_path():
     point of the orbit gets one."""
     automorphisms.cache_clear()
     group = automorphisms(catalog("petersen"))
-    level, reps = group._levels[0], group._reps[0]
+    (level, *_), _, (reps, *_) = group._chain
 
     def path(x):
         while x is not None:

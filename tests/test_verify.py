@@ -15,6 +15,8 @@ from linesym.metrics import diameter
 from linesym.symmetry import (
     AutGroup,
     Permutation,
+    _chain_order,
+    _stabilizer_chain,
     automorphisms,
     induced_edge_action,
     is_s_arc_transitive,
@@ -482,15 +484,15 @@ def test_corpus_check_selection():
 
 def test_corpus_builds_one_induced_group_per_host(monkeypatch):
     calls = []
-    build = AutGroup._build
+    made = AutGroup.__init__
 
-    def counted(degree, perms, prefix=(), order=None):
+    def counted(self, degree, *args):
         calls.append(degree)
-        return build(degree, perms, prefix, order)
+        made(self, degree, *args)
 
     linesym.verify._induced_line_group.cache_clear()
     linesym.symmetry.automorphisms.cache_clear()
-    monkeypatch.setattr(AutGroup, "_build", staticmethod(counted))
+    monkeypatch.setattr(AutGroup, "__init__", counted)
     corpus = Corpus(tuple((n, catalog(n)) for n in ("petersen", "heawood")))
     reports = run_corpus(corpus, ["thm13", "weiss"])
     # s = 2, 3, 4 for each host and claim, all through the induced group
@@ -500,26 +502,35 @@ def test_corpus_builds_one_induced_group_per_host(monkeypatch):
     assert sorted(calls) == [10, 14, 15, 21]
 
 
+@pytest.mark.parametrize("name", DEFAULT_CORPUS_NAMES)
+def test_a_trusted_order_is_the_order_of_its_generators(name):
+    """The full group of each default-corpus host, and its induced line group
+    wherever thm-1.3 reaches it, carry an order that no chain checked: a
+    chain on the same generators with no order to stop at reaches it."""
+    g = catalog(name)
+    groups = [automorphisms(g)]
+    if linesym.verify._line_equivalence_gate(g, None) is None:
+        groups.append(linesym.verify._induced_line_group(g, groups[0]))
+    for group in groups:
+        assert group._order is not None
+        _, levels, _, _ = _stabilizer_chain([p.images for p in group.generators], group.degree)
+        assert _chain_order(levels) == group.order
+
+
 def test_corpus_decides_each_transitivity_level_once(monkeypatch):
-    levels, groups, building = [], [], []
+    """Every chain the gated checks build is a level decision, based at the
+    level's first tuple: their groups' orders are proven, so no group builds
+    its own chain."""
+    levels, groups = [], []
     first_tuple = linesym.walks.first_tuple
     chain = linesym.symmetry._stabilizer_chain
-    build = AutGroup._build
 
     def located(g, s, geodesic):
-        levels.append((g, s, geodesic))
-        return first_tuple(g, s, geodesic)
-
-    def built(*args, **kwargs):
-        building.append(args)
-        try:
-            return build(*args, **kwargs)
-        finally:
-            building.pop()
+        levels.append((g, s, geodesic, first_tuple(g, s, geodesic)))
+        return levels[-1][-1]
 
     def counted(gens, n, prefix=(), order=None):
-        if not building:  # a level decision: one chain based at the level's first tuple
-            groups.append((tuple(map(tuple, gens)), order))
+        groups.append((tuple(map(tuple, gens)), order, tuple(prefix)))
         return chain(gens, n, prefix, order)
 
     for module in (linesym.symmetry, linesym.verify):
@@ -528,12 +539,12 @@ def test_corpus_decides_each_transitivity_level_once(monkeypatch):
                 value.cache_clear()
     monkeypatch.setattr(linesym.walks, "first_tuple", located)
     monkeypatch.setattr(linesym.symmetry, "_stabilizer_chain", counted)
-    monkeypatch.setattr(AutGroup, "_build", staticmethod(built))
     reports = run_corpus(Corpus.default(), ["thm13", "weiss"])
     assert {r.verdict for r in reports} == {PASS, NOT_APPLICABLE}
     assert len(levels) == len(groups)
     keys = list(zip(levels, groups))
     assert keys and len(keys) == len(set(keys))
+    assert all(prefix == tuple(dict.fromkeys(r)) for (*_, r), (*_, prefix) in keys)
 
 
 def test_corpus_gives_thm32_on_a_disconnected_graph_one_record_with_no_s():
