@@ -15,7 +15,8 @@ continuations of its last arc, from a table built once per call and shared by
 every prefix that ends in that arc; shorter arcs, and geodesics after their
 prefix, come from one fused comprehension over the last three levels or fewer.
 An enumerator raises EnumerationCapExceeded, before building any tuple,
-exactly when there are more than ENUMERATION_CAP tuples (read at call time);
+exactly when its tuples would hold more than ENUMERATION_CAP entries (read at
+call time), s + 1 per tuple, so memory is bounded however long the walks;
 n * D * (D-1)^(s-1), D the largest valency, bounds the s-arcs and so the
 s-geodesics, and the exact count runs only when that bound is over.
 """
@@ -33,7 +34,7 @@ ENUMERATION_CAP = 10_000_000
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Raised when an enumeration would produce more tuples than allowed."""
+    """Raised when an enumeration would hold more tuple entries than allowed."""
 
 
 @lru_cache(maxsize=256)
@@ -105,10 +106,10 @@ def _enumerate(g: Graph, s: int, geodesic: bool) -> list[tuple[int, ...]]:
     if s < 1:
         raise ValueError("arcs need length at least 1")
     adj, d = g.adj, max(map(len, g.adj))
-    if g.n * d * (d - 1) ** (s - 1) > ENUMERATION_CAP and (
-            (count_geodesics if geodesic else count_arcs)(g, s) > ENUMERATION_CAP):
+    if (s + 1) * g.n * d * (d - 1) ** (s - 1) > ENUMERATION_CAP and (
+            (s + 1) * (count_geodesics if geodesic else count_arcs)(g, s) > ENUMERATION_CAP):
         raise EnumerationCapExceeded(f"enumeration cap reached: more than {ENUMERATION_CAP} "
-                                     f"{'geodesics' if geodesic else 'arcs'} of length {s}")
+                                     f"entries in {'geodesics' if geodesic else 'arcs'} of length {s}")
     vs = range(g.n)
     if s == 1:
         return [(v, w) for v in vs for w in adj[v]]

@@ -303,6 +303,14 @@ def test_enumeration_cap_is_exit_2(monkeypatch, capsys):
     assert "enumeration cap" in err and "Traceback" not in err
 
 
+def test_long_thin_arcs_stop_at_the_cap_on_their_entries(capsys):
+    # cycle(3) has 6 arcs of each length; at 3,000,001 entries each they
+    # would take about 290 MB, so the cap counts entries, not tuples.
+    assert main(["orbits", "--catalog", "cycle(3)", "--arcs", "3000000"]) == 2
+    err = capsys.readouterr().err
+    assert "more than 10000000 entries in arcs" in err and "Traceback" not in err
+
+
 def test_running_out_of_memory_is_exit_2(monkeypatch, capsys):
     def exhausted(g):
         raise MemoryError

@@ -170,6 +170,28 @@ def test_a_proven_order_builds_no_chain(monkeypatch, build, order):
     assert automorphisms(g).order == order
 
 
+@pytest.mark.parametrize("build, s, orbits", [
+    (lambda: _star(300), 1, 2),
+    (lambda: catalog("petersen"), 2, 1),
+], ids=["K_{1,300}", "petersen"])
+def test_orbits_under_a_search_group_build_no_chain(monkeypatch, build, s, orbits):
+    """The search's generators are strong on its base, so `transitive_on`
+    reads the first level straight off them: the first base point they move,
+    its orbit, and the generators fixing it.  A work count does not vary
+    between machines, so this guard cannot flake."""
+    g = build()
+    automorphisms.cache_clear()
+    group, arcs = automorphisms(g), enumerate_arcs(g, s)
+
+    def refuse(*args):
+        raise AssertionError("an orbit search under a search group built a stabilizer chain")
+
+    monkeypatch.setattr(linesym.symmetry, "_stabilizer_chain", refuse)
+    _, part = transitive_on(arcs, group)
+    assert part.orbit_count == orbits
+    assert part.orbit_ids == orbit_partition(arcs, [p.images for p in group.generators])
+
+
 def test_the_first_path_merges_each_generator_once(monkeypatch):
     """The first path shares one union-find, so K_{1,300}'s 299 generators make
     299 merges; a replay at each first-path node would make 299 * 300 / 2.
@@ -286,7 +308,7 @@ def test_from_permutations_order_matches_sympy_up_to_degree_40():
             [combinatorics.Permutation(list(p)) for p in perms]).order()
         grp = AutGroup.from_permutations(n, [Permutation(p) for p in perms])
         assert grp.order == expected
-        _assert_levels_carry_keys_to_their_base_points(grp._chain)
+        _assert_levels_carry_keys_to_their_base_points(*_chain_levels(grp))
 
     check()
 
@@ -417,46 +439,6 @@ def test_search_depth_is_not_limited_by_the_recursion_limit():
         assert isomorphic(g, h) is not None
     finally:
         sys.setrecursionlimit(limit)
-
-
-def test_random_element_is_uniform_over_the_chain():
-    g = catalog("cycle(5)")
-    grp = automorphisms(g)
-    rng = random.Random(7)
-    edges = set(g.edges)
-    seen = set()
-    for _ in range(200):
-        p = grp.random_element(rng)
-        assert {tuple(sorted((p(u), p(v)))) for u, v in g.edges} == edges
-        seen.add(p)
-    assert len(seen) == grp.order == 10
-
-
-def test_random_element_traces_the_schreier_vector_and_builds_no_level():
-    """A draw traces its representatives up each level's Schreier vector and
-    memoises only the points it passes; with every level tabled, the same
-    draws come from the tables instead."""
-    g = catalog("cycle(40)")
-    base, gens, _, order = g.search
-    traced, tabled = (AutGroup(g.n, tuple(map(Permutation, gens)), tuple(base), order)
-                      for _ in "ab")
-    _transversals(tabled._chain)
-    edges = set(g.edges)
-    levels, _, memos = traced._chain
-    passed = [{b for b, step in level.items() if step is None} for level in levels]
-    for seed in range(20):
-        p = traced.random_element(random.Random(seed))
-        assert p == tabled.random_element(random.Random(seed))
-        assert {tuple(sorted((p(u), p(v)))) for u, v in g.edges} == edges
-        # The same seed redraws the points; each one's Schreier path is memoised.
-        rng = random.Random(seed)
-        for level, points in zip(levels, passed):
-            x = rng.choice(tuple(level))
-            while level[x] is not None:
-                points.add(x)
-                x = level[x][0]
-        assert [set(reps) for reps in memos] == passed
-    assert len(levels[0]) == 40
 
 
 def _thrice_iterated_line_graph_of_k5():
@@ -696,7 +678,7 @@ def test_build_falls_back_to_schreier_sims_when_the_generators_are_not_strong(na
         [combinatorics.Permutation(list(p.images)) for p in kept]).order()
     _, levels, up, _ = _stabilizer_chain([p.images for p in kept], g.n, base, order)
     assert _chain_order(levels) == expected < order
-    _assert_levels_carry_keys_to_their_base_points((levels, (), up), set(g.edges))
+    _assert_levels_carry_keys_to_their_base_points(levels, up, set(g.edges))
 
 
 def test_groups_of_equal_graphs_are_equal_and_hash_equal_whatever_is_tabled():
@@ -707,10 +689,10 @@ def test_groups_of_equal_graphs_are_equal_and_hash_equal_whatever_is_tabled():
     automorphisms.cache_clear()
     second = automorphisms(catalog("petersen"))
     assert first is not second
-    (level, *_), _, (reps, *_) = first._chain
+    _, level, _, reps = first._chain
     for x in level:
         _coset(level, reps, x)
-    assert first._chain[2] != second._chain[2]
+    assert first._chain[3] != second._chain[3]
     assert first == second and hash(first) == hash(second)
     assert len({first, second}) == 1
 
@@ -813,7 +795,7 @@ def test_induced_line_groups_have_the_host_order(host):
     images = [induced_edge_action(EdgeIndex.from_graph(g), p) for p in automorphisms(g).generators]
     group = AutGroup.from_permutations(lg.graph.n, images)
     assert group.order == automorphisms(g).order == order
-    _assert_levels_carry_keys_to_their_base_points(group._chain, set(lg.graph.edges))
+    _assert_levels_carry_keys_to_their_base_points(*_chain_levels(group), set(lg.graph.edges))
 
 
 def test_each_schreier_generator_is_sifted_at_most_once(monkeypatch):
@@ -879,13 +861,13 @@ def test_transitive_on_split_cases(k3_parts_of_2):
 def test_transitive_on_stops_at_the_enumeration_cap(monkeypatch, petersen):
     """A universe far from closed under the group cannot drive the orbit
     search past the cap: under Sym(8) the fibre orbit of (0, ..., 7) holds
-    7! = 5040 tuples.  A closed universe never trips it."""
+    7! = 5040 tuples of 8 entries each.  A closed universe never trips it."""
     group = automorphisms(catalog("complete(8)"))
     universe = [tuple(range(8))]
-    monkeypatch.setattr(linesym.walks, "ENUMERATION_CAP", 5039)
-    with pytest.raises(EnumerationCapExceeded, match="more than 5039 tuples"):
+    monkeypatch.setattr(linesym.walks, "ENUMERATION_CAP", 8 * 5040 - 1)
+    with pytest.raises(EnumerationCapExceeded, match="more than 40319 entries"):
         transitive_on(universe, group)
-    monkeypatch.setattr(linesym.walks, "ENUMERATION_CAP", 5040)
+    monkeypatch.setattr(linesym.walks, "ENUMERATION_CAP", 8 * 5040)
     assert transitive_on(universe, group)[0]
     arcs = enumerate_arcs(petersen, 3)
     monkeypatch.setattr(linesym.walks, "ENUMERATION_CAP", len(arcs))
@@ -962,20 +944,30 @@ def _elements(group):
     return seen
 
 
-def _transversals(chain):
-    """Every chain level's element table, its memo filled through `_coset`."""
-    levels, _, memos = chain
+def _chain_levels(group):
+    """(levels, memos): the group's first level from `_chain`, then every
+    level of a stabilizer chain built on its generators, base and order."""
+    _, level, _, memo = group._chain
+    _, levels, up, _ = _stabilizer_chain([p.images for p in group.generators], group.degree,
+                                         group._base, group._order)
+    if not level:  # the trivial group's
+        return levels, up
+    return [level, *levels], [memo, *up]
+
+
+def _transversals(levels, memos):
+    """Every level's element table, its memo filled through `_coset`."""
     for level, reps in zip(levels, memos):
         for x in level:
             _coset(level, reps, x)
     return memos
 
 
-def _assert_levels_carry_keys_to_their_base_points(chain, edges=None):
-    """Each level of a chain (levels, stabilizer, memos) maps its base point
-    to the identity and every key t to an element w with w[t] equal to the
-    base point; with edges given, every w must also preserve them."""
-    for level in _transversals(chain):
+def _assert_levels_carry_keys_to_their_base_points(levels, memos, edges=None):
+    """Each level (a Schreier vector, with its memo) maps its base point to
+    the identity and every key t to an element w with w[t] equal to the base
+    point; with edges given, every w must also preserve them."""
+    for level in _transversals(levels, memos):
         point = next(iter(level))
         assert level[point] == tuple(range(len(level[point])))
         for t, w in level.items():
@@ -988,7 +980,7 @@ def _assert_levels_carry_keys_to_their_base_points(chain, edges=None):
 @given(small_graphs())
 def test_transversal_entries_are_automorphisms_carrying_their_keys_to_the_base_point(g):
     """On chains read off the search: every entry is an automorphism of g."""
-    _assert_levels_carry_keys_to_their_base_points(automorphisms(g)._chain, set(g.edges))
+    _assert_levels_carry_keys_to_their_base_points(*_chain_levels(automorphisms(g)), set(g.edges))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1004,8 +996,9 @@ def test_transversal_entries_are_group_elements_carrying_their_keys_to_the_base_
     edges = set(h.edges)
     gens_preserve = all({tuple(sorted((p(a), p(b)))) for a, b in edges} == edges
                         for p in group.generators)
-    _assert_levels_carry_keys_to_their_base_points(group._chain, edges if gens_preserve else None)
-    assert all(w in elements for level in _transversals(group._chain) for w in level.values())
+    levels, memos = _chain_levels(group)
+    _assert_levels_carry_keys_to_their_base_points(levels, memos, edges if gens_preserve else None)
+    assert all(w in elements for level in _transversals(levels, memos) for w in level.values())
 
 
 def test_transitive_on_inverts_nothing(monkeypatch, petersen, k3_parts_of_2):
@@ -1041,7 +1034,7 @@ def test_transitive_on_builds_only_the_start_points_schreier_path():
     point of the orbit gets one."""
     automorphisms.cache_clear()
     group = automorphisms(catalog("petersen"))
-    (level, *_), _, (reps, *_) = group._chain
+    _, level, _, reps = group._chain
 
     def path(x):
         while x is not None:

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,14 @@ def test_lmap_check_heawood_equality(heawood):
     r = check_lmap_theorem(heawood, 4)
     assert r.verdict == PASS
     assert r.lhs["image_equals_geodesics"] is True  # girth 6 >= 6
+
+
+def test_lmap_check_under_the_trivial_group_samples_the_identity(petersen):
+    """A group with no generator still gives the sampler an element to draw,
+    the identity, and every one of its pairs commutes."""
+    r = check_lmap_theorem(petersen, 3, AutGroup.from_permutations(petersen.n, ()))
+    assert r.verdict == PASS and r.lhs["equivariant"] is True
+    assert r.details["sampled_pairs"] == 50
 
 
 def test_lmap_check_gates(petersen):
@@ -545,6 +554,28 @@ def test_corpus_decides_each_transitivity_level_once(monkeypatch):
     keys = list(zip(levels, groups))
     assert keys and len(keys) == len(set(keys))
     assert all(prefix == tuple(dict.fromkeys(r)) for (*_, r), (*_, prefix) in keys)
+
+
+def test_corpus_builds_a_chain_only_to_decide_a_level(monkeypatch):
+    """Over every check of the default corpus, each stabilizer chain is a
+    level decision: a search group reads its first level off its strong
+    generators, and the thm-3.2 sampler draws generators, not elements.  A
+    work count does not vary between machines, so this guard cannot flake."""
+    callers = []
+    chain = linesym.symmetry._stabilizer_chain
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return chain(*args)
+
+    for module in (linesym.symmetry, linesym.verify):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    monkeypatch.setattr(linesym.symmetry, "_stabilizer_chain", counted)
+    reports = run_corpus(Corpus.default())
+    assert {r.verdict for r in reports} == {PASS, NOT_APPLICABLE}
+    assert callers and set(callers) == {"transitive_on_level"}
 
 
 def test_corpus_gives_thm32_on_a_disconnected_graph_one_record_with_no_s():

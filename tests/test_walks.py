@@ -177,17 +177,18 @@ def test_first_tuple_is_the_least_of_its_level():
 
 
 def test_cap_bound_over_but_count_within_builds_the_tuples(monkeypatch):
-    # path(4) has 4 3-arcs (and 3-geodesics) against a bound of 5 * 2 * 1 = 10.
+    # path(4) has 4 3-arcs (and 3-geodesics) against a bound of 5 * 2 * 1 = 10,
+    # each of 4 entries: 16 entries against a bound of 40.
     g = catalog("path(4)")
     counted = []
     for name in ("count_arcs", "count_geodesics"):
         real = getattr(walks, name)
         monkeypatch.setattr(walks, name, lambda g, s, real=real: counted.append(s) or real(g, s))
-    monkeypatch.setattr(walks, "ENUMERATION_CAP", 4)
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 16)
     assert enumerate_arcs(g, 3) == sorted(all_arcs(g, 3))
     assert enumerate_geodesics(g, 3) == sorted(all_geodesics(g, 3))
     assert counted == [3, 3]
-    monkeypatch.setattr(walks, "ENUMERATION_CAP", 3)
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 15)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_arcs(g, 3)
     with pytest.raises(EnumerationCapExceeded):
@@ -200,13 +201,14 @@ def test_cap_bound_within_never_counts(petersen, monkeypatch):
 
     monkeypatch.setattr(walks, "count_arcs", refuse)
     monkeypatch.setattr(walks, "count_geodesics", refuse)
-    # The Petersen graph's bounds are tight: 10 * 3 * 2**2 = 120 3-arcs and
-    # 10 * 3 * 2 = 60 2-geodesics, so a cap equal to the count still builds.
-    monkeypatch.setattr(walks, "ENUMERATION_CAP", 120)
+    # The Petersen graph's bounds are tight: 10 * 3 * 2**2 = 120 3-arcs of 4
+    # entries and 10 * 3 * 2 = 60 2-geodesics of 3, so a cap equal to the
+    # entries still builds.
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 4 * 120)
     assert len(enumerate_arcs(petersen, 3)) == 120
-    monkeypatch.setattr(walks, "ENUMERATION_CAP", 60)
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 3 * 60)
     assert len(enumerate_geodesics(petersen, 2)) == 60
-    monkeypatch.setattr(walks, "ENUMERATION_CAP", 59)
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 3 * 60 - 1)
     with pytest.raises(AssertionError, match="counted"):
         enumerate_geodesics(petersen, 2)
 
@@ -234,10 +236,10 @@ def test_enumerate_arc_cap_raises(petersen, monkeypatch):
 
 
 def test_enumerate_geodesics_cap_raises(petersen, monkeypatch):
-    monkeypatch.setattr(walks, "ENUMERATION_CAP", 59)  # there are 60
-    with pytest.raises(EnumerationCapExceeded, match="geodesics"):
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 3 * 60 - 1)  # there are 60, of 3 entries
+    with pytest.raises(EnumerationCapExceeded, match="entries in geodesics"):
         enumerate_geodesics(petersen, 2)
-    monkeypatch.setattr(walks, "ENUMERATION_CAP", 60)
+    monkeypatch.setattr(walks, "ENUMERATION_CAP", 3 * 60)
     assert len(enumerate_geodesics(petersen, 2)) == 60
 
 
