@@ -2,19 +2,19 @@
 
 Permutations compose in application order: (p * q) means "apply p, then q".
 A group is its generators, a base and, where proven, its order: the
-search's, or its root's for a line graph.  Other orders come from a
-stabilizer chain built when first read, never from enumerating elements.
-`_stabilizer_chain` builds every chain: incremental Schreier-Sims (Seress,
-Permutation Group Algorithms, 2003, sections 4.1-4.2) over Schreier
-vectors, its coset elements built when needed and memoised.  The search's
-generators are strong on its base, so a search group's first level, all
-that `transitive_on` reads, comes from them with no chain.  A line graph
-L(H) whose connected root has 5 <= |H| < |L(H)| vertices is not searched:
-by Whitney's theorem (1932) Aut(H), acting on the edges through the
-certified bijection `Graph.root`, is all of Aut(L(H)), the exceptions K2,
-K3, K1,3, K4, K4 - e and K1,3 + e having fewer vertices.  Past its root, a
-graph denser than half (2m > n(n-1)/2) takes its complement's group, so no
-search runs on the denser side: K(n,2), for n >= 8, reaches K_n through its
+search's, or its root's for a line graph.  `AutGroup._levels` builds every
+chain a group needs, based at any points asked for, then at its base, with
+`_stabilizer_chain`: incremental Schreier-Sims (Seress, Permutation Group
+Algorithms, 2003, sections 4.1-4.2) over Schreier vectors, its coset
+elements built when needed and memoised; no element is enumerated.  The
+search's generators are strong on its base, so a search group's first level,
+all that `transitive_on` reads, comes from them with no chain.  A line graph
+L(H) whose connected root has 5 <= |H| < |L(H)| vertices is not searched: by
+Whitney's theorem (1932) Aut(H), acting on the edges through the certified
+bijection `Graph.root`, is all of Aut(L(H)), the exceptions K2, K3, K1,3,
+K4, K4 - e and K1,3 + e having fewer vertices.  Past its root, a graph
+denser than half (2m > n(n-1)/2) takes its complement's group, so no search
+runs on the denser side: K(n,2), for n >= 8, reaches K_n through its
 complement T(n) = L(K_n).
 `transitive_on` splits an explicit tuple universe into orbits; the
 transitivity predicates build no tuple and decide each level by
@@ -135,10 +135,9 @@ def _stabilizer_chain(gens: Sequence[tuple[int, ...]], n: int, prefix=(), order=
     Schreier phase completes the levels bottom-up, visiting each pair (t, s)
     of level i's orbit and S_i once: a tree edge, either way round, costs
     nothing, and the Schreier generator down[t] s up[s[t]] (down[x] carrying
-    base[i] to x) is built only when down[t] s != down[s[t]].  Its residue,
-    sifted from level i+1, joins S_{i+1}..S_j when it stops at level j, and
-    processing goes back to j.  Coset elements are built only when needed,
-    and memoised both ways."""
+    base[i] to x, both memoised) is built only when down[t] s != down[s[t]].
+    Its residue, sifted from level i+1, joins S_{i+1}..S_j when it stops at
+    level j, and processing goes back to j."""
     identity, base = tuple(range(n)), list(prefix)
     levels, up, steps = [{b: None} for b in base], [{b: identity} for b in base], [[] for _ in base]
     down, settled = {}, {}  # per level in the Schreier phase; settled: point -> pairs visited
@@ -213,13 +212,10 @@ def _chain_order(levels) -> int:
 class AutGroup:
     """A permutation group: its generators, a base and, where proven, its
     order; compared and hashed by its generators.  `_chain`, built when first
-    read, is (order, level, stabilizer, memo): the Schreier vector of the
-    first base point b that the group moves (b -> None, x -> (t, s, s^-1)
-    with s[x] = t), generators of G_b, and a memo of the elements carrying
-    points to b.  A search group's generators are strong on its base
-    (`_strong`), so they give it directly: b's orbit under them, and those
-    fixing b.  Any other group reads it off `_stabilizer_chain` based at
-    `_base` and stopped at `_order`."""
+    read, is (order, level, stabilizer, memo) for the first base point b the
+    group moves: b's Schreier vector, generators of G_b, and a memo carrying
+    points to b.  A search group's strong generators (`_strong`) give it with
+    no chain: b's orbit, and those fixing b.  Others read it off `_levels`."""
 
     degree: int
     generators: tuple[Permutation, ...]
@@ -243,11 +239,18 @@ class AutGroup:
                 _grow(level, steps, (p, _invert(p)))
             stabilizer = tuple(p for p in gens if p[b] == b)
             return self._order, level, stabilizer, {b: tuple(range(self.degree))}
-        _, levels, up, steps = _stabilizer_chain(gens, self.degree, self._base, self._order)
+        _, levels, up, steps = self._levels()
         i = next(i for i, level in enumerate(levels) if len(level) > 1)
         # G fixes the base points before level i, so S_{i+1} generates G_b
         below = steps[i + 1] if i + 1 < len(steps) else ()
         return _chain_order(levels), levels[i], tuple(s for s, _ in below), up[i]
+
+    def _levels(self, points=()):
+        """Every chain the group builds: based at points, then at `_base`, on which
+        a search group's generators are strong, so the Schreier phase has little
+        or nothing to do; stopped at `_order`, or with points at `order`."""
+        gens, stop = [p.images for p in self.generators], self.order if points else self._order
+        return _stabilizer_chain(gens, self.degree, dict.fromkeys((*points, *self._base)), stop)
 
     @staticmethod
     def from_permutations(degree: int, perms: Iterable[Permutation]) -> "AutGroup":
@@ -396,16 +399,13 @@ def transitive_on(tuples: Sequence[tuple[int, ...]], group: AutGroup):
 def transitive_on_level(g: Graph, kind: str, t: int, group: AutGroup) -> bool:
     """Whether the group, acting on g, is transitive on g's t-arcs (kind
     "arcs") or t-geodesics, once per process: an empty level is, else |G| =
-    count * |G_r| for its first tuple r, with G_r off a chain based at r."""
+    count * |G_r| for its first tuple r, |G_r| off the chain `_levels(r)`."""
     geodesic = kind == "geodesics"
-    r = walks.first_tuple(g, t, geodesic)
-    if r is None:
+    if (r := walks.first_tuple(g, t, geodesic)) is None:
         return True
     count = (walks.count_geodesics if geodesic else walks.count_arcs)(g, t)
-    prefix = tuple(dict.fromkeys(r))
-    _, levels, _, _ = _stabilizer_chain([p.images for p in group.generators], g.n, prefix,
-                                        group.order)
-    return group.order == count * _chain_order(levels[len(prefix):])
+    _, levels, _, _ = group._levels(r)
+    return group.order == count * _chain_order(levels[len(set(r)):])
 
 
 def _acting_group(g: Graph, group: AutGroup | None) -> AutGroup:

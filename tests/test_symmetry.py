@@ -23,6 +23,7 @@ from linesym.symmetry import (
     _automorphisms_of,
     _chain_order,
     _coset,
+    _edge_group,
     _stabilizer_chain,
     automorphisms,
     induced_edge_action,
@@ -190,6 +191,29 @@ def test_orbits_under_a_search_group_build_no_chain(monkeypatch, build, s, orbit
     _, part = transitive_on(arcs, group)
     assert part.orbit_count == orbits
     assert part.orbit_ids == orbit_partition(arcs, [p.images for p in group.generators])
+
+
+@pytest.mark.parametrize("build, kind, t, transitive", [
+    (lambda: _star(60), "arcs", 1, False),
+    (lambda: catalog("complete(30)"), "arcs", 2, True),
+    (lambda: catalog("complete_multipartite(4,5)"), "geodesics", 2, True),
+], ids=["K_{1,60}", "complete(30)", "K_{4[5]}"])
+def test_level_decisions_under_a_search_group_compose_nothing(monkeypatch, build, kind, t,
+                                                              transitive):
+    """A level chain is based at the level's first tuple, then at the search's
+    base, on which its generators are strong: the orbits reach the order with
+    no Schreier phase, so nothing is composed.  Based at the tuple alone, the
+    chains composed 178,895, 14,463 and 1,049 times here.  A work count does
+    not vary between machines, so this guard cannot flake."""
+    g = build()
+    automorphisms.cache_clear()
+    transitive_on_level.cache_clear()
+    group, compose, calls = automorphisms(g), linesym.symmetry._compose, []
+    group.order
+    monkeypatch.setattr(linesym.symmetry, "_compose",
+                        lambda p, q: calls.append(1) or compose(p, q))
+    assert transitive_on_level(g, kind, t, group) == transitive
+    assert not calls
 
 
 def test_the_first_path_merges_each_generator_once(monkeypatch):
@@ -1096,6 +1120,9 @@ def test_level_predicate_matches_the_orbits_of_the_enumerated_level(rng):
         (line.graph, AutGroup.from_permutations(
             line.graph.n, [induced_edge_action(EdgeIndex.from_graph(g), p) for p in full.generators])),
     ]
+    if g.m > 1:  # a vertex of degree 2, so the edge action is faithful, its order |full|
+        # based at edges, its generators not strong there: the one such kind of group
+        cases.append((line.graph, _edge_group(g, g.edges, g.edge_rank, full)))
     for h, group in cases:
         for t in range(1, 5):
             expected = transitive_on(enumerate_arcs(h, t), group)[0]

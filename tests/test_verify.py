@@ -528,8 +528,8 @@ def test_a_trusted_order_is_the_order_of_its_generators(name):
 
 def test_corpus_decides_each_transitivity_level_once(monkeypatch):
     """Every chain the gated checks build is a level decision, based at the
-    level's first tuple: their groups' orders are proven, so no group builds
-    its own chain."""
+    level's first tuple and then at the group's base: their groups' orders
+    are proven, so no group builds its own chain."""
     levels, groups = [], []
     first_tuple = linesym.walks.first_tuple
     chain = linesym.symmetry._stabilizer_chain
@@ -539,7 +539,8 @@ def test_corpus_decides_each_transitivity_level_once(monkeypatch):
         return levels[-1][-1]
 
     def counted(gens, n, prefix=(), order=None):
-        groups.append((tuple(map(tuple, gens)), order, tuple(prefix)))
+        base = sys._getframe(1).f_locals["self"]._base  # the group whose `_levels` calls
+        groups.append((tuple(map(tuple, gens)), order, base, tuple(prefix)))
         return chain(gens, n, prefix, order)
 
     for module in (linesym.symmetry, linesym.verify):
@@ -553,7 +554,8 @@ def test_corpus_decides_each_transitivity_level_once(monkeypatch):
     assert len(levels) == len(groups)
     keys = list(zip(levels, groups))
     assert keys and len(keys) == len(set(keys))
-    assert all(prefix == tuple(dict.fromkeys(r)) for (*_, r), (*_, prefix) in keys)
+    assert all(prefix == tuple(dict.fromkeys(r + base))
+               for (*_, r), (*_, base, prefix) in keys)
 
 
 def test_corpus_builds_a_chain_only_to_decide_a_level(monkeypatch):
@@ -565,7 +567,7 @@ def test_corpus_builds_a_chain_only_to_decide_a_level(monkeypatch):
     chain = linesym.symmetry._stabilizer_chain
 
     def counted(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
+        callers.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
         return chain(*args)
 
     for module in (linesym.symmetry, linesym.verify):
@@ -575,7 +577,7 @@ def test_corpus_builds_a_chain_only_to_decide_a_level(monkeypatch):
     monkeypatch.setattr(linesym.symmetry, "_stabilizer_chain", counted)
     reports = run_corpus(Corpus.default())
     assert {r.verdict for r in reports} == {PASS, NOT_APPLICABLE}
-    assert callers and set(callers) == {"transitive_on_level"}
+    assert callers and set(callers) == {("_levels", "transitive_on_level")}
 
 
 def test_corpus_gives_thm32_on_a_disconnected_graph_one_record_with_no_s():
