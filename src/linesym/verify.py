@@ -30,7 +30,6 @@ from .symmetry import (
     _edge_group,
     _edge_images,
     is_s_arc_transitive,
-    is_s_geodesic_transitive,
     transitive_on,
     transitive_on_level,
 )
@@ -148,7 +147,7 @@ def check_line_equivalence(g: Graph, s: int, group: AutGroup | None = None) -> V
         "arc_count": arc_count,
         "line_geodesic_count": count_geodesics(g.line, s - 1),
         # Cumulative reading: transitive on every t-arc level up to s; level s is lhs.
-        "lhs_all_levels": lhs and is_s_arc_transitive(g, s - 1, group),
+        "lhs_all_levels": lhs and all(transitive_on_level(g, "arcs", t, group) for t in range(1, s)),
         "group_order": group.order,
     }
     witness = None
@@ -274,7 +273,7 @@ def classify_valency4_girth3(g: Graph, group: AutGroup | None = None) -> Verdict
         return _na("thm-1.1", g, {}, "girth is not 3", t0)
     group = _acting_group(g, group)
     split = transitive_on(enumerate_geodesics(g, 2), group)[1]
-    lhs = is_s_geodesic_transitive(g, 1, group) and split.orbit_count <= 1
+    lhs = transitive_on_level(g, "geodesics", 1, group) and split.orbit_count <= 1
     octahedral = isomorphic(g, _reference("complete_multipartite(3,2)")) is not None
     sigma = clique_graph(g).graph
     sigma_ok = False
@@ -307,7 +306,7 @@ def check_locally_cyclic(g: Graph, group: AutGroup | None = None) -> VerdictRepo
     if summary is None or summary.kind != "cycle":
         return _na("cor-1.2", g, {}, "graph is not locally cyclic", t0)
     group = _acting_group(g, group)
-    lhs = is_s_geodesic_transitive(g, 2, group)
+    lhs = all(transitive_on_level(g, "geodesics", t, group) for t in (1, 2))
     octahedral = isomorphic(g, _reference("complete_multipartite(3,2)")) is not None
     icosa = isomorphic(g, _reference("icosahedron")) is not None
     details = {"local_cycle_length": summary.params[0],
@@ -326,7 +325,7 @@ def check_weiss_flag(g: Graph, s: int, group: AutGroup | None = None) -> Verdict
         return _na("cor-1.4", g, params, reason, t0)
     group = _acting_group(g, group)
     lgroup = _induced_line_group(g, group)
-    if not is_s_geodesic_transitive(g.line, s - 1, lgroup):
+    if not all(transitive_on_level(g.line, "geodesics", t, lgroup) for t in range(1, s)):
         return _na("cor-1.4", g, params,
                    f"line graph is not {s - 1}-geodesic transitive", t0)
     gg = girth(g)

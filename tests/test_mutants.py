@@ -61,9 +61,11 @@ FAULTS = {
     "subdivision_graph leaves the last edge unsubdivided": (
         "subdivision_graph", _last_edge_unsubdivided, {"subdiv-diam"}, None),
     # No default host is locally cyclic without being 2-geodesic transitive;
-    # the 5 x 5 triangulated torus is (locally C6).
-    "is_s_geodesic_transitive is always true": (
-        "is_s_geodesic_transitive", lambda *args: True, {"cor-1.2"}, (triangulated_torus(5),)),
+    # the 5 x 5 triangulated torus is (locally C6).  Its girth is 3, so
+    # thm-1.3's rhs is false for s >= 3, where the faulty lhs is true.
+    "transitive_on_level is always true": (
+        "transitive_on_level", lambda *args: True, {"cor-1.2", "thm-1.3"},
+        (triangulated_torus(5),)),
     # No default host reaches thm-1.1's cubic-preimage branch.  L(Q3) does, and
     # Q3 is 2-arc but not 3-arc transitive.
     "is_s_arc_transitive is always true": (

@@ -822,6 +822,20 @@ def test_induced_line_groups_have_the_host_order(host):
     _assert_levels_carry_keys_to_their_base_points(*_chain_levels(group), set(lg.graph.edges))
 
 
+def test_an_edge_group_chain_follows_the_base_of_its_host_group(monkeypatch):
+    """An edge group is based at the edges at its host group's base points, so
+    its own chain, the one `transitive_on` reads, needs little Schreier phase:
+    on L(PG(2,7)) it composes 132 times, and 1,154 times with no base.  A work
+    count does not vary between machines, so this guard cannot flake."""
+    automorphisms.cache_clear()
+    group = automorphisms(catalog("projective_plane(7)").line)
+    compose, calls = linesym.symmetry._compose, []
+    monkeypatch.setattr(linesym.symmetry, "_compose",
+                        lambda p, q: calls.append(1) or compose(p, q))
+    assert group._chain[0] == 11261376  # 2 |PGL(3, 7)|, by Whitney that of PG(2,7)
+    assert len(calls) < 400
+
+
 def test_each_schreier_generator_is_sifted_at_most_once(monkeypatch):
     """Counted through `_compose` on the induced group of a relabelled Q6,
     with no order to stop at.  Memoising a coset element costs one

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -12,16 +13,18 @@ import linesym.walks
 from linesym.constructions import EdgeIndex, catalog, line_graph
 from linesym.graph6 import emit_graph6
 from linesym.graphs import build_graph
-from linesym.metrics import diameter
+from linesym.metrics import diameter, girth
 from linesym.symmetry import (
     AutGroup,
     Permutation,
     _chain_order,
+    _edge_group,
     _stabilizer_chain,
     automorphisms,
     induced_edge_action,
     is_s_arc_transitive,
     is_s_geodesic_transitive,
+    transitive_on_level,
 )
 from linesym.verify import (
     DEFAULT_CORPUS_NAMES,
@@ -46,7 +49,13 @@ from linesym.verify import (
 from linesym.walks import count_arcs, edge_sequences, enumerate_arcs, enumerate_geodesics
 from oracles import all_arcs, all_geodesics
 
-from conftest import circulant, cube_graph, random_connected_graph, triangulated_torus
+from conftest import (
+    circulant,
+    connected_atlas,
+    cube_graph,
+    random_connected_graph,
+    triangulated_torus,
+)
 
 GOLDEN_RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus_expected.jsonl"
 
@@ -137,6 +146,23 @@ def test_checkers_reject_a_group_that_does_not_act_on_the_graph(checker, host):
         with pytest.raises(ValueError):
             checker(g, group)
     assert linesym.symmetry.transitive_on_level.cache_info().currsize == decided
+
+
+def test_a_check_validates_its_group_once(monkeypatch, petersen):
+    """A check validates a caller's group in its `_acting_group` and reads
+    every level under it from `transitive_on_level`, so no check validates a
+    group the package built (the default corpus validates none), and thm-1.3
+    and cor-1.4 validate a caller's group once.  A work count does not vary
+    between machines, so this guard cannot flake."""
+    validate, calls = linesym.symmetry._automorphisms_of, []
+    monkeypatch.setattr(linesym.symmetry, "_automorphisms_of",
+                        lambda g, perms: calls.append(g) or validate(g, perms))
+    assert {r.verdict for r in run_corpus(Corpus.default())} == {PASS, NOT_APPLICABLE}
+    counts, group = [len(calls)], automorphisms(petersen)
+    for check in (check_line_equivalence, check_weiss_flag):
+        assert check(petersen, 3, group).verdict == PASS
+        counts.append(len(calls) - sum(counts))
+    assert counts == [0, 1, 1] and set(calls) == {petersen}
 
 
 # -- lemma-2.2 and the subdivision variant ------------------------------------------
@@ -422,6 +448,44 @@ def default_reports():
 def test_default_corpus_never_fails(default_reports):
     assert not has_failures(default_reports)
     assert any(r.verdict == PASS for r in default_reports)
+
+
+def test_every_check_passes_on_the_connected_atlas():
+    """Every check of `CHECKS` over the 996 connected graphs of networkx's
+    atlas (1 to 7 vertices): no record fails."""
+    corpus = Corpus(tuple((f"atlas:{k}", g) for k, g in enumerate(connected_atlas())))
+    reports = run_corpus(corpus)
+    assert len(reports) == 8571
+    assert {r.verdict for r in reports} == {PASS, NOT_APPLICABLE}
+
+
+def test_thm13_holds_with_no_gate_on_the_connected_atlas():
+    """The abstract states thm-1.3 for any graph and any G <= Aut(g); the check
+    gates it to regular non-complete hosts of valency 3 or more.  With no gate,
+    on each connected atlas graph with two or more edges and each
+    2 <= s <= diam(L)+1, G is transitive on the s-arcs (some existing) exactly
+    when the half-girth bound holds, a forest's girth infinite, and the induced
+    group is transitive on L's (s-1)-geodesics.  That holds under Aut(g) and
+    under the subgroups generated by four seeded random subsets of the
+    search's generators per graph, the trivial group among them."""
+    rng, cases, trivial = random.Random(1), [0] * 5, 0  # cases per group of a graph
+    for g in connected_atlas():
+        if g.m < 2:
+            continue
+        gens = tuple(map(Permutation, g.search[1]))
+        subgroups = [AutGroup.from_permutations(g.n, [p for p in gens if rng.random() < 0.5])
+                     for _ in range(4)]
+        trivial += sum(not group.generators for group in subgroups)
+        gg = girth(g)
+        for k, group in enumerate((automorphisms(g), *subgroups)):
+            lgroup = _edge_group(g, g.edges, g.edge_rank, group)
+            for s in range(2, diameter(g.line) + 2):
+                lhs = count_arcs(g, s) > 0 and transitive_on_level(g, "arcs", s, group)
+                rhs = ((gg is None or 2 * s <= gg + 2)
+                       and transitive_on_level(g.line, "geodesics", s - 1, lgroup))
+                assert lhs == rhs, (emit_graph6(g), s, group.generators)
+                cases[k] += 1
+    assert cases == [2581] * 5 and trivial
 
 
 def _strip(reports):
