@@ -88,7 +88,8 @@ class Graph:
     @cached_property
     def search(self) -> tuple[list[int], list[tuple[int, ...]], tuple[int, ...], int]:
         """(base, generators, canonical vertex order, group order) from one
-        automorphism search, shared by the group and by isomorphism tests."""
+        automorphism search, shared by isomorphism tests and by the group of
+        a graph with no twin and no leaf."""
         return refinement.automorphism_generators(self.adj)
 
     @cached_property

@@ -156,9 +156,11 @@ class _Node:
 
 
 def automorphism_generators(
-        adj: Adjacency) -> tuple[list[int], list[tuple[int, ...]], tuple[int, ...], int]:
+        adj: Adjacency, colors: list[int] | None = None,
+) -> tuple[list[int], list[tuple[int, ...]], tuple[int, ...], int]:
     """(base, generators, canonical order, group order) of the automorphism
-    group, found without enumerating the group.
+    group, found without enumerating the group; with colors, of the group
+    keeping each vertex's color, the search starting from their refinement.
 
     Individualization-refinement search.  The first root-to-leaf path fixes a
     reference labeling and the base it individualized; its partition is kept
@@ -198,7 +200,7 @@ def automorphism_generators(
     best_cert: Adjacency | None = None  # its certificate, once one is needed
     path: list[int] = []  # path[i]: the vertex individualized below stack[i]
     group_order = 1
-    stack = [_Node(_state(refine(adj, [0] * n)), list(range(n)))]
+    stack = [_Node(_state(refine(adj, colors or [0] * n)), list(range(n)))]
     reference = [stack[0].state[::3]]  # reference[d]: (elems, size) on the first path at depth d
     while stack:
         node = stack[-1]

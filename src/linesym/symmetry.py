@@ -2,20 +2,25 @@
 
 Permutations compose in application order: (p * q) means "apply p, then q".
 A group is its generators, a base and, where proven, its order: the
-search's, or its root's for a line graph.  `AutGroup._levels` builds every
-chain a group needs, based at any points asked for, then at its base, with
-`_stabilizer_chain`: incremental Schreier-Sims (Seress, Permutation Group
-Algorithms, 2003, sections 4.1-4.2) over Schreier vectors, its coset
-elements built when needed and memoised; no element is enumerated.  The
-search's generators are strong on its base, so a search group's first level,
-all that `transitive_on` reads, comes from them with no chain.  A line graph
+search's, its root's for a line graph, or its reduction's.
+`AutGroup._levels` builds every chain a group needs, based at any points
+asked for, then at its base, with `_stabilizer_chain`: incremental
+Schreier-Sims (Seress, Permutation Group Algorithms, 2003, sections
+4.1-4.2) over Schreier vectors, its coset elements built when needed and
+memoised; no element is enumerated.  The search's generators are strong on
+its base, and so are a reduction's, so such a group's first level, all that
+`transitive_on` reads, comes from them with no chain.  A line graph
 L(H) whose connected root has 5 <= |H| < |L(H)| vertices is not searched: by
 Whitney's theorem (1932) Aut(H), acting on the edges through the certified
 bijection `Graph.root`, is all of Aut(L(H)), the exceptions K2, K3, K1,3,
 K4, K4 - e and K1,3 + e having fewer vertices.  Past its root, a graph
-denser than half (2m > n(n-1)/2) takes its complement's group, so no search
-runs on the denser side: K(n,2), for n >= 8, reaches K_n through its
-complement T(n) = L(K_n).
+with twins or a leaf takes its group from `reduction`, which searches only
+the colored core left once twin classes and pendant trees are collapsed, so
+|Aut g| = |Aut core| * prod k! over the twin classes of k.  Past that, a
+graph denser than half
+(2m > n(n-1)/2) takes its complement's group, so no search runs on the
+denser side: K(n,2), for n >= 8, reaches K_n through its complement
+T(n) = L(K_n).
 `transitive_on` splits an explicit tuple universe into orbits; the
 transitivity predicates build no tuple and decide each level by
 orbit-stabilizer (`transitive_on_level`).
@@ -31,7 +36,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from . import walks
+from . import reduction, walks
 from .constructions import EdgeIndex
 from .graphs import Graph
 from .metrics import diameter, is_connected
@@ -47,6 +52,14 @@ class Permutation:
         n = len(self.images)
         if sorted(self.images) != list(range(n)):
             raise ValueError("images do not form a bijection")
+
+    @classmethod
+    def _built(cls, images: tuple[int, ...]) -> "Permutation":
+        """images that the package built as a bijection, taken unchecked: the
+        check sorts each, so over K_{1,n}'s n - 1 generators it is quadratic."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
 
     @staticmethod
     def from_one_line(text: str) -> "Permutation":
@@ -215,13 +228,16 @@ class AutGroup:
     read, is (order, level, stabilizer, memo) for the first base point b the
     group moves: b's Schreier vector, generators of G_b, and a memo carrying
     points to b.  A search group's strong generators (`_strong`) give it with
-    no chain: b's orbit, and those fixing b.  Others read it off `_levels`."""
+    no chain: b's orbit, and those fixing b.  Others read it off `_levels`.
+    A group from `from_generators` keeps the graph it was checked on
+    (`_acts_on`), so `_acting_group` does not check it there again."""
 
     degree: int
     generators: tuple[Permutation, ...]
     _base: tuple = field(repr=False, compare=False, default=())
     _order: int | None = field(repr=False, compare=False, default=None)
     _strong: bool = field(repr=False, compare=False, default=False)
+    _acts_on: Graph | None = field(repr=False, compare=False, default=None)
 
     @cached_property
     def order(self) -> int:
@@ -262,23 +278,29 @@ class AutGroup:
     @staticmethod
     def from_generators(g: Graph, perms: Iterable[Permutation]) -> "AutGroup":
         """Validating constructor: every generator must preserve g's edge set."""
-        return AutGroup.from_permutations(g.n, _automorphisms_of(g, perms))
+        perms, identity = _automorphisms_of(g, perms), tuple(range(g.n))
+        return AutGroup(g.n, tuple(p for p in perms if p.images != identity), _acts_on=g)
 
 
 @lru_cache(maxsize=256)
 def automorphisms(g: Graph) -> AutGroup:
-    """Full automorphism group of g, its order proven: a line graph's from
-    its root (`_line_group`); a graph denser than half (2m > n(n-1)/2) has
-    that of its complement, which is not, built here and kept by no cache;
-    any other's from the search, whose generators are strong on its base."""
+    """Full automorphism group of g, its order proven, from the first step
+    that applies: a line graph's from its root (`_line_group`); a graph with
+    twins or a leaf from its reduction (`reduction.reduced_generators`); a graph denser
+    than half (2m > n(n-1)/2) has that of its complement, which is not,
+    built here and kept by no cache; any other's from the search, whose
+    generators are strong on its base."""
     group = _line_group(g)
+    if group is None and (reduced := reduction.reduced_generators(g.adj)) is not None:
+        base, gens, order = reduced
+        group = AutGroup(g.n, tuple(map(Permutation._built, gens)), base, order, True)  # strong
     if group is None and 2 * g.m > g.n * (g.n - 1) // 2:
         closed = [{v, *row} for v, row in enumerate(g.adj)]
         g = Graph(g.n, tuple(tuple(w for w in range(g.n) if w not in c) for c in closed))
         group = _line_group(g)  # g is now the complement, its root tried in turn
     if group is None:
         base, gens, _, order = g.search
-        group = AutGroup(g.n, tuple(map(Permutation, gens)), tuple(base), order, True)  # strong
+        group = AutGroup(g.n, tuple(map(Permutation._built, gens)), tuple(base), order, True)  # strong
     return group
 
 
@@ -309,7 +331,7 @@ def _edge_group(h: Graph, ends, point, group: AutGroup) -> AutGroup:
     faithful, its order |group|.  Based at the edges at the group's base points,
     its own chain, read by `transitive_on` (`linesym orbits` on a line graph),
     takes 223 compositions on L(PG(2,11)), and 24,162 with no base."""
-    gens = tuple(Permutation(_edge_images(p, ends, point)) for p in group.generators)
+    gens = tuple(Permutation._built(_edge_images(p, ends, point)) for p in group.generators)
     base = dict.fromkeys(point[b, w] for b in group._base for w in h.adj[b])
     return AutGroup(len(ends), gens, tuple(base), group.order)
 
@@ -409,15 +431,17 @@ def transitive_on_level(g: Graph, kind: str, t: int, group: AutGroup) -> bool:
 
 
 def _acting_group(g: Graph, group: AutGroup | None) -> AutGroup:
-    """The given group, validated to act on g, or Aut(g); g must be connected.  The
-    predicates, the library's validating entry points, and each check call it once."""
+    """The given group, validated to act on g unless `from_generators` built it on g,
+    or Aut(g); g must be connected.  The predicates, the library's validating entry
+    points, and each check call it once."""
     if not is_connected(g):
         raise ValueError("transitivity tests need a connected graph")
     if group is None:
         return automorphisms(g)
     if group.degree != g.n:
         raise ValueError("group degree does not match the graph")
-    _automorphisms_of(g, group.generators)
+    if group._acts_on != g:
+        _automorphisms_of(g, group.generators)
     return group
 
 

@@ -180,14 +180,30 @@ def test_verify_searches_only_when_the_check_reaches_its_group(argv, searched_or
     searched = []
     search = linesym.refinement.automorphism_generators
 
-    def spy(adj):
+    def spy(adj, colors=None):
         searched.append(len(adj))
-        return search(adj)
+        return search(adj, colors)
 
     linesym.symmetry.automorphisms.cache_clear()
     monkeypatch.setattr(linesym.refinement, "automorphism_generators", spy)
     assert main(["verify", *argv]) == 0
     assert searched == searched_orders
+
+
+def test_verify_checks_a_callers_group_once(monkeypatch, capsys):
+    """`--group` is checked when it is loaded, and the check's `_acting_group`
+    does not check it on the same graph again; a generator that breaks an edge
+    still exits 2 with its message.  A work count does not vary between
+    machines, so this guard cannot flake."""
+    calls, validate = [], linesym.symmetry._automorphisms_of
+    monkeypatch.setattr(linesym.symmetry, "_automorphisms_of",
+                        lambda g, perms: calls.append(g) or validate(g, perms))
+    gens = ";".join(p.one_line() for p in linesym.symmetry.automorphisms(catalog("petersen")).generators)
+    argv = ["verify", "--check", "thm13", "--s", "3", "--catalog", "petersen"]
+    assert main([*argv, "--group", gens]) == 0
+    assert "pass" in capsys.readouterr().out and len(calls) == 1
+    assert main([*argv, "--group", "1 0 2 3 4 5 6 7 8 9"]) == 2
+    assert "error: permutation '1 0 2 3 4 5 6 7 8 9' breaks edge" in capsys.readouterr().err
 
 
 def test_verify_records_format(capsys):

@@ -7,15 +7,16 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linesym.refinement
 import linesym.symmetry
 import linesym.walks
 from linesym.constructions import EdgeIndex, catalog, line_graph
-from linesym.graphs import build_graph, isomorphic
+from linesym.graphs import build_graph, is_complete, isomorphic
 from linesym.metrics import diameter
+from linesym.reduction import reduced_generators
 from linesym.refinement import _child, _refine, _state, refine
 from linesym.symmetry import (
     AutGroup,
@@ -239,6 +240,113 @@ def test_tree_orders_match_the_ahu_oracle(picks, rng):
     group = automorphisms(g)
     assert group.order == tree_automorphism_count(g)
     _automorphisms_of(g, group.generators)  # raises unless each one keeps every edge
+
+
+@st.composite
+def planted_graphs(draw, max_n=16):
+    """A graph on 1-6 vertices, then up to five plantings at random vertices:
+    an open twin (a new vertex with the same neighbours), a closed twin (the
+    same, joined to it too), or a pendant path or tree; relabelled."""
+    g = draw(small_graphs(max_n=6))
+    n, edges = g.n, list(g.edges)
+    for _ in range(draw(st.integers(0, 5))):
+        kind, v = draw(st.sampled_from(["open", "closed", "path", "tree"])), draw(st.integers(0, n - 1))
+        size = 1 if kind in ("open", "closed") else draw(st.integers(1, 4))
+        if n + size > max_n:
+            break
+        if kind in ("open", "closed"):
+            edges += [(w, n) for e in edges if v in e for w in e if w != v]
+            edges += [(v, n)] if kind == "closed" else []
+        else:  # each new vertex hangs from the one before it, or from any earlier one
+            edges += [(v if i == 0 else n + i - 1 if kind == "path"
+                       else draw(st.sampled_from([v, *range(n, n + i)])), n + i) for i in range(size)]
+        n += size
+    label = draw(st.permutations(range(n)))
+    return build_graph(n, [(label[u], label[w]) for u, w in edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_graphs())
+def test_reduced_orders_match_the_backtracking_oracle(g):
+    """Twins and pendant trees planted on small graphs: the reduction's order
+    is the oracle's, each generator is an automorphism, and a full
+    Schreier-Sims run on the generators alone reaches the same order.  The
+    oracle counts automorphisms one at a time, so groups past 5000 skip it."""
+    group = automorphisms(g)
+    assume(group.order <= 5000)
+    assert group.order == automorphism_count_backtrack(g)
+    _automorphisms_of(g, group.generators)
+    _, levels, _, _ = _stabilizer_chain([p.images for p in group.generators], g.n, group._base)
+    assert _chain_order(levels) == group.order
+
+
+def _has_twin_or_leaf(g) -> bool:
+    rows = [frozenset(row) for row in g.adj]
+    closed = [row | {v} for v, row in enumerate(rows)]
+    return 1 in map(len, rows) or len(set(rows)) < g.n or len(set(closed)) < g.n
+
+
+def test_the_reduction_on_the_connected_atlas(monkeypatch):
+    """Every connected atlas graph with a twin or a leaf takes the reduction,
+    and no other does.  Each reduced group has the search's order, its
+    generators are automorphisms, and they are strong on its base: the chain
+    on that base, stopped at the order, composes nothing.  A work count does
+    not vary between machines, so this guard cannot flake."""
+    compose, calls = linesym.symmetry._compose, []
+    monkeypatch.setattr(linesym.symmetry, "_compose", lambda p, q: calls.append(1) or compose(p, q))
+    reduced = 0
+    for g in connected_atlas():
+        found = reduced_generators(g.adj)
+        assert (found is not None) == _has_twin_or_leaf(g), g.adj
+        if found is None:
+            continue
+        reduced += 1
+        base, gens, order = found
+        assert order == g.search[3], g.adj
+        _automorphisms_of(g, map(Permutation, gens))
+        _, levels, _, _ = _stabilizer_chain(gens, g.n, base, order)
+        assert _chain_order(levels) == order and not calls, g.adj
+    assert reduced > len(connected_atlas()) // 2
+
+
+def _tree_with_twins():
+    """A spider with legs 1, 1, 2, 2 and 3, a pair of twin leaves at the end of
+    the 3-leg, and a triangle whose two far corners are closed twins."""
+    legs = [(0, 1), (0, 2), (0, 3), (3, 4), (0, 5), (5, 6), (0, 7), (7, 8), (8, 9),
+            (9, 10), (9, 11), (0, 12), (12, 13), (12, 14), (13, 14)]
+    return build_graph(15, legs)
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: catalog("complete_multipartite(4,5)"), math.factorial(5) ** 4 * math.factorial(4)),
+    (_tree_with_twins, 2 * 2 * 2 * 2),
+    (lambda: _star(50), math.factorial(50)),
+], ids=["K_{4[5]}", "tree with twins", "K_{1,50}"])
+def test_reduced_generators_are_strong_on_their_base(monkeypatch, build, order):
+    """The group's own chain, on its base and stopped at its order, runs no
+    Schreier phase: nothing is composed.  A work count does not vary between
+    machines, so this guard cannot flake."""
+    g = build()
+    automorphisms.cache_clear()
+    group, compose, calls = automorphisms(g), linesym.symmetry._compose, []
+    assert group.order == order
+    monkeypatch.setattr(linesym.symmetry, "_compose", lambda p, q: calls.append(1) or compose(p, q))
+    _, levels, _, _ = group._levels()
+    assert _chain_order(levels) == order and not calls
+
+
+@pytest.mark.parametrize("g", [
+    catalog("petersen"), catalog("heawood"), catalog("tutte_8_cage"),
+    cube_graph(4), cube_graph(5), cube_graph(6), catalog("cycle(50)"),
+], ids=lambda g: g.name or f"Q{g.n.bit_length() - 1}")
+def test_twin_free_graphs_keep_the_search_group(g):
+    """With no twin and no leaf, the group is the search's, generator for
+    generator and with its base, so the `orbits` hosts keep their groups."""
+    automorphisms.cache_clear()
+    base, gens, _, order = g.search
+    group = automorphisms(g)
+    assert [p.images for p in group.generators] == gens
+    assert (group._base, group.order, group._strong) == (tuple(base), order, True)
 
 
 def test_generators_preserve_edges(petersen, icosahedron):
@@ -480,12 +588,12 @@ def _thrice_iterated_line_graph_of_heawood():
     return catalog("heawood").line.line.line
 
 
-# The vertex count of the one graph an iterated line graph's group searches:
-# its first root that takes no root path.
+# The vertex counts searched by each iterated line graph's group: its first
+# root that takes no root path, or nothing where that root is complete.
 SEARCHED_ROOT = {
-    _thrice_iterated_line_graph_of_k5: 5,
-    _thrice_iterated_line_graph_of_k7: 7,
-    _thrice_iterated_line_graph_of_heawood: 14,
+    _thrice_iterated_line_graph_of_k5: [],
+    _thrice_iterated_line_graph_of_k7: [],
+    _thrice_iterated_line_graph_of_heawood: [14],
 }
 
 
@@ -494,9 +602,9 @@ def searched(monkeypatch):
     """The vertex count of each graph the automorphism search runs on."""
     sizes, search = [], linesym.refinement.automorphism_generators
 
-    def spy(adj):
+    def spy(adj, colors=None):
         sizes.append(len(adj))
-        return search(adj)
+        return search(adj, colors)
 
     monkeypatch.setattr(linesym.refinement, "automorphism_generators", spy)
     return sizes
@@ -512,10 +620,12 @@ def searched(monkeypatch):
     (_thrice_iterated_line_graph_of_heawood, 336),
 ])
 def test_automorphism_orders_compose_no_permutation(monkeypatch, searched, build, order):
-    """The search's generators are strong on its base, and a root's, mapped
-    onto its edges, on an edge prefix: either way the chain's orbits come
-    from point images alone, and the only permutation work is inverting
-    each generator once.  A line graph's group searches only its root."""
+    """The search's generators are strong on its base, a reduction's on its
+    core's base and its classes, and a root's, mapped onto its edges, on an
+    edge prefix: either way the chain's orbits come from point images alone,
+    and the only permutation work is inverting each generator once.  A line
+    graph's group searches only its root, and a complete graph, reduced to
+    one vertex, searches nothing."""
     g = build()
 
     def refuse(p, q):
@@ -524,7 +634,7 @@ def test_automorphism_orders_compose_no_permutation(monkeypatch, searched, build
     automorphisms.cache_clear()
     monkeypatch.setattr(linesym.symmetry, "_compose", refuse)
     assert automorphisms(g).order == order
-    assert searched == [SEARCHED_ROOT.get(build, g.n)]
+    assert searched == SEARCHED_ROOT.get(build, [] if is_complete(g) else [g.n])
 
 
 def test_line_graphs_of_arc_transitive_roots_search_only_the_root(searched):
@@ -610,28 +720,29 @@ def test_automorphisms_give_the_search_order_on_the_whole_atlas_and_its_compleme
 
 
 def _dense_ladder():
-    """(graph, |Aut|, the vertex counts searched or None) for the dense ladder."""
+    """(graph, |Aut|, the vertex counts searched) for the dense ladder."""
     f = math.factorial
-    members = [(catalog(f"complete({n})"), f(n), None) for n in range(4, 17)]
+    members = [(catalog(f"complete({n})"), f(n), []) for n in range(4, 17)]
     for m, b in ((2, 3), (2, 5), (2, 7), (3, 2), (3, 4), (4, 3), (5, 4), (6, 3), (8, 2)):
-        members.append((catalog(f"complete_multipartite({m},{b})"), f(b) ** m * f(m), None))
+        members.append((catalog(f"complete_multipartite({m},{b})"), f(b) ** m * f(m), []))
     for n in range(5, 12):  # dense from n = 8; K(7,2) has exactly half the pairs
-        members.append((kneser_graph(n, 2), f(n), [n if n >= 8 else math.comb(n, 2)]))
-    members += [(kneser_graph(n, 3), f(n), None) for n in (7, 8, 9)]
+        members.append((kneser_graph(n, 2), f(n), [] if n >= 8 else [math.comb(n, 2)]))
+    members += [(kneser_graph(n, 3), f(n), [math.comb(n, 3)]) for n in (7, 8, 9)]
     return members
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_the_search_never_runs_on_the_denser_side(monkeypatch, seed):
     """Complete, complete multipartite and Kneser graphs under relabellings:
-    no adjacency searched is denser than half, and K(n,2), from n = 8 on,
-    reaches K_n through its complement T(n) = L(K_n), so it searches K_n's
-    (edgeless) complement alone."""
+    no adjacency searched is denser than half.  Complete and complete
+    multipartite graphs reduce to one vertex by their twins, so they search
+    nothing; K(n,2), from n = 8 on, reaches K_n through its complement
+    T(n) = L(K_n), so it searches nothing either."""
     searched, search = [], linesym.refinement.automorphism_generators
 
-    def spy(adj):
+    def spy(adj, colors=None):
         searched.append(adj)
-        return search(adj)
+        return search(adj, colors)
 
     monkeypatch.setattr(linesym.refinement, "automorphism_generators", spy)
     for g, order, sizes in _dense_ladder():
@@ -639,7 +750,7 @@ def test_the_search_never_runs_on_the_denser_side(monkeypatch, seed):
         searched.clear()
         assert automorphisms(relabelled(g, seed)).order == order, g.name
         assert not any(map(_denser_than_half, searched)), g.name
-        assert sizes is None or [len(adj) for adj in searched] == sizes, g.name
+        assert [len(adj) for adj in searched] == sizes, g.name
 
 
 @pytest.mark.parametrize("g", [
