@@ -86,10 +86,9 @@ class Graph:
         return _line_root(self)
 
     @cached_property
-    def search(self) -> tuple[list[int], list[tuple[int, ...]], tuple[int, ...], int]:
-        """(base, generators, canonical vertex order, group order) from one
-        automorphism search, shared by isomorphism tests and by the group of
-        a graph with no twin and no leaf."""
+    def search(self) -> tuple[list[int], list[tuple[int, ...]], int]:
+        """(base, generators, group order) from one automorphism search: the
+        group of a graph with no twin and no leaf."""
         return refinement.automorphism_generators(self.adj)
 
     @cached_property
@@ -218,20 +217,27 @@ def is_complete(g: Graph) -> bool:
     return all(len(row) == g.n - 1 for row in g.adj)
 
 
-def isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
-    """A vertex bijection carrying E(g1) onto E(g2), or None.
+def complement(g: Graph) -> Graph:
+    """The graph on g's vertices whose edges are g's non-edges."""
+    closed = [{v, *row} for v, row in enumerate(g.adj)]
+    return Graph(g.n, tuple(tuple(w for w in range(g.n) if w not in c) for c in closed))
 
-    The mapping phi satisfies: {u, v} is an edge of g1 iff {phi[u], phi[v]}
-    is an edge of g2.  The automorphism search gives each graph a canonical
-    vertex order; the graphs are isomorphic iff their certificates (the
-    adjacency relabelled by that order) are equal, and phi then sends one
-    order onto the other.
-    """
-    if g1.n != g2.n or g1.m != g2.m:
+
+def isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
+    """A vertex bijection phi carrying E(g1) onto E(g2), or None: {u, v} is
+    an edge of g1 iff {phi[u], phi[v]} is one of g2.  Decided on the disjoint
+    union g1 + g2, g2 shifted by n, with no canonical form.  For a connected
+    g1 they are isomorphic iff an automorphism of the union carries vertex 0
+    into g2, and then a generator does, since generators that keep g1's
+    component generate a group that keeps it; phi is that generator on g1.
+    A disconnected g1 has a connected complement, isomorphic under the same phi."""
+    n = g1.n
+    if n != g2.n or g1.m != g2.m or sorted(map(len, g1.adj)) != sorted(map(len, g2.adj)):
         return None
-    if sorted(map(len, g1.adj)) != sorted(map(len, g2.adj)):
-        return None
-    order1, order2 = g1.search[2], g2.search[2]
-    if refinement.certificate(g1.adj, order1) != refinement.certificate(g2.adj, order2):
-        return None
-    return tuple(w for _, w in sorted(zip(order1, order2)))
+    if None in g1.distances(0):
+        g1, g2 = complement(g1), complement(g2)
+    union = g1.adj + tuple(tuple(w + n for w in row) for row in g2.adj)
+    for p in refinement.automorphism_generators(union)[1]:
+        if p[0] >= n:
+            return tuple(w - n for w in p[:n])
+    return None

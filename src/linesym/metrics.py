@@ -104,3 +104,16 @@ def local_type(g: Graph) -> LocalType | None:
         return None
     shapes = {_neighborhood_type(g, v) for v in range(g.n)}
     return shapes.pop() if len(shapes) == 1 else None
+
+
+def octahedral_form(g: Graph) -> bool:
+    """Whether g is K_{3[2]}: the 4-regular graphs on 6 vertices are, their
+    complements being perfect matchings, and so are connected locally C4 ones."""
+    return g.n == 6 and is_regular(g) == 4
+
+
+def icosahedral_form(g: Graph) -> bool:
+    """Whether g is the icosahedron, the one locally C5 graph on 12 vertices.
+    A connected locally C5 graph triangulates a closed surface of Euler
+    characteristic n/6, so n is 12 (n = 6 would be K6, locally K5)."""
+    return g.n == 12 and local_type(g) == LocalType("cycle", (5,))

@@ -153,7 +153,7 @@ def reduced_generators(adj) -> tuple[tuple[int, ...], list[tuple[int, ...]], int
     if len(core) > 1:
         index = dict(zip(core, range(len(core))))
         core_adj = tuple(tuple(sorted(map(index.__getitem__, q.rows[v]))) for v in core)
-        found, lifted, _, order = refinement.automorphism_generators(
+        found, lifted, order = refinement.automorphism_generators(
             core_adj, list(map(q.color.__getitem__, core)))
         blocks = list(map(_flattened, map(q.members.__getitem__, core)))
         flat = list(chain.from_iterable(blocks))

@@ -1,4 +1,4 @@
-"""Partition-refinement search kernel for automorphisms and canonical labeling.
+"""Partition-refinement search kernel for automorphisms.
 
 Everything here works on raw adjacency (a tuple of strictly sorted neighbor
 tuples) so the module stays free of package imports.  A coloring is a list of
@@ -8,20 +8,16 @@ Refinement only splits cells, by rules that read colors and counts, never
 vertex ids, so relabelling a graph relabels its search tree.  The search
 carries one partition state down its tree: a child copies its parent's, splits
 its vertex off the target cell, the first largest (Traces' rule: it splits the
-most), and refines in place; a leaf's cell order is its vertex order.  Off the
-first path, a node with its cell sizes first tries the candidate mapping its
-partition onto the node's by position.  The first path shares one union-find of
-the orbits of the generators found so far, each merged into it once; a node off
-the first path builds its own at its second child.  The search keeps its own
-stack, so depth is not limited by the recursion limit.  It returns its first
-path's base, relative to which its generators are a strong generating set, the
-group order, and a canonical vertex order, so two graphs are isomorphic exactly
-when their certificates under those orders are equal.
+most), and refines in place.  Off the first path it keeps only nodes with the
+first path's cell sizes at their depth, each first trying the candidate that
+maps the first path's partition onto its own by position.  The search keeps
+its own stack, so depth is not limited by the recursion limit.  It returns its
+first path's base, relative to which its generators are a strong generating
+set, and the group order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from heapq import heappop, heappush
 from itertools import chain, compress, repeat
 from operator import ne
@@ -63,39 +59,48 @@ def _refine(adj: Adjacency, elems, pos, color, size, queue: list[int]):
     while queue:
         s = heappop(queue)
         queued.discard(s)
-        single = size[s] == 1  # the common case deep in a search: all counts 1
-        count = dict.fromkeys(adj[elems[s]], 1) if single else Counter(
-            chain.from_iterable(map(adj.__getitem__, elems[s:s + size[s]])))
+        count = None  # deep in a search the splitter is one vertex: one row, every count 1
+        if size[s] > 1:
+            count = {}
+            for v in elems[s:s + size[s]]:
+                for w in adj[v]:
+                    count[w] = count.get(w, 0) + 1
         touched: dict[int, list[int]] = {}
-        for w in count:
+        for w in adj[elems[s]] if count is None else count:
             if size[color[w]] > 1:
                 touched.setdefault(color[w], []).append(w)
         # Each split stays inside its own cell, so the order of cells is free.
         for x, members in touched.items():
-            if not single:
-                members.sort(key=count.__getitem__)
             end = x + size[x]
             first = end - len(members)
-            if first == x and count[members[0]] == count[members[-1]]:
+            if count is not None:
+                members.sort(key=count.__getitem__)
+            if first == x and (count is None or count[members[0]] == count[members[-1]]):
                 continue
             # Swap the touched members behind the untouched ones, then lay
             # them out in count order: each count is one piece.
             for i, w in enumerate(members, first):
                 u, p = elems[i], pos[w]
                 elems[p], pos[u] = u, p
-            starts = [x] if first > x else []
-            for i, w in enumerate(members, first):
-                elems[i], pos[w] = w, i
-                if i == first or not single and count[w] != count[members[i - first - 1]]:
-                    starts.append(i)
-                color[w] = starts[-1]
-            for a, b in zip(starts, starts[1:] + [end]):
-                size[a] = b - a
-            skip = x if x in queued else max(starts, key=size.__getitem__)
-            for a in starts:
-                if a != skip:
-                    heappush(queue, a)
-                    queued.add(a)
+            if count is None:  # untouched, then touched: the first larger piece stays out
+                for i, w in enumerate(members, first):
+                    elems[i], pos[w], color[w] = w, i, first
+                size[x], size[first] = first - x, end - first
+                push = [first if x in queued or size[first] <= size[x] else x]
+            else:
+                starts = [x] if first > x else []
+                for i, w in enumerate(members, first):
+                    elems[i], pos[w] = w, i
+                    if i == first or count[w] != count[members[i - first - 1]]:
+                        starts.append(i)
+                    color[w] = starts[-1]
+                for a, b in zip(starts, starts[1:] + [end]):
+                    size[a] = b - a
+                skip = x if x in queued else max(starts, key=size.__getitem__)
+                push = [a for a in starts if a != skip]
+            for a in push:
+                heappush(queue, a)
+                queued.add(a)
 
 
 def _child(adj: Adjacency, state, v: int):
@@ -109,15 +114,6 @@ def _child(adj: Adjacency, state, v: int):
         color[w] = x + 1
     _refine(adj, *state, [x])
     return state
-
-
-def certificate(adj: Adjacency, order) -> Adjacency:
-    """adj relabelled so that vertex order[i] becomes i: row i holds the
-    sorted new labels of order[i]'s neighbors."""
-    label = [0] * len(order)
-    for i, v in enumerate(order):
-        label[v] = i
-    return tuple(tuple(sorted(label[w] for w in adj[v])) for v in order)
 
 
 class _Node:
@@ -157,47 +153,42 @@ class _Node:
 
 def automorphism_generators(
         adj: Adjacency, colors: list[int] | None = None,
-) -> tuple[list[int], list[tuple[int, ...]], tuple[int, ...], int]:
-    """(base, generators, canonical order, group order) of the automorphism
-    group, found without enumerating the group; with colors, of the group
-    keeping each vertex's color, the search starting from their refinement.
+) -> tuple[list[int], list[tuple[int, ...]], int]:
+    """(base, generators, group order) of the automorphism group, found
+    without enumerating the group; with colors, of the group keeping each
+    vertex's color, the search starting from their refinement.
 
-    Individualization-refinement search.  The first root-to-leaf path fixes a
-    reference labeling and the base it individualized; its partition is kept
-    at each depth.  A node off the first path with the first path's cell sizes
-    at its depth yields a candidate, taking each position of the one partition
-    to the other's, kept if it maps each moved point's neighbors onto its
-    image's.  Refinement commutes with automorphisms, so a kept one fixes their
-    common prefix and takes the next base point to the branch vertex (saucy,
-    Darga, Sakallah & Markov, DAC 2008; at a leaf it is the leaf's
-    automorphism), and the branch's subtree is abandoned: anything deeper in it
-    is a product of that one with automorphisms found under the first path.
-    Children in the orbit of a tried sibling under the generators fixing the
-    node's prefix, read at their moved points, are skipped.  So the generators
-    fixing b1..b_{i-1} reach, or prune into their orbits, every child
-    equivalent to b_i: they generate that pointwise stabilizer, a strong
-    generating set relative to the base (McKay & Piperno, "Practical graph
-    isomorphism, II", 2014).
+    Individualization-refinement search for automorphisms only (saucy;
+    Darga, Sakallah & Markov, DAC 2008).  The first root-to-leaf path fixes
+    the base and keeps its partition at each depth.  Refinement commutes with
+    automorphisms, so one taking the first leaf to another takes the first
+    path, node by node, onto that leaf's path, cell sizes and all: a node off
+    the first path with other sizes at its depth is skipped with its subtree,
+    and no node kept lies below the first leaf.  A kept node tries the
+    candidate taking each position of the first path's partition to its own,
+    kept if it maps each moved point's neighbors onto its image's.  A kept one
+    fixes their common prefix and takes the next base point to the branch
+    vertex, and the branch is abandoned: anything deeper in it is a product
+    of that one with automorphisms found under the first path.  Children in
+    the orbit of a tried sibling under the generators fixing the node's
+    prefix, read at their moved points, are skipped.  So the generators fixing
+    b1..b_{i-1} generate that pointwise stabilizer, a strong generating set
+    relative to the base (McKay & Piperno, "Practical graph isomorphism, II",
+    2014).
 
-    The search reaches every leaf up to automorphism, so the order of the
-    first leaf with the largest certificate is canonical, candidates or not:
-    a candidate's subtree is the image of one searched before it, under the
-    least vertex of the branch cell.  The first path shares one union-find,
-    into which each generator is merged once, when it is found: it fixes the
-    first path down to the node whose later child found it, and every
-    first-path node below that one has finished.  So a first-path node ends
-    with the orbits of its prefix's stabilizer there, and the group order is
-    the product of the sizes of b_i's classes.  A node off the first path
-    builds its own union-find at its second child, from the generators that
-    fix its prefix.
+    The first path shares one union-find, into which each generator is
+    merged once, when it is found: it fixes the first path down to the node
+    whose later child found it, and every first-path node below that one has
+    finished.  So a first-path node ends with the orbits of its prefix's
+    stabilizer there, and the group order is the product of the sizes of
+    b_i's classes.  A node off the first path builds its own union-find at its
+    second child, from the generators that fix its prefix.
     """
     n = len(adj)
     arcs = {(v, w) for v in range(n) for w in adj[v]}
     gens: list[tuple[int, ...]] = []
     moves: list[tuple[int, ...]] = []  # moves[i]: the points gens[i] moves
     base: list[int] = []
-    best: list[int] = []  # the vertex order of the best leaf so far
-    best_cert: Adjacency | None = None  # its certificate, once one is needed
     path: list[int] = []  # path[i]: the vertex individualized below stack[i]
     group_order = 1
     stack = [_Node(_state(refine(adj, colors or [0] * n)), list(range(n)))]
@@ -218,9 +209,12 @@ def automorphism_generators(
                 if node.find(v) != v:
                     continue
             state, depth = _child(adj, node.state, v), len(stack)
-            if node.first and node.next == 1:
+            if node.first and node.next == 1:  # b_i = cell[0], the least vertex
+                base.append(v)
                 reference.append(state[::3])
-            elif depth < len(reference) and state[3] == reference[depth][1]:
+            elif state[3] != reference[depth][1]:
+                continue  # no image of the first path's node, so no automorphism below
+            else:
                 differ = list(map(ne, state[0], reference[depth][0]))
                 moved = tuple(compress(reference[depth][0], differ))
                 image = dict(zip(moved, compress(state[0], differ)))
@@ -240,19 +234,8 @@ def automorphism_generators(
             path.append(v)
             stack.append(_Node(state, node.parent if node.first and node.next == 1 else None))
             continue
-        if node.cell is None:
-            leaf, pos, _, _ = node.state  # leaf[c]: the vertex colored c
-            if node.first:
-                base, best = path[:], leaf
-            else:
-                # Automorphic leaves were candidates, so only the others are compared,
-                # row by row (pos labels the leaf's vertices) until one row differs.
-                best_cert = best_cert or certificate(adj, best)
-                rows = (tuple(sorted(map(pos.__getitem__, adj[v]))) for v in leaf)
-                if next((r > top for r, top in zip(rows, best_cert) if r != top), False):
-                    best, best_cert = leaf, certificate(adj, leaf)
-        elif node.first:  # b_i = cell[0], the least vertex, roots its class
+        if node.first and node.cell is not None:  # b_i = cell[0] roots its class
             group_order *= sum(node.find(v) == node.cell[0] for v in node.cell)
         stack.pop()
         del path[len(stack) - 1:]
-    return base, gens, tuple(best), group_order
+    return base, gens, group_order

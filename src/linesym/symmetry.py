@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 from . import reduction, walks
 from .constructions import EdgeIndex
-from .graphs import Graph
+from .graphs import Graph, complement
 from .metrics import diameter, is_connected
 
 
@@ -295,11 +295,10 @@ def automorphisms(g: Graph) -> AutGroup:
         base, gens, order = reduced
         group = AutGroup(g.n, tuple(map(Permutation._built, gens)), base, order, True)  # strong
     if group is None and 2 * g.m > g.n * (g.n - 1) // 2:
-        closed = [{v, *row} for v, row in enumerate(g.adj)]
-        g = Graph(g.n, tuple(tuple(w for w in range(g.n) if w not in c) for c in closed))
+        g = complement(g)
         group = _line_group(g)  # g is now the complement, its root tried in turn
     if group is None:
-        base, gens, _, order = g.search
+        base, gens, order = g.search
         group = AutGroup(g.n, tuple(map(Permutation._built, gens)), tuple(base), order, True)  # strong
     return group
 

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 from .constructions import catalog, clique_graph, subdivision_graph
 from .graph6 import emit_graph6, parse_graph6
 from .graphs import Graph, is_complete, is_regular, isomorphic
-from .metrics import diameter, girth, is_connected, local_type
+from .metrics import diameter, girth, icosahedral_form, is_connected, local_type, octahedral_form
 from .symmetry import (
     AutGroup,
     Permutation,
@@ -34,6 +34,7 @@ from .symmetry import (
     transitive_on_level,
 )
 from .walks import (
+    EnumerationCapExceeded,
     count_arcs,
     count_geodesics,
     edge_sequences,
@@ -111,10 +112,6 @@ def _line_equivalence_gate(g: Graph, s: int | None = None) -> str | None:
         if not 2 <= s <= dl + 1:
             return f"s={s} outside 2..diam(L)+1={dl + 1}"
     return None
-
-
-# Catalog graphs compared against with `isomorphic`, built (so searched) once.
-_reference = lru_cache(maxsize=None)(catalog)
 
 
 @lru_cache(maxsize=256)
@@ -274,7 +271,7 @@ def classify_valency4_girth3(g: Graph, group: AutGroup | None = None) -> Verdict
     group = _acting_group(g, group)
     split = transitive_on(enumerate_geodesics(g, 2), group)[1]
     lhs = transitive_on_level(g, "geodesics", 1, group) and split.orbit_count <= 1
-    octahedral = isomorphic(g, _reference("complete_multipartite(3,2)")) is not None
+    octahedral = octahedral_form(g)
     sigma = clique_graph(g).graph
     sigma_ok = False
     sigma_facts: dict = {"clique_graph_order": sigma.n}
@@ -285,12 +282,8 @@ def classify_valency4_girth3(g: Graph, group: AutGroup | None = None) -> Verdict
             sigma_ok = is_s_arc_transitive(sigma, 3)
             sigma_facts["clique_graph_3_arc_transitive"] = sigma_ok
     rhs = octahedral or sigma_ok
-    details = {
-        "octahedral_form": octahedral,
-        "cubic_preimage": sigma_ok,
-        "two_geodesic_orbit_sizes": split.sizes(),
-        **sigma_facts,
-    }
+    details = {"octahedral_form": octahedral, "cubic_preimage": sigma_ok,
+               "two_geodesic_orbit_sizes": split.sizes(), **sigma_facts}
     return _finish("thm-1.1", g, {}, lhs, rhs, lhs == rhs, None, details, t0)
 
 
@@ -307,8 +300,7 @@ def check_locally_cyclic(g: Graph, group: AutGroup | None = None) -> VerdictRepo
         return _na("cor-1.2", g, {}, "graph is not locally cyclic", t0)
     group = _acting_group(g, group)
     lhs = all(transitive_on_level(g, "geodesics", t, group) for t in (1, 2))
-    octahedral = isomorphic(g, _reference("complete_multipartite(3,2)")) is not None
-    icosa = isomorphic(g, _reference("icosahedron")) is not None
+    octahedral, icosa = octahedral_form(g), icosahedral_form(g)
     details = {"local_cycle_length": summary.params[0],
                "octahedral_form": octahedral, "icosahedral_form": icosa}
     return _finish("cor-1.2", g, {}, lhs, octahedral or icosa,
@@ -411,7 +403,7 @@ def run_corpus(corpus: Corpus, checks=None) -> list[VerdictReport]:
     graph's sorted by claim id, then s.  Each check runs once per s of its s
     values (2..diam(L)+1, less what its hypotheses rule out), once if it has
     none; a graph whose s values are a reason gets a single not-applicable
-    record with s null.
+    record with s null, and a check past the enumeration cap one with its s.
     """
     selected = tuple(checks) if checks else tuple(CHECKS)
     unknown = [c for c in selected if c not in CHECKS]
@@ -427,7 +419,11 @@ def run_corpus(corpus: Corpus, checks=None) -> list[VerdictReport]:
                 records.append(_na(check.claim, g, {"s": None}, s_values, time.perf_counter()))
             else:
                 for s in s_values:
-                    records.extend(check.run(g, s, None))
+                    t0 = time.perf_counter()
+                    try:
+                        records.extend(check.run(g, s, None))
+                    except EnumerationCapExceeded as exc:
+                        records.append(_na(check.claim, g, {"s": s}, str(exc), t0))
         records.sort(key=lambda r: (r.claim, r.params.get("s") or 0))
         reports.extend(records)
     return reports
@@ -446,7 +442,8 @@ def format_table(reports) -> str:
     for r in reports:
         s = r.params.get("s")
         rows.append((
-            r.claim, r.graph, "" if s is None else str(s),
+            r.claim, r.graph[:29] + "..." if r.graph.startswith("g6:") and len(r.graph) > 32
+            else r.graph, "" if s is None else str(s),
             r.verdict, _short(r.lhs), _short(r.rhs), f"{r.seconds:.3f}",
         ))
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
@@ -455,10 +452,7 @@ def format_table(reports) -> str:
     tally = {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0}
     for r in reports:
         tally[r.verdict] += 1
-    lines.append("")
-    lines.append(
-        f"{tally[PASS]} pass, {tally[FAIL]} fail, {tally[NOT_APPLICABLE]} not-applicable"
-    )
+    lines += ["", f"{tally[PASS]} pass, {tally[FAIL]} fail, {tally[NOT_APPLICABLE]} not-applicable"]
     return "\n".join(lines)
 
 

@@ -86,6 +86,27 @@ def connected_atlas() -> tuple[Graph, ...]:
     return _atlas()
 
 
+def cfi_graph(k: int):
+    """(CFI(H), H) for H = networkx.random_regular_graph(3, k, seed=1): the
+    untwisted Cai-Furer-Immerman graph (Cai, Furer & Immerman 1992), 10k
+    vertices.  Each vertex v of H becomes four middle vertices, one per even
+    subset S of its three edges, and two ends, 0 and 1, per edge; the middle
+    vertex of S meets end 1 of each edge in S and end 0 of the others, and
+    the two ends of an edge uv at u meet the ends of equal bit at v."""
+    import networkx as nx
+
+    h = nx.random_regular_graph(3, k, seed=1)
+    index: dict = {}
+    edges = []
+    for v in sorted(h):
+        for bits in ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)):
+            middle = index.setdefault(("middle", v, bits), len(index))
+            edges += [(middle, index.setdefault((v, w, b), len(index)))
+                      for w, b in zip(sorted(h[v]), bits)]
+    edges += [(index[u, w, b], index[w, u, b]) for u, w in h.edges for b in (0, 1)]
+    return build_graph(len(index), edges, name=f"CFI({k})"), h
+
+
 def _has_5_cycle(adj) -> bool:
     n = len(adj)
     for a in range(n):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +13,13 @@ from linesym.constructions import catalog
 from linesym.graphs import (
     Graph,
     build_graph,
+    complement,
     is_complete,
     is_regular,
     isomorphic,
 )
 from linesym.symmetry import automorphisms
-from oracles import automorphism_count_filter
+from oracles import automorphism_count_filter, orbit_partition
 
 from conftest import cube_graph, kneser_graph, random_connected_graph, relabelled
 
@@ -149,25 +151,31 @@ def test_isomorphic_returns_edge_preserving_bijection(petersen):
     assert {frozenset((phi[u], phi[v])) for u, v in petersen.edges} == hedges
 
 
-def test_isomorphic_reuses_the_search_behind_the_group(monkeypatch, petersen):
+def test_isomorphic_searches_the_disjoint_union_once(monkeypatch, petersen):
+    """isomorphic runs one search, on g1 + g2 with g2's vertices shifted by
+    n, and none on either graph alone; a disconnected g1 is decided on the
+    union of the complements."""
     searched = []
     search = refinement.automorphism_generators
 
-    def counted(adj):
+    def counted(adj, colors=None):
         searched.append(adj)
-        return search(adj)
+        return search(adj, colors)
 
     monkeypatch.setattr(refinement, "automorphism_generators", counted)
     relabel = [3, 7, 1, 0, 9, 4, 2, 8, 5, 6]
     g = build_graph(10, petersen.edges)  # a fresh instance, nothing cached on it
     h = build_graph(10, [(relabel[u], relabel[v]) for u, v in petersen.edges])
-    automorphisms.cache_clear()
-    automorphisms(g)
-    assert searched == [g.adj]
     assert isomorphic(g, h) is not None
-    assert searched == [g.adj, h.adj]
-    assert isomorphic(h, g) is not None
-    assert searched == [g.adj, h.adj]
+    assert searched == [g.adj + tuple(tuple(w + 10 for w in row) for row in h.adj)]
+    assert "search" not in vars(g) and "search" not in vars(h)
+    searched.clear()
+    two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    k33 = build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    c6 = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    assert isomorphic(two_triangles, c6) is None
+    assert searched == [k33.adj + tuple(tuple(w + 6 for w in row) for row in complement(c6).adj)]
+    assert complement(two_triangles) == k33
 
 
 def search_digests() -> dict[str, str]:
@@ -178,27 +186,28 @@ def search_digests() -> dict[str, str]:
     out = {}
     for g in graphs:
         for seed in (1, 2):
-            base, gens, order, _ = refinement.automorphism_generators(relabelled(g, seed).adj)
-            text = json.dumps([base, [list(p) for p in gens], list(order)])
+            base, gens, order = refinement.automorphism_generators(relabelled(g, seed).adj)
+            text = json.dumps([base, [list(p) for p in gens], order])
             out[f"{g.name}/{seed}"] = hashlib.sha256(text.encode()).hexdigest()
     return out
 
 
-# Recorded from the search that targets the first largest cell; a change to
-# the tree (base, generators or canonical order) has to re-record them.
+# Recorded from the search that targets the first largest cell and skips
+# every node whose cell sizes differ from the first path's; a change to the
+# tree (base, generators or group order) has to re-record them.
 SEARCH_DIGESTS = {
-    "complete(16)/1": "c9d7f5ce68b2bd3c76d21c42f19338f869505a3637f1e1a96fd77c467b9dcffa",
-    "complete(16)/2": "c9d7f5ce68b2bd3c76d21c42f19338f869505a3637f1e1a96fd77c467b9dcffa",
-    "cycle(179)/1": "e6fd8a2405112a929c129dba556ac9082f0bb80cf4b6e62ef9a07a4dc03ef01d",
-    "cycle(179)/2": "7ab4b75f88ac696a94af56e8afd2584b4be67ad2255292a1c0a8b817b746681c",
-    "K(9,3)/1": "2189b86de9313a819e7280f09e14f072218929339f4341775066302dc6eb4442",
-    "K(9,3)/2": "d6b9ad46f9af01ba9b14ea289230f85cfe4da4c8427664cfc62a57f19716b799",
-    "L(L(L(complete(5))))/1": "0fc291e72a72db8bb77f47faac3ee7d82e4200cc40a841380fc6e00a2352ff8a",
-    "L(L(L(complete(5))))/2": "d034cb217a902fc5ce8fb7fb14038cac7e72eab3fb16085fac5300a5b2cf013c",
-    "tutte_8_cage/1": "8631cc4a82c5a95a04e06dffcb8cfbd995cd67420b2bd24cdb23149708e5514f",
-    "tutte_8_cage/2": "1d988c35ef9e86344b7aad1b1d4f8a7407f320f7aae773b6650c35aa44633e3a",
-    "Q5/1": "72d0b0d648727cdd1b0e756499b921bf76466bfd3e1ea7d532ed6bb0d92337ad",
-    "Q5/2": "18d1c911be2a4fd6d42b2d2d3cc85033cd0b45cef598f96c784db1f7f4ece4e6",
+    "complete(16)/1": "feeb05cf72acfe3c97a71d00677d1605f34c2380b290e54019c745bc502de589",
+    "complete(16)/2": "feeb05cf72acfe3c97a71d00677d1605f34c2380b290e54019c745bc502de589",
+    "cycle(179)/1": "f10536eefca829f24277bffd27a66ebf1626f7a17bdc74cf00d5145c06f93596",
+    "cycle(179)/2": "65cb3389e66fdd1c83b730ffec393efad6d8ad01413d83cff8cb3ba34dad79a9",
+    "K(9,3)/1": "490dff9bb455dd4f8c7d72675ab1d9ba4342fdc220bb7aa546f121ad357c7f34",
+    "K(9,3)/2": "2c96804791e3a67250b49b81caf6c332039354500f13f522e3e104aca9afa61e",
+    "L(L(L(complete(5))))/1": "80c56ccbfab47d9e5326f615cae08999bd4503b81623ee4dd35be64be34afe25",
+    "L(L(L(complete(5))))/2": "634fb020b3cfcf8531543af8832b77cccf2d510081316325ccefbbe35d16e735",
+    "tutte_8_cage/1": "639c245133a7ee27434c63c0098ce8be43c3085e8afe7a13cc68efa829171c5a",
+    "tutte_8_cage/2": "3cad62c0c5e4045cb7593fabe3c8f06d3fd17d8c5ca61938d3f5be9b9da281bc",
+    "Q5/1": "d90d6e5eb7614e565b3a7d8de4a29d0e6055b12f0cf6840942925e869b521530",
+    "Q5/2": "8fb995aa539959bac1c4dcf56085dc62676fc8ed1bd30ae84df166f8621373df",
 }
 
 
@@ -208,14 +217,15 @@ def test_the_search_tree_is_pinned():
 
 def test_relabelling_a_graph_relabels_its_search_tree():
     # The target cell is chosen from cell sizes and starts alone, so every
-    # labelling gets the same base depth, group order and canonical form.
+    # labelling gets the same base depth, group order and orbit sizes.
     for g in (catalog("projective_plane(5)"), catalog("complete(5)").line.line.line,
               kneser_graph(9, 3)):
         found = set()
         for seed in (1, 2, 3):
             h = relabelled(g, seed)
-            base, _, order, group_order = refinement.automorphism_generators(h.adj)
-            found.add((len(base), group_order, refinement.certificate(h.adj, order)))
+            base, gens, group_order = refinement.automorphism_generators(h.adj)
+            orbits = Counter(orbit_partition([(v,) for v in range(h.n)], gens))
+            found.add((len(base), group_order, tuple(sorted(orbits.values()))))
         assert len(found) == 1, g.name
 
 

@@ -7,13 +7,23 @@ from hypothesis import given, settings
 
 from linesym.constructions import catalog, line_graph
 from linesym.graphs import Graph, build_graph
-from linesym.metrics import LocalType, diameter, girth, is_connected, local_type
+from linesym.metrics import (
+    LocalType,
+    diameter,
+    girth,
+    icosahedral_form,
+    is_connected,
+    local_type,
+    octahedral_form,
+)
 from oracles import diameter_oracle, floyd_warshall, girth_oracle, local_type_oracle
 
 from conftest import (
     circulant,
+    connected_atlas,
     cube_graph,
     random_connected_graph,
+    relabelled,
     small_graphs,
     triangulated_torus,
 )
@@ -255,3 +265,36 @@ def test_local_type_builds_no_graph(monkeypatch, icosahedron, petersen):
         LocalType("disjoint_cliques", (2, 2)),
         LocalType("cycle", (6,)),
     ]
+
+
+def test_the_octahedral_and_icosahedral_forms_match_networkx():
+    """octahedral_form and icosahedral_form, read off degrees and
+    neighbourhoods, agree with networkx's isomorphism test against the
+    catalog's K_{3[2]} and icosahedron, on every connected atlas graph, the
+    catalog, triangulated tori, relabelled copies of both targets and two
+    copies of each side by side."""
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        return h
+
+    octahedron, icosahedron = catalog("complete_multipartite(3,2)"), catalog("icosahedron")
+    names = [*(f"complete({n})" for n in range(1, 9)), *(f"cycle({n})" for n in range(3, 13)),
+             *(f"complete_multipartite({m},{b})" for m in range(2, 5) for b in range(1, 4)),
+             "path(3)", "petersen", "heawood", "tutte_8_cage", "icosahedron", "k33",
+             "projective_plane(2)", "projective_plane(3)"]
+    hosts = [*connected_atlas(), *map(catalog, names), *(triangulated_torus(k) for k in range(4, 9)),
+             *(relabelled(g, seed) for g in (octahedron, icosahedron) for seed in range(1, 6)),
+             *(build_graph(2 * g.n, [*g.edges, *((u + g.n, v + g.n) for u, v in g.edges)])
+               for g in (octahedron, icosahedron))]  # locally cyclic, not connected
+    cyclic = 0
+    for g in hosts:
+        summary = local_type(g)
+        cyclic += is_connected(g) and summary is not None and summary.kind == "cycle"
+        assert octahedral_form(g) == nx.is_isomorphic(to_nx(g), to_nx(octahedron)), g.adj
+        assert icosahedral_form(g) == nx.is_isomorphic(to_nx(g), to_nx(icosahedron)), g.adj
+    # The atlas's octahedron, the catalog's two targets, five tori and ten copies.
+    assert cyclic == 18

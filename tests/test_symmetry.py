@@ -45,6 +45,7 @@ from oracles import (
 )
 
 from conftest import (
+    cfi_graph,
     connected_atlas,
     cube_graph,
     kneser_graph,
@@ -225,7 +226,7 @@ def test_the_first_path_merges_each_generator_once(monkeypatch):
     merge = linesym.refinement._Node.merge
     monkeypatch.setattr(linesym.refinement._Node, "merge",
                         lambda node, p, moved: merges.append(p) or merge(node, p, moved))
-    _, gens, _, order = linesym.refinement.automorphism_generators(_star(300).adj)
+    _, gens, order = linesym.refinement.automorphism_generators(_star(300).adj)
     assert (len(gens), len(merges), order) == (299, 299, math.factorial(300))
 
 
@@ -302,7 +303,7 @@ def test_the_reduction_on_the_connected_atlas(monkeypatch):
             continue
         reduced += 1
         base, gens, order = found
-        assert order == g.search[3], g.adj
+        assert order == g.search[2], g.adj
         _automorphisms_of(g, map(Permutation, gens))
         _, levels, _, _ = _stabilizer_chain(gens, g.n, base, order)
         assert _chain_order(levels) == order and not calls, g.adj
@@ -343,7 +344,7 @@ def test_twin_free_graphs_keep_the_search_group(g):
     """With no twin and no leaf, the group is the search's, generator for
     generator and with its base, so the `orbits` hosts keep their groups."""
     automorphisms.cache_clear()
-    base, gens, _, order = g.search
+    base, gens, order = g.search
     group = automorphisms(g)
     assert [p.images for p in group.generators] == gens
     assert (group._base, group.order, group._strong) == (tuple(base), order, True)
@@ -360,7 +361,7 @@ def test_order_matches_filter_oracle_on_small_random_graphs():
     rng = random.Random(41)
     for _ in range(25):
         g = random_connected_graph(rng, rng.randint(2, 7), extra_p=rng.choice([0.2, 0.5]))
-        assert automorphisms(g).order == g.search[3] == automorphism_count_filter(g)
+        assert automorphisms(g).order == g.search[2] == automorphism_count_filter(g)
 
 
 def test_order_matches_backtracking_oracle_on_catalog():
@@ -558,6 +559,30 @@ def test_projective_planes_have_their_closed_form_orders():
         assert len(g.search[0]) == 4
 
 
+@pytest.mark.parametrize("k", [20, 24, 40])
+def test_cfi_graphs_have_their_closed_form_orders(k):
+    # An untwisted CFI graph over a connected cubic H has 2^(|E| - |V| + 1)
+    # |Aut(H)| automorphisms: one flip per cycle of H, with H's own lifted.
+    nx = pytest.importorskip("networkx")
+    g, h = cfi_graph(k)
+    base_order = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+    automorphisms.cache_clear()
+    assert automorphisms(g).order == 2 ** (k // 2 + 1) * base_order
+
+
+def test_the_search_skips_subtrees_without_the_first_paths_cell_sizes(monkeypatch):
+    # A node whose cell sizes differ from the first path's at its depth holds
+    # no automorphism.  Descending into such nodes took 8,100 children on
+    # the 200-vertex CFI graph; skipping them takes 121.
+    pytest.importorskip("networkx")
+    children, child = [], linesym.refinement._child
+    monkeypatch.setattr(linesym.refinement, "_child",
+                        lambda adj, state, v: children.append(v) or child(adj, state, v))
+    g, _ = cfi_graph(20)
+    assert linesym.refinement.automorphism_generators(g.adj)[2] == 2 ** 11
+    assert len(children) < 200
+
+
 def test_search_depth_is_not_limited_by_the_recursion_limit():
     g = catalog("complete(50)")
     perm = list(range(50))
@@ -652,7 +677,7 @@ def test_line_graphs_of_arc_transitive_roots_search_only_the_root(searched):
             searched.clear()
             order = automorphisms(g).order
             assert searched == [root], (host.name, seed)
-            assert order == g.search[3]
+            assert order == g.search[2]
 
 
 def test_automorphisms_give_the_search_order_on_the_atlas_and_its_line_graphs(monkeypatch):
@@ -672,7 +697,7 @@ def test_automorphisms_give_the_search_order_on_the_atlas_and_its_line_graphs(mo
     graphs = [h for g in connected_atlas() for h in ((g, g.line) if g.m else (g,))]
     for h in graphs:
         group = automorphisms(h)
-        assert group.order == h.search[3]
+        assert group.order == h.search[2]
         _automorphisms_of(h, group.generators)
     assert len(rooted.intersection(graphs)) > len(graphs) // 3
 
@@ -691,7 +716,7 @@ def test_whitney_exceptions_are_searched(edges, root_order, line_order):
     h = build_graph(max(map(max, edges)) + 1, edges)
     line = h.line
     assert automorphisms(h).order == root_order
-    assert automorphisms(line).order == line.search[3] == line_order
+    assert automorphisms(line).order == line.search[2] == line_order
 
 
 def _complement(g):
@@ -714,7 +739,7 @@ def test_automorphisms_give_the_search_order_on_the_whole_atlas_and_its_compleme
     automorphisms.cache_clear()
     for h in graphs:
         group = automorphisms(h)
-        assert group.order == h.search[3], h.adj
+        assert group.order == h.search[2], h.adj
         _automorphisms_of(h, group.generators)
     assert sum(map(_denser_than_half, (g.adj for g in atlas))) == 621
 
@@ -764,7 +789,7 @@ def test_dense_graphs_keep_no_edge_list(g):
     h = build_graph(g.n, g.edges)
     automorphisms.cache_clear()
     assert _denser_than_half(h.adj) and h.root is None
-    assert automorphisms(h).order == h.search[3]
+    assert automorphisms(h).order == h.search[2]
     assert h.m == len(g.edges)
     assert "edges" not in vars(h)
 
@@ -807,7 +832,7 @@ def test_build_falls_back_to_schreier_sims_when_the_generators_are_not_strong(na
     remaining generators generate."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
     g = catalog(name)
-    base, gens, _, order = g.search
+    base, gens, order = g.search
     kept = [Permutation(p) for p in gens[:-1]]
     expected = combinatorics.PermutationGroup(
         [combinatorics.Permutation(list(p.images)) for p in kept]).order()

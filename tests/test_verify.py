@@ -651,6 +651,26 @@ def test_corpus_gives_thm32_on_a_disconnected_graph_one_record_with_no_s():
         "thm-3.2", {"s": None}, NOT_APPLICABLE, {"reason": "no usable s"})
 
 
+def test_a_capped_check_gives_its_own_record_and_the_run_goes_on(monkeypatch):
+    """Past walks.ENUMERATION_CAP a check gives a not-applicable record whose
+    reason is the cap's message, and the run goes on: every other record,
+    the first graph's included, is the uncapped run's."""
+    corpus = Corpus(tuple((name, catalog(name)) for name in ("petersen", "tutte_8_cage")))
+    full = run_corpus(corpus)
+    monkeypatch.setattr(linesym.walks, "ENUMERATION_CAP", 2000)
+    capped = run_corpus(corpus)
+
+    def unclocked(r):
+        return {**r.to_record(), "seconds": None}
+
+    assert len(capped) == len(full)
+    changed = [r for r, before in zip(capped, full) if unclocked(r) != unclocked(before)]
+    assert [(r.graph, r.claim, r.params, r.verdict, r.details) for r in changed] == [
+        ("tutte_8_cage", "thm-3.2", {"s": s}, NOT_APPLICABLE,
+         {"reason": f"enumeration cap reached: more than 2000 entries in arcs of length {s}"})
+        for s in (4, 5)]
+
+
 def test_empty_corpus_runs_clean():
     reports = run_corpus(Corpus(()))
     assert reports == []
@@ -701,6 +721,17 @@ def test_format_table_leaves_the_s_cell_empty_where_s_is_null(default_reports):
     for r, row in zip(default_reports, table[1:]):
         s = r.params.get("s")
         assert row.split()[:3] == [r.claim, r.graph, r.verdict if s is None else str(s)]
+
+
+def test_format_table_shortens_graph6_labels():
+    """An unnamed graph's label holds its whole graph6 string, 270 characters
+    for a 400-cycle; the table cuts it, and the record keeps it whole."""
+    g = build_graph(400, [(i, (i + 1) % 400) for i in range(400)])
+    report = check_diameter_lemma(g)
+    assert report.graph == graph_label(g) and len(report.graph) > 200
+    rows = format_table([report]).splitlines()
+    assert max(map(len, rows)) < 80
+    assert rows[1].split()[1] == report.graph[:29] + "..."
 
 
 def test_write_report(tmp_path, default_reports):
