@@ -226,18 +226,18 @@ def complement(g: Graph) -> Graph:
 def isomorphic(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
     """A vertex bijection phi carrying E(g1) onto E(g2), or None: {u, v} is
     an edge of g1 iff {phi[u], phi[v]} is one of g2.  Decided on the disjoint
-    union g1 + g2, g2 shifted by n, with no canonical form.  For a connected
-    g1 they are isomorphic iff an automorphism of the union carries vertex 0
-    into g2, and then a generator does, since generators that keep g1's
-    component generate a group that keeps it; phi is that generator on g1.
-    A disconnected g1 has a connected complement, isomorphic under the same phi."""
+    union g1 + g2, g2 shifted by g1's order, with no canonical form.  For a
+    connected g1 they are isomorphic iff an automorphism of the union carries
+    vertex 0 into g2, and then a generator does, since generators that keep
+    g1's component generate a group that keeps it; phi is that generator on g1.
+    A disconnected g1, and g2, are joined to a new vertex n, the joins' only vertex of degree n."""
     n = g1.n
     if n != g2.n or g1.m != g2.m or sorted(map(len, g1.adj)) != sorted(map(len, g2.adj)):
         return None
-    if None in g1.distances(0):
-        g1, g2 = complement(g1), complement(g2)
-    union = g1.adj + tuple(tuple(w + n for w in row) for row in g2.adj)
+    if None in g1.distances(0):  # disconnected, so no vertex has degree n - 1
+        g1, g2 = (Graph(n + 1, (*(row + (n,) for row in h.adj), tuple(range(n)))) for h in (g1, g2))
+    union = g1.adj + tuple(tuple(w + g1.n for w in row) for row in g2.adj)
     for p in refinement.automorphism_generators(union)[1]:
-        if p[0] >= n:
-            return tuple(w - n for w in p[:n])
+        if p[0] >= g1.n:
+            return tuple(w - g1.n for w in p[:n])
     return None

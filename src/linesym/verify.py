@@ -15,8 +15,10 @@ import json
 import operator
 import random
 import time
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Callable, NamedTuple
 
 from .constructions import catalog, clique_graph, subdivision_graph
@@ -181,8 +183,14 @@ def check_subdivision_diameter(g: Graph) -> VerdictReport:
                    {"delta": delta}, t0)
 
 
+def _spans(g: Graph, tuples, d):  # whether each tuple's first and last vertex are d apart in g
+    rows = list(map(g.distances, range(g.n)))
+    return map(d.__eq__, map(operator.getitem, map(rows.__getitem__, map(
+        operator.itemgetter(0), tuples)), map(operator.itemgetter(-1), tuples)))
+
+
 def check_lmap_theorem(g: Graph, s: int, group: AutGroup | None = None) -> VerdictReport:
-    """Structural facts about the edge-sequence map on s-arcs.
+    """Structural facts about the edge-sequence map on s-arcs, read down whole columns.
 
     Observed behaviour is compared key by key against what the statement
     predicts: injectivity always; surjectivity onto (s-1)-arcs exactly for
@@ -202,33 +210,37 @@ def check_lmap_theorem(g: Graph, s: int, group: AutGroup | None = None) -> Verdi
         return _na("thm-3.2", g, params, f"graph has no {s}-arc", t0)
     group = _acting_group(g, group)
     line = g.line
-    table = dict(zip(arcs, edge_sequences(g, arcs)))
-    image_set = set(table.values())
-    dl = diameter(line)
-    gg = girth(g)
+    images = edge_sequences(g, arcs)  # images[i] is the image of arcs[i]
+    image_set = set(images)
+    dl, gg = diameter(line), girth(g)
     within = s - 1 <= dl
     # An image is an arc of L when consecutive entries are adjacent and entries two apart
     # differ, a geodesic when also its ends are s-1 apart; L's own tuples are only counted.
+    # L's rows are read at L-arcs' ends only: another image may hold a rank that is no vertex.
     adjacent = line.edge_rank.__contains__  # keyed by L's ordered adjacent pairs
-    line_arcs = {t for t in image_set
-                 if all(map(adjacent, zip(t, t[1:]))) and all(map(operator.ne, t, t[2:]))}
-    line_geos = {t for t in line_arcs if line.distances(t[0])[t[-1]] == s - 1}
+    cols, index, bad = list(zip(*images)), range(len(arcs)), set()
+    for a, b in zip(cols, cols[1:]):
+        bad.update(compress(index, map(operator.not_, map(adjacent, zip(a, b)))))
+    for a, c in zip(cols, cols[2:]):
+        bad.update(compress(index, map(operator.eq, a, c)))
+    line_arcs = list(image_set.difference(map(images.__getitem__, bad)))
+    line_geos = set(compress(line_arcs, _spans(line, line_arcs, s - 1)))
     covers = len(line_geos) == count_geodesics(line, s - 1) if within else None
     # A map commuting with sigma and tau commutes with their product, so the generators
     # stand for the group; each is an automorphism, mapping the arc's own edges to edges.
+    # An index draw is choice(arcs)'s draw; sigma(arc) is bisected for in the sorted arcs.
     rng, gens = random.Random(LMAP_SEED), group.generators or (Permutation(tuple(range(g.n))),)
     for pairs in range(1, LMAP_SAMPLES + 1):
-        sigma, arc = rng.choice(gens), rng.choice(arcs)
-        equivariant = table.get(sigma.apply(arc)) == _edge_images(
-            sigma, map(g.edges.__getitem__, table[arc]), g.edge_rank)
+        sigma, k = rng.choice(gens), rng.choice(index)
+        equivariant = images[bisect_left(arcs, sigma.apply(arcs[k]))] == _edge_images(
+            sigma, map(g.edges.__getitem__, images[k]), g.edge_rank)
         if not equivariant:
             break
     observed = {
         "injective": len(image_set) == len(arcs),
         "images_are_arcs": len(line_arcs) == len(image_set),
         "onto_line_arcs": len(line_arcs) == len(image_set) == count_arcs(line, s - 1),
-        "geodesics_preserved": all(table[a] in line_geos for a in arcs
-                                   if g.distances(a[0])[a[-1]] == s),
+        "geodesics_preserved": line_geos.issuperset(compress(images, _spans(g, arcs, s))),
         "image_covers_geodesics": covers,
         "image_equals_geodesics": covers and len(line_geos) == len(image_set),
         "equivariant": equivariant,
@@ -245,12 +257,7 @@ def check_lmap_theorem(g: Graph, s: int, group: AutGroup | None = None) -> Verdi
     }
     mismatches = {k: {"observed": observed[k], "predicted": predicted[k]}
                   for k in observed if observed[k] != predicted[k]}
-    details = {
-        "arc_count": len(arcs),
-        "sampled_pairs": pairs,
-        "girth": gg,
-        "line_diameter": dl,
-    }
+    details = {"arc_count": len(arcs), "sampled_pairs": pairs, "girth": gg, "line_diameter": dl}
     return _finish("thm-3.2", g, params, observed, predicted, not mismatches,
                    mismatches or None, details, t0)
 
@@ -355,21 +362,16 @@ class Corpus:
 
     @staticmethod
     def from_graph6_file(path: str) -> "Corpus":
-        entries = []
         with open(path, "rb") as fh:
-            for k, row in enumerate(fh):
-                row = row.strip()
-                if row:
-                    entries.append((f"{path}:{k + 1}", parse_graph6(row)))
+            entries = [(f"{path}:{k}", parse_graph6(row))
+                       for k, row in enumerate(map(bytes.strip, fh), 1) if row]
         if not entries:
             raise ValueError(f"{path} holds no graphs")
         return Corpus(tuple(entries))
 
 
 def _theorem_s_range(g: Graph):
-    if not is_connected(g) or g.m == 0:
-        return []
-    return range(2, diameter(g.line) + 2)
+    return range(2, diameter(g.line) + 2) if is_connected(g) and g.m else []
 
 
 class Check(NamedTuple):
@@ -449,9 +451,7 @@ def format_table(reports) -> str:
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in rows]
-    tally = {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0}
-    for r in reports:
-        tally[r.verdict] += 1
+    tally = {v: sum(r.verdict == v for r in reports) for v in (PASS, FAIL, NOT_APPLICABLE)}
     lines += ["", f"{tally[PASS]} pass, {tally[FAIL]} fail, {tally[NOT_APPLICABLE]} not-applicable"]
     return "\n".join(lines)
 

@@ -13,7 +13,6 @@ from linesym.constructions import catalog
 from linesym.graphs import (
     Graph,
     build_graph,
-    complement,
     is_complete,
     is_regular,
     isomorphic,
@@ -153,8 +152,9 @@ def test_isomorphic_returns_edge_preserving_bijection(petersen):
 
 def test_isomorphic_searches_the_disjoint_union_once(monkeypatch, petersen):
     """isomorphic runs one search, on g1 + g2 with g2's vertices shifted by
-    n, and none on either graph alone; a disconnected g1 is decided on the
-    union of the complements."""
+    g1's order, and none on either graph alone; a disconnected g1 is decided
+    on the union of the two graphs each joined to a new vertex n, not on the
+    dense complements, and the map it returns leaves that vertex out."""
     searched = []
     search = refinement.automorphism_generators
 
@@ -169,13 +169,24 @@ def test_isomorphic_searches_the_disjoint_union_once(monkeypatch, petersen):
     assert isomorphic(g, h) is not None
     assert searched == [g.adj + tuple(tuple(w + 10 for w in row) for row in h.adj)]
     assert "search" not in vars(g) and "search" not in vars(h)
-    searched.clear()
+
+    def joined(x):
+        return build_graph(7, [*x.edges, *((v, 6) for v in range(6))])
+
     two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    k33 = build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
     c6 = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    searched.clear()
     assert isomorphic(two_triangles, c6) is None
-    assert searched == [k33.adj + tuple(tuple(w + 6 for w in row) for row in complement(c6).adj)]
-    assert complement(two_triangles) == k33
+    assert searched == [joined(two_triangles).adj
+                        + tuple(tuple(w + 7 for w in row) for row in joined(c6).adj)]
+    relabel = [4, 0, 5, 2, 1, 3]
+    moved = build_graph(6, [(relabel[u], relabel[v]) for u, v in two_triangles.edges])
+    searched.clear()
+    phi = isomorphic(two_triangles, moved)
+    assert sorted(phi) == list(range(6))
+    assert {frozenset((phi[u], phi[v])) for u, v in two_triangles.edges} == set(
+        map(frozenset, moved.edges))
+    assert list(map(len, searched)) == [14]
 
 
 def search_digests() -> dict[str, str]:

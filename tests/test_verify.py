@@ -12,7 +12,7 @@ import linesym.verify
 import linesym.walks
 from linesym.constructions import EdgeIndex, catalog, line_graph
 from linesym.graph6 import emit_graph6
-from linesym.graphs import build_graph
+from linesym.graphs import Graph, build_graph
 from linesym.metrics import diameter, girth
 from linesym.symmetry import (
     AutGroup,
@@ -46,7 +46,13 @@ from linesym.verify import (
     run_corpus,
     write_report,
 )
-from linesym.walks import count_arcs, edge_sequences, enumerate_arcs, enumerate_geodesics
+from linesym.walks import (
+    count_arcs,
+    count_geodesics,
+    edge_sequences,
+    enumerate_arcs,
+    enumerate_geodesics,
+)
 from oracles import all_arcs, all_geodesics
 
 from conftest import (
@@ -274,6 +280,58 @@ def test_lmap_check_builds_one_tuple_list(name, s, monkeypatch):
     assert check_lmap_theorem(g, s).verdict == PASS
     assert calls == [(g, s, False)]  # the host's s-arcs, once
     assert mapped == [count_arcs(g, s)]  # and mapped in one call, never arc by arc
+
+
+@pytest.mark.parametrize("name, s", [("icosahedron", 4), ("tutte_8_cage", 5)])
+def test_lmap_check_reads_each_distance_row_once(name, s, monkeypatch):
+    """With girth, diameter and both line-graph counts warm, a record reads
+    the host's rows and L's rows once each, as lists, and looks up every
+    arc's and image's end distance in them: at most g.n + L.n + 2 calls,
+    where a call per arc made 7,682 on the icosahedron at s = 4 and 2,882
+    on the Tutte 8-cage at s = 5.  A work count does not vary between
+    machines, so this guard cannot flake."""
+    g = catalog(name)
+    girth(g), diameter(g.line), count_geodesics(g.line, s - 1), count_arcs(g.line, s - 1)
+    calls = []
+    distances = Graph.distances
+    monkeypatch.setattr(Graph, "distances", lambda h, v: calls.append(v) or distances(h, v))
+    assert check_lmap_theorem(g, s).verdict == PASS
+    assert len(calls) <= g.n + g.line.n + 2
+
+
+def test_lmap_sampler_draws_generator_then_arc(petersen, monkeypatch):
+    """The sampler's pairs are those that choice(gens), then choice(arcs),
+    draw from a fresh random.Random(LMAP_SEED), in order: each pair reaches
+    _edge_images as the generator and the edges of the arc."""
+    seen = []
+    edge_images = linesym.verify._edge_images
+
+    def recorded(p, ends, point):
+        ends = tuple(ends)
+        seen.append((p, ends))
+        return edge_images(p, ends, point)
+
+    monkeypatch.setattr(linesym.verify, "_edge_images", recorded)
+    r = check_lmap_theorem(petersen, 3)
+    rng = random.Random(linesym.verify.LMAP_SEED)
+    gens, arcs = automorphisms(petersen).generators, enumerate_arcs(petersen, 3)
+    drawn = [(rng.choice(gens), rng.choice(arcs)) for _ in range(r.details["sampled_pairs"])]
+    assert seen == [(p, tuple(tuple(sorted(e)) for e in zip(arc, arc[1:]))) for p, arc in drawn]
+    assert len(seen) == 50
+
+
+def test_lmap_check_fails_an_image_that_holds_no_vertex_of_l(petersen, monkeypatch):
+    """An image whose first rank is g.m, no vertex of L, is no arc of L: the
+    record fails on images_are_arcs and the facts that follow from it, and
+    reading an image's ends off L's rows never meets that rank."""
+    def faulty(g, arcs):
+        images = edge_sequences(g, arcs)
+        return [(g.m, *images[0][1:]), *images[1:]]
+
+    monkeypatch.setattr(linesym.verify, "edge_sequences", faulty)
+    r = check_lmap_theorem(petersen, 3)
+    assert r.verdict == FAIL and r.lhs["images_are_arcs"] is False
+    assert set(r.witness) == {"images_are_arcs", "image_covers_geodesics", "image_equals_geodesics"}
 
 
 def _lmap_facts_tuple_by_tuple(g, s):
